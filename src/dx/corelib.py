@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionViolated
 from .model import (
@@ -35,12 +35,6 @@ class BlockPartition:
 
     blocks: Tuple[Instance, ...]
     atom_block: Tuple[Tuple[Atom, int], ...]
-
-    def block_of(self, atom: Atom) -> int:
-        for a, idx in self.atom_block:
-            if a == atom:
-                return idx
-        raise KeyError(atom)
 
     def null_counts(self) -> Tuple[int, ...]:
         return tuple(len(b.nulls()) for b in self.blocks)
@@ -164,11 +158,18 @@ def _find_shrinking_endo(
     return rec(0)
 
 
-def _core_of(instance: Instance, fixed: FrozenSet[Value]) -> Instance:
-    partition = atom_blocks(instance)
-    block_nulls = [
-        tuple(sorted(b.nulls(), key=value_key)) for b in partition.blocks
-    ]
+def block_null_tuples(partition: BlockPartition) -> List[Tuple[Null, ...]]:
+    """The nulls of every block, each block's in canonical order."""
+    return [tuple(sorted(b.nulls(), key=value_key)) for b in partition.blocks]
+
+
+def _core_of(
+    instance: Instance,
+    fixed: FrozenSet[Value],
+    block_nulls: Optional[Sequence[Tuple[Null, ...]]] = None,
+) -> Instance:
+    if block_nulls is None:
+        block_nulls = block_null_tuples(atom_blocks(instance))
     current = instance
     changed = True
     while changed:
@@ -187,13 +188,20 @@ def core_of(instance: Instance) -> Instance:
     return _core_of(instance, frozenset())
 
 
-def core_retract_fixing(instance: Instance, fixed: Iterable[Value]) -> Instance:
+def core_retract_fixing(
+    instance: Instance,
+    fixed: Iterable[Value],
+    blocks: Optional[Sequence[Tuple[Null, ...]]] = None,
+) -> Instance:
     """Core extraction whose retractions additionally fix the given values.
 
     Used for the per-block minimal representatives, where the freshly mapped
-    block atoms must survive into the core.
+    block atoms must survive into the core.  ``blocks`` lists the null tuples
+    of the only blocks tried, in the order they are tried (by default every
+    block, in canonical order); leaving out blocks that can never shrink the
+    instance returns the same instance.
     """
-    return _core_of(instance, frozenset(fixed))
+    return _core_of(instance, frozenset(fixed), blocks)
 
 
 def is_core(instance: Instance) -> bool:

@@ -46,6 +46,7 @@ from .model import (
     Value,
     Var,
     apply_map,
+    apply_map_atom,
     match_conjunction,
     value_key,
 )
@@ -434,7 +435,13 @@ def _copy_renamer(instance: Instance, tag: str) -> Dict[Value, Value]:
 
 class CoreEvaluator:
     """Evaluates existential conjuncts over the minimal possible worlds of a
-    fixed packed core; block representatives are cached per constant pool."""
+    fixed packed core.
+
+    Block representatives are cached by the context constants outside
+    dom(core): they enter the representatives only through the pool
+    dom(core) + constants, which the others cannot change.  Renamed copies
+    of the core and of the representatives are cached by instance and tag.
+    """
 
     def __init__(self, core: Instance, block_bound: Optional[int] = None):
         if not blocks_packed(core):
@@ -444,12 +451,25 @@ class CoreEvaluator:
         self.core = core
         self.block_bound = block_bound
         self._reps: Dict[FrozenSet[Const], Tuple[BlockRep, ...]] = {}
+        self._copies: Dict[
+            Tuple[Instance, str], Tuple[Dict[Value, Value], Instance]
+        ] = {}
 
     def reps_for(self, constants: Iterable[Const]) -> Tuple[BlockRep, ...]:
-        key = frozenset(constants)
+        key = frozenset(constants) - self.core.dom()
         if key not in self._reps:
             self._reps[key] = all_block_reps(self.core, key, self.block_bound)
         return self._reps[key]
+
+    def _renamed(
+        self, instance: Instance, tag: str
+    ) -> Tuple[Dict[Value, Value], Instance]:
+        """The renaming of the instance's nulls into ``tag`` and its image."""
+        key = (instance, tag)
+        if key not in self._copies:
+            remap = _copy_renamer(instance, tag)
+            self._copies[key] = (remap, apply_map(remap, instance))
+        return self._copies[key]
 
     def conjunct_satisfiable(
         self, conjunct: ExistentialConjunct, context: Iterable[Const] = ()
@@ -462,10 +482,7 @@ class CoreEvaluator:
             # when the (dropped) existential prefix still quantifies
             return not conjunct.quantified or bool(context) or len(self.core) > 0
         s = conjunct.copy_count
-        copies = [
-            apply_map(_copy_renamer(self.core, f"cp{i + 1}"), self.core)
-            for i in range(s)
-        ]
+        copies = [self._renamed(self.core, f"cp{i + 1}")[1] for i in range(s)]
         if conjunct.k == 0:
             padding = Instance(a for c in copies for a in c.atoms)
             return satisfies_conjunct(padding, conjunct, context)
@@ -476,12 +493,11 @@ class CoreEvaluator:
             renamed: List[CandidatePair] = []
             seen = set()
             for rep in reps:
-                remap = _copy_renamer(rep.instance, f"cp{i + 1}")
-                inst = apply_map(remap, rep.instance)
+                remap, inst = self._renamed(rep.instance, f"cp{i + 1}")
                 for anchor in sorted(rep.anchors, key=lambda a: repr(a)):
                     if anchor.rel != rel or len(anchor.args) != len(terms):
                         continue
-                    alpha = _match_pattern(terms, apply_map_atom_args(remap, anchor))
+                    alpha = _match_pattern(terms, apply_map_atom(remap, anchor))
                     if alpha is None:
                         continue
                     pair = CandidatePair(inst, tuple(sorted(alpha.items(), key=lambda it: it[0].name)))
@@ -513,10 +529,6 @@ class CoreEvaluator:
             return False
 
         return search(0)
-
-
-def apply_map_atom_args(remap: Dict[Value, Value], atom: Atom) -> Atom:
-    return Atom(atom.rel, tuple(remap[v] for v in atom.args))
 
 
 def _match_pattern(

@@ -11,10 +11,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BlockTooLarge, BudgetExceeded, PreconditionViolated
-from .corelib import atom_blocks, blocks_packed, core_retract_fixing, is_core
+from .corelib import (
+    BlockPartition,
+    atom_blocks,
+    block_null_tuples,
+    blocks_packed,
+    core_retract_fixing,
+    is_core,
+)
 from .model import (
     Atom,
     Const,
@@ -48,6 +55,8 @@ def _minimal_images(images: Iterable[Instance]) -> List[Instance]:
     images anchored at one of its atoms.
     """
     distinct = sorted(set(images), key=instance_key)
+    if distinct and not distinct[0].atoms:
+        return distinct[:1]  # the empty instance is anchored nowhere
     kept: List[Instance] = []
     by_anchor: Dict[Atom, List[Instance]] = {}
     for img in distinct:
@@ -103,57 +112,106 @@ class BlockRep:
     anchors: FrozenSet[Atom]
 
 
+def _maps_onto(src: Atom, dst: Atom) -> bool:
+    """Is there a map of the nulls of ``src`` that turns it into ``dst``?"""
+    if src.rel != dst.rel or len(src.args) != len(dst.args):
+        return False
+    h: Dict[Value, Value] = {}
+    for u, v in zip(src.args, dst.args):
+        if isinstance(u, Null):
+            if h.setdefault(u, v) != v:
+                return False
+        elif u != v:
+            return False
+    return True
+
+
+def _pool(instance: Instance, constants: Iterable[Const]) -> List[Value]:
+    return sorted(set(instance.dom()) | set(constants), key=value_key)
+
+
+def _block_reps(
+    instance: Instance,
+    partition: BlockPartition,
+    block_index: int,
+    pool: Sequence[Value],
+    max_block_nulls: Optional[int],
+    scoped: bool,
+) -> Tuple[BlockRep, ...]:
+    block = partition.blocks[block_index]
+    block_nulls = sorted(block.nulls(), key=value_key)
+    if max_block_nulls is not None and len(block_nulls) > max_block_nulls:
+        raise BlockTooLarge(
+            f"block has {len(block_nulls)} nulls, cap is {max_block_nulls}"
+        )
+    rest = instance.minus(block.atoms).atoms
+    block_null_set = set(block_nulls)
+
+    fresh_sets: List[FrozenSet[Atom]] = []
+    for choice in itertools.product(pool, repeat=len(block_nulls)):
+        f: Dict[Value, Value] = {v: v for v in block.dom()}
+        f.update(zip(block_nulls, choice))
+        fresh = apply_map(f, block).atoms - rest
+        if all(
+            v in block_null_set for a in fresh for v in a.args if isinstance(v, Null)
+        ):
+            fresh_sets.append(fresh)
+
+    # an image is fresh | rest with fresh disjoint from rest, so images
+    # compare as their fresh-atom sets do
+    minimal = {img.atoms for img in _minimal_images(Instance(s) for s in fresh_sets)}
+    null_tuples = block_null_tuples(partition)
+    rest_blocks = [i for i in range(len(partition.blocks)) if i != block_index]
+    by_rel: Dict[str, List[Tuple[int, Atom]]] = {}
+    for atom, idx in partition.atom_block:
+        if idx != block_index:
+            by_rel.setdefault(atom.rel, []).append((idx, atom))
+
+    reps: List[BlockRep] = []
+    seen: Set[FrozenSet[Atom]] = set()
+    for fresh in fresh_sets:
+        if fresh in seen or fresh not in minimal:
+            continue
+        seen.add(fresh)
+        if scoped:
+            # rest is a union of blocks of a core, hence a core: a rest
+            # block can only shrink the image by mapping onto a fresh atom
+            movable = sorted({
+                idx for a in fresh for idx, b in by_rel.get(a.rel, ())
+                if _maps_onto(b, a)
+            })
+        else:
+            movable = rest_blocks
+        anchor_nulls = {v for a in fresh for v in a.args if isinstance(v, Null)}
+        cored = core_retract_fixing(
+            Instance(fresh | rest), anchor_nulls, [null_tuples[i] for i in movable]
+        )
+        reps.append(BlockRep(cored, fresh))
+    return tuple(reps)
+
+
 def block_reps(
     instance: Instance,
     block_index: int,
     constants: Iterable[Const],
     max_block_nulls: Optional[int] = None,
 ) -> Tuple[BlockRep, ...]:
-    partition = atom_blocks(instance)
-    block = partition.blocks[block_index]
-    rest = instance.minus(block.atoms)
-    block_nulls = sorted(block.nulls(), key=value_key)
-    if max_block_nulls is not None and len(block_nulls) > max_block_nulls:
-        raise BlockTooLarge(
-            f"block has {len(block_nulls)} nulls, cap is {max_block_nulls}"
-        )
-    constants = tuple(sorted(set(constants), key=value_key))
-    pool = sorted(set(instance.dom()) | set(constants), key=value_key)
-    rest_nulls = rest.nulls()
-    block_null_set = set(block_nulls)
+    """Representatives of the minimal images of one block.
 
-    candidates: List[Tuple[Instance, FrozenSet[Atom], Dict[Value, Value]]] = []
-    for choice in itertools.product(pool, repeat=len(block_nulls)):
-        f: Dict[Value, Value] = {v: v for v in instance.dom()}
-        f.update(zip(block_nulls, choice))
-        mapped_block = apply_map(f, block)
-        fresh_atoms = mapped_block.atoms - rest.atoms
-        ok = True
-        for a in fresh_atoms:
-            for v in a.args:
-                if isinstance(v, Null) and v not in block_null_set:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        image = Instance(mapped_block.atoms | rest.atoms)
-        candidates.append((image, frozenset(fresh_atoms), f))
-
-    minimal_images = set(_minimal_images(img for img, _, _ in candidates))
-    reps: List[BlockRep] = []
-    seen = set()
-    for image, anchors, _ in candidates:
-        if image not in minimal_images:
-            continue
-        anchor_nulls = {v for a in anchors for v in a.args if isinstance(v, Null)}
-        cored = core_retract_fixing(image, anchor_nulls)
-        key = (cored, anchors)
-        if key not in seen:
-            seen.add(key)
-            reps.append(BlockRep(cored, anchors))
-    return tuple(reps)
+    Each legal map of the block's nulls into dom(instance) + constants whose
+    fresh atoms (those outside the rest of the instance) mention no other
+    block's nulls gives an image, fresh atoms plus rest.  Every subset-minimal
+    image is cored with its fresh atoms' nulls fixed, in the order the maps
+    are enumerated.
+    """
+    return _block_reps(
+        instance,
+        atom_blocks(instance),
+        block_index,
+        _pool(instance, constants),
+        max_block_nulls,
+        is_core(instance),
+    )
 
 
 def enum_min_c_block(
@@ -174,17 +232,30 @@ def enum_min_c_block(
     )
 
 
+def _each_block_reps(
+    instance: Instance,
+    constants: Iterable[Const],
+    max_block_nulls: Optional[int] = None,
+) -> Iterator[Tuple[BlockRep, ...]]:
+    """``block_reps`` of every block in turn, sharing one partition, pool
+    and core test."""
+    partition = atom_blocks(instance)
+    pool = _pool(instance, constants)
+    scoped = is_core(instance)
+    for idx in range(len(partition.blocks)):
+        yield _block_reps(instance, partition, idx, pool, max_block_nulls, scoped)
+
+
 def all_block_reps(
     instance: Instance,
     constants: Iterable[Const],
     max_block_nulls: Optional[int] = None,
 ) -> Tuple[BlockRep, ...]:
     """Per-block representatives over every atom block, deduplicated."""
-    partition = atom_blocks(instance)
     out: List[BlockRep] = []
     seen = set()
-    for idx in range(len(partition.blocks)):
-        for rep in block_reps(instance, idx, constants, max_block_nulls):
+    for reps in _each_block_reps(instance, constants, max_block_nulls):
+        for rep in reps:
             key = (rep.instance, rep.anchors)
             if key not in seen:
                 seen.add(key)
@@ -205,9 +276,8 @@ def atom_in_some_minimal(instance: Instance, atom: Atom) -> bool:
     if not is_core(instance):
         raise PreconditionViolated("NotCore", "the instance is not a core")
     constants = [v for v in atom.args if isinstance(v, Const)]
-    partition = atom_blocks(instance)
-    for idx in range(len(partition.blocks)):
-        for rep in block_reps(instance, idx, constants):
-            if atom in rep.instance:
-                return True
-    return False
+    return any(
+        atom in rep.instance
+        for reps in _each_block_reps(instance, constants)
+        for rep in reps
+    )

@@ -43,10 +43,6 @@ class Null:
 Value = Union[Const, Null]
 
 
-def is_null(v: Value) -> bool:
-    return isinstance(v, Null)
-
-
 def value_key(v: Value):
     """Canonical total order: constants first (lexicographic), then nulls."""
     if isinstance(v, Const):
@@ -389,15 +385,6 @@ class SchemaMapping:
 
 
 # ---------------------------------------------------------------- value maps
-
-
-def check_legal(f: Mapping[Value, Value], instance: Instance) -> None:
-    """Raise unless f is defined on dom(I) and fixes every constant of I."""
-    for v in instance.dom():
-        if v not in f:
-            raise UndefinedValue(f"map is undefined on {v!r}")
-        if isinstance(v, Const) and f[v] != v:
-            raise DxError(f"map moves constant {v!r}")
 
 
 def apply_map(f: Mapping[Value, Value], instance: Instance) -> Instance:

@@ -34,6 +34,7 @@ from dx.gcwa import (
     join_pairs,
     satisfies_conjunct,
 )
+import dx.gcwa
 from dx.logic import And, Eq, Exists, FOQuery, Forall, Not, Or, RelAtom
 from dx.oracle import Budget
 from dx.randgen import gen_packed_mapping, gen_source, gen_universal_query
@@ -282,6 +283,75 @@ def test_owa_homclosed():
     assert filtered == set()
     with pytest.raises(NotHomomorphismClosed):
         answers_owa_homclosed(core, query(EF_Q3, m.target))
+
+
+def _ef_chain(n):
+    """An R-path of n - 2 edges plus edges into b from its first and its
+    middle node: n source atoms."""
+    nodes = [f"v{i:02d}" for i in range(n - 1)]
+    edges = [(nodes[i], nodes[i + 1]) for i in range(n - 2)]
+    return edges + [(nodes[0], "b"), (nodes[(n - 1) // 2], "b")]
+
+
+def _ef_chain_answers(edges):
+    """Certain answers of ``forall z, y: E(x,z) & F(z,y) -> y = b`` read off
+    the source.  Two minimal worlds can put the midpoints of x->y and of an
+    edge w->v with v != b at one constant, so a constant with an outgoing
+    edge is certain only if every edge ends in b; the others hold
+    vacuously."""
+    consts = {v for e in edges for v in e} | {"b"}
+    if all(y == "b" for _, y in edges):
+        return {(Const(v),) for v in consts}
+    has_out = {x for x, _ in edges}
+    return {(Const(v),) for v in consts if v not in has_out}
+
+
+def _ef_chain_core(edges):
+    m = mapping(EF_MAP)
+    src = "".join(f"R({x},{y})." for x, y in edges)
+    return core_solution(m, instance(src, m.source)), query(
+        "q(x) := forall z: forall y: E(x,z) /\\ F(z,y) -> y = b.", m.target
+    )
+
+
+@pytest.fixture
+def block_reps_calls(monkeypatch):
+    calls = []
+    original = dx.gcwa.all_block_reps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dx.gcwa, "all_block_reps", counting)
+    return calls
+
+
+def test_block_reps_are_computed_once_per_pool(block_reps_calls):
+    edges = _ef_chain(10)
+    core, q = _ef_chain_core(edges)
+    assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
+    assert len(block_reps_calls) == 1
+
+    evaluator = CoreEvaluator(core)
+    inside = sorted(core.consts(), key=lambda v: v.name)
+    reps = evaluator.reps_for(inside[:2])
+    assert evaluator.reps_for(inside) is reps
+    assert len(evaluator._reps) == 1
+    outside = Const("zz")
+    assert outside not in core.dom()
+    evaluator.reps_for([outside] + inside)
+    evaluator.reps_for([outside])
+    assert len(evaluator._reps) == 2
+    assert len(block_reps_calls) == 3
+
+
+def test_ef_chain_fast_path_at_twenty_source_atoms(block_reps_calls):
+    # the whole evaluation shares one set of block representatives
+    edges = _ef_chain(20)
+    core, q = _ef_chain_core(edges)
+    assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
+    assert len(block_reps_calls) == 1
 
 
 # ------------------------------------------------------------- general path

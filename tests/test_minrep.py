@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,10 +19,12 @@ from dx import (
     is_core,
     blocks_packed,
 )
+from dx.corelib import core_retract_fixing
 from dx.errors import BudgetExceeded, PreconditionViolated
 from dx.logic import fresh_constants
-from dx.minrep import all_block_reps, block_reps
+from dx.minrep import BlockRep, all_block_reps, block_reps
 from dx.model import value_key
+from dx.randgen import gen_packed_mapping, gen_source
 
 from fixtures import (
     BLK_INSTANCE,
@@ -249,3 +252,64 @@ def test_atom_provenance_on_packed_cores():
                         if Atom(cand.rel, tuple(h[v] for v in cand.args)) == atom:
                             witnesses.append((rep, cand))
                 assert witnesses, (world, atom)
+
+
+# ------------------------------------------------------------- block_reps reference
+
+
+def _reference_block_reps(inst, block_index, constants):
+    """Per-block representatives by their definition: subset-minimal whole
+    images mapped_block | rest, each cored over all of its blocks with the
+    fresh atoms' nulls fixed, in enumeration order."""
+    block = atom_blocks(inst).blocks[block_index]
+    rest = inst.minus(block.atoms)
+    block_nulls = sorted(block.nulls(), key=value_key)
+    pool = sorted(set(inst.dom()) | set(constants), key=value_key)
+    candidates = []
+    for choice in itertools.product(pool, repeat=len(block_nulls)):
+        f = {v: v for v in inst.dom()}
+        f.update(zip(block_nulls, choice))
+        mapped = apply_map(f, block)
+        fresh = mapped.atoms - rest.atoms
+        if any(n not in block_nulls for atom in fresh for n in atom.nulls()):
+            continue
+        candidates.append((Instance(mapped.atoms | rest.atoms), fresh))
+    images = {img for img, _ in candidates}
+    minimal = {img for img in images if not any(o.proper_subset_of(img) for o in images)}
+    reps = []
+    for image, fresh in candidates:
+        if image not in minimal:
+            continue
+        anchor_nulls = {n for atom in fresh for n in atom.nulls()}
+        rep = BlockRep(core_retract_fixing(image, anchor_nulls), fresh)
+        if rep not in reps:
+            reps.append(rep)
+    return tuple(reps)
+
+
+def _random_packed_cores(count, seed=20261018):
+    rng = random.Random(seed)
+    cores = []
+    while len(cores) < count:
+        m = gen_packed_mapping(rng)
+        core = core_solution(m, gen_source(rng, max_atoms=8))
+        if core.nulls():
+            cores.append(core)
+    return cores
+
+
+def test_block_reps_match_reference():
+    n1, n2, n3 = Null("t", 1), Null("t", 2), Null("t", 3)
+    non_cores = [
+        Instance([Atom("E", (a, n1)), Atom("E", (a, n2))]),
+        Instance([Atom("E", (a, n1)), Atom("E", (n1, n2)), Atom("E", (a, n3))]),
+    ]
+    assert not any(is_core(inst) for inst in non_cores)
+    for inst in _small_fixtures() + non_cores + _random_packed_cores(30):
+        for constants in (set(), {a}, {c, Const("zz")}):
+            expected_all = []
+            for idx in range(len(atom_blocks(inst).blocks)):
+                expected = _reference_block_reps(inst, idx, constants)
+                assert block_reps(inst, idx, constants) == expected, (inst, idx)
+                expected_all += [r for r in expected if r not in expected_all]
+            assert all_block_reps(inst, constants) == tuple(expected_all), inst
