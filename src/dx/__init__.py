@@ -77,7 +77,6 @@ from .gcwa import (
     answers_gcwa_star_universal,
     answers_gcwa_star_universal_general,
     answers_owa_homclosed,
-    core_eval,
     eval_gcwa_star_universal,
     eval_gcwa_star_universal_general,
     normalize_negation,

@@ -114,10 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="gcwa-star",
         choices=sorted(oracle.SEMANTICS),
     )
-    p.add_argument("--oracle", action="store_true", help="use the brute-force oracle")
-    p.add_argument(
-        "--force-oracle", action="store_true", help="oracle even when a fast path applies"
-    )
+    p.add_argument("--oracle", "--force-oracle", action="store_true",
+                   help="use the brute-force oracle even when a fast path applies")
     p.add_argument("--budget-fresh", type=int, default=4)
     p.add_argument("--budget-atoms", type=int, default=12)
     p.add_argument("--budget-rounds", type=int, default=3)
@@ -208,7 +206,7 @@ def _answers_for_query(args, mapping, source, q):
     budget = _budget(args)
     warnings = []
     semantics = args.semantics
-    if semantics != "gcwa-star" or args.oracle or args.force_oracle:
+    if semantics != "gcwa-star" or args.oracle:
         res = oracle.answers_semantics(
             mapping, source, q, semantics, budget, empty_policy=args.empty_cert
         )
@@ -273,12 +271,17 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _compare_one(mapping, source, q, budget):
-    core = core_solution(mapping, source)
-    fast = gcwa.answers_gcwa_star_universal(core, q)
-    general = gcwa.answers_gcwa_star_universal_general(mapping, source, q)
-    res = oracle.answers_semantics(mapping, source, q, "gcwa-star", budget)
-    return fast, general, res.answers
+def _compare_one(mapping, source, q, budget) -> dict:
+    """The fast, general and oracle answers of one triple as sorted name
+    lists, and whether the three agree."""
+    answers = {
+        "fast": gcwa.answers_gcwa_star_universal(core_solution(mapping, source), q),
+        "general": gcwa.answers_gcwa_star_universal_general(mapping, source, q),
+        "oracle": oracle.answers_semantics(mapping, source, q, "gcwa-star", budget).answers,
+    }
+    report = {k: sorted([v.name for v in t] for t in a) for k, a in answers.items()}
+    report["agree"] = answers["fast"] == answers["general"] == answers["oracle"]
+    return report
 
 
 def _cmd_compare(args) -> int:
@@ -290,42 +293,31 @@ def _cmd_compare(args) -> int:
         if seed is None:
             seed = int(os.environ.get("DX_SEED", "0"))
         rng = random.Random(seed)
-        done = 0
+        done = skipped = 0
         while done < args.random:
             mapping = randgen.gen_packed_mapping(rng)
             source = randgen.gen_source(rng)
             q = randgen.gen_universal_query(rng, free_count=rng.randint(0, 1))
             try:
-                fast, general, orc = _compare_one(mapping, source, q, budget)
+                report = _compare_one(mapping, source, q, budget)
             except BudgetExceeded:
+                skipped += 1
                 continue
-            ok = fast == general == orc
+            ok = report.pop("agree")
             agree &= ok
             done += 1
             if not ok:
-                reports.append(
-                    {
-                        "trial": done,
-                        "fast": sorted([v.name for v in t] for t in fast),
-                        "general": sorted([v.name for v in t] for t in general),
-                        "oracle": sorted([v.name for v in t] for t in orc),
-                    }
-                )
-        doc = {"agree": agree, "trials": done, "seed": seed, "disagreements": reports}
+                reports.append({"trial": done, **report})
+        doc = {"agree": agree, "trials": done, "skipped": skipped, "seed": seed,
+               "disagreements": reports}
     else:
         if not (args.mapping and args.source and args.query):
             raise DxError("compare needs -m, -s and -q (or --random N)")
         mapping = _load_mapping(args.mapping)
         source = _load_instance(args.source, mapping, "source")
         q = _load_query(args.query, mapping)
-        fast, general, orc = _compare_one(mapping, source, q, budget)
-        agree = fast == general == orc
-        doc = {
-            "agree": agree,
-            "fast": sorted([v.name for v in t] for t in fast),
-            "general": sorted([v.name for v in t] for t in general),
-            "oracle": sorted([v.name for v in t] for t in orc),
-        }
+        doc = _compare_one(mapping, source, q, budget)
+        agree = doc["agree"]
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
     return EXIT_OK if agree else EXIT_USAGE
 

@@ -36,9 +36,6 @@ class BlockPartition:
     blocks: Tuple[Instance, ...]
     atom_block: Tuple[Tuple[Atom, int], ...]
 
-    def null_counts(self) -> Tuple[int, ...]:
-        return tuple(len(b.nulls()) for b in self.blocks)
-
 
 def atom_blocks(instance: Instance) -> BlockPartition:
     """Union-find over atoms joined by shared nulls; ground atoms are

@@ -6,21 +6,21 @@ finite union of minimal possible worlds iff the block-wise minimal
 representatives can be joined compatibly into a witness instance padded with
 disjoint copies of the core.  The general evaluator realizes the same test by
 bounded brute force (no packedness needed) and is exponential.
+
+Both paths share one driver: a candidate tuple is specialized into every
+conjunct of the negated query, and the tuple is a certain answer iff the
+backend's ``conjunct_satisfiable`` rejects them all.  ``CoreEvaluator`` is
+the fast backend and ``_GeneralEvaluator`` the general one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from .corelib import blocks_packed, core_solution, is_core
-from .errors import (
-    BudgetExceeded,
-    NotHomomorphismClosed,
-    NotUniversal,
-    PreconditionViolated,
-)
+from .errors import NotHomomorphismClosed, NotUniversal, PreconditionViolated
 from .logic import (
     And,
     Eq,
@@ -35,7 +35,7 @@ from .logic import (
     prenex,
     query_answers,
 )
-from .minrep import BlockRep, _minimal_images, all_block_reps
+from .minrep import BlockRep, _minimal_images, all_block_reps, legal_images
 from .model import (
     Atom,
     Const,
@@ -545,21 +545,38 @@ def _match_pattern(
     return alpha
 
 
-def core_eval(
-    core: Instance,
-    conjunct: ExistentialConjunct,
-    block_bound: Optional[int] = None,
-    context: Iterable[Const] = (),
-) -> bool:
-    """One-shot form of :meth:`CoreEvaluator.conjunct_satisfiable`."""
-    return CoreEvaluator(core, block_bound).conjunct_satisfiable(conjunct, context)
-
-
 # ---------------------------------------------------------------- fast path
 
 
 def candidate_constants(core: Instance, q: FOQuery) -> Tuple[Const, ...]:
     return tuple(sorted(set(core.consts()) | set(q.consts()), key=value_key))
+
+
+def _is_certain(
+    evaluator: Union[CoreEvaluator, _GeneralEvaluator], q: FOQuery, values: Sequence[Const]
+) -> bool:
+    """The driver shared by both evaluators: a tuple of candidate constants
+    is a certain answer iff no conjunct of the negated query, specialized to
+    it, is satisfiable by the evaluator's ``conjunct_satisfiable``."""
+    templates = normalize_negation(q)
+    allowed = set(candidate_constants(evaluator.core, q))
+    if len(values) != q.width or any(v not in allowed for v in values):
+        return False
+    context = frozenset(q.consts()) | frozenset(values)
+    for template in templates:
+        conjunct = specialize(template, q.free_vars, values)
+        if isinstance(conjunct, Unsatisfiable):
+            continue
+        if evaluator.conjunct_satisfiable(conjunct, context):
+            return False
+    return True
+
+
+def _certain_answers(
+    core: Instance, q: FOQuery, is_certain: Callable[[Tuple[Const, ...]], bool]
+) -> Set[Tuple[Const, ...]]:
+    pool = candidate_constants(core, q)
+    return {tup for tup in itertools.product(pool, repeat=q.width) if is_certain(tup)}
 
 
 def eval_gcwa_star_universal(
@@ -574,19 +591,7 @@ def eval_gcwa_star_universal(
     Polynomial-time path; requires the instance to be a packed core (the
     shape cores of packed-dependency mappings always have).
     """
-    templates = normalize_negation(q)
-    allowed = set(candidate_constants(core, q))
-    if len(values) != q.width or any(v not in allowed for v in values):
-        return False
-    evaluator = _evaluator or CoreEvaluator(core, block_bound)
-    context = frozenset(q.consts()) | frozenset(values)
-    for template in templates:
-        conjunct = specialize(template, q.free_vars, values)
-        if isinstance(conjunct, Unsatisfiable):
-            continue
-        if evaluator.conjunct_satisfiable(conjunct, context):
-            return False
-    return True
+    return _is_certain(_evaluator or CoreEvaluator(core, block_bound), q, values)
 
 
 def answers_gcwa_star_universal(
@@ -596,12 +601,9 @@ def answers_gcwa_star_universal(
 ) -> Set[Tuple[Const, ...]]:
     """All certain answers of a universal query on a packed core."""
     evaluator = CoreEvaluator(core, block_bound)
-    pool = candidate_constants(core, q)
-    out = set()
-    for tup in itertools.product(pool, repeat=q.width):
-        if eval_gcwa_star_universal(core, q, tup, _evaluator=evaluator):
-            out.add(tup)
-    return out
+    return _certain_answers(
+        core, q, lambda tup: eval_gcwa_star_universal(core, q, tup, _evaluator=evaluator)
+    )
 
 
 def answers_owa_homclosed(core: Instance, q: FOQuery) -> Set[Tuple[Const, ...]]:
@@ -638,18 +640,7 @@ class _GeneralEvaluator:
         if key in self._cache:
             return self._cache[key]
         fresh = tuple(Const(f"#b{i + 1}") for i in range(fresh_count))
-        pool = sorted(set(self.core.dom()) | set(base) | set(fresh), key=value_key)
-        nulls = sorted(self.core.nulls(), key=value_key)
-        total = len(pool) ** len(nulls)
-        if total > self.valuation_cap:
-            raise BudgetExceeded(
-                f"{total} valuations exceed the cap of {self.valuation_cap}"
-            )
-        images = set()
-        for choice in itertools.product(pool, repeat=len(nulls)):
-            v: Dict[Value, Value] = {c: c for c in self.core.consts()}
-            v.update(zip(nulls, choice))
-            images.add(apply_map(v, self.core))
+        images = legal_images(self.core, base | set(fresh), self.valuation_cap)
         minimal = _minimal_images(images)
         visible: List[FrozenSet[Atom]] = [
             frozenset(a for a in rep.atoms if a.is_ground) for rep in minimal
@@ -771,20 +762,10 @@ def eval_gcwa_star_universal_general(
         raise PreconditionViolated(
             "TargetConstraints", "the general evaluator handles st-tgds only"
         )
-    core = _core if _core is not None else core_solution(mapping, source)
-    allowed = set(candidate_constants(core, q))
-    if len(values) != q.width or any(v not in allowed for v in values):
-        return False
-    templates = normalize_negation(q)
-    evaluator = _evaluator or _GeneralEvaluator(core, valuation_cap)
-    context = frozenset(q.consts()) | frozenset(values)
-    for template in templates:
-        conjunct = specialize(template, q.free_vars, values)
-        if isinstance(conjunct, Unsatisfiable):
-            continue
-        if evaluator.conjunct_satisfiable(conjunct, context):
-            return False
-    return True
+    if _evaluator is None:
+        core = _core if _core is not None else core_solution(mapping, source)
+        _evaluator = _GeneralEvaluator(core, valuation_cap)
+    return _is_certain(_evaluator, q, values)
 
 
 def answers_gcwa_star_universal_general(
@@ -794,12 +775,11 @@ def answers_gcwa_star_universal_general(
     valuation_cap: int = GENERAL_VALUATION_CAP,
 ) -> Set[Tuple[Const, ...]]:
     core = core_solution(mapping, source)
-    pool = candidate_constants(core, q)
     evaluator = _GeneralEvaluator(core, valuation_cap)
-    out = set()
-    for tup in itertools.product(pool, repeat=q.width):
-        if eval_gcwa_star_universal_general(
-            mapping, source, q, tup, valuation_cap, _core=core, _evaluator=evaluator
-        ):
-            out.add(tup)
-    return out
+    return _certain_answers(
+        core,
+        q,
+        lambda tup: eval_gcwa_star_universal_general(
+            mapping, source, q, tup, _evaluator=evaluator
+        ),
+    )

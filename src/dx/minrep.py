@@ -1,10 +1,12 @@
 """Representatives of the minimal possible worlds of an instance.
 
-``enum_min_c`` exhaustively enumerates all legal self-maps into dom(T) plus a
-constant pool and keeps the subset-minimal images; it is oracle-grade
-(exponential in the number of nulls) and gated by a null cap.  The per-block
-variant only remaps the nulls of one atom block and is polynomial for a fixed
-per-block null bound; it feeds the fast query-evaluation path.
+``legal_images`` enumerates the images of all legal self-maps into dom(T)
+plus a constant pool; ``enum_min_c`` keeps the subset-minimal ones for the
+oracle, and the general evaluator does the same over its own pool.  The
+enumeration is exponential in the number of nulls and is gated by a product
+cap on the number of maps.  The per-block variant only remaps the nulls of
+one atom block and is polynomial for a fixed per-block null bound; it feeds
+the fast query-evaluation path.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .model import (
     value_key,
 )
 
-ORACLE_NULL_CAP = 8
 ENUM_PRODUCT_CAP = 400_000
 
 
@@ -77,20 +78,15 @@ def _minimal_images(images: Iterable[Instance]) -> List[Instance]:
     return kept
 
 
-def enum_min_c(
+def legal_images(
     instance: Instance,
     constants: Iterable[Const],
-    null_cap: int = ORACLE_NULL_CAP,
     product_cap: int = ENUM_PRODUCT_CAP,
-) -> MinRepSet:
-    """All subset-minimal images f(T) over legal maps f: dom(T) -> dom(T)+C."""
+) -> Set[Instance]:
+    """Every image f(T) over the legal maps f that send each null of T into
+    dom(T) + constants and fix its constants."""
     nulls = sorted(instance.nulls(), key=value_key)
-    if len(nulls) > null_cap:
-        raise BudgetExceeded(
-            f"{len(nulls)} nulls exceed the enumeration cap of {null_cap}"
-        )
-    constants = tuple(sorted(set(constants), key=value_key))
-    pool = sorted(set(instance.dom()) | set(constants), key=value_key)
+    pool = _pool(instance, constants)
     if len(pool) ** len(nulls) > product_cap:
         raise BudgetExceeded(
             f"{len(pool)}^{len(nulls)} legal maps exceed the cap of {product_cap}"
@@ -100,6 +96,17 @@ def enum_min_c(
         f: Dict[Value, Value] = {c: c for c in instance.consts()}
         f.update(zip(nulls, choice))
         images.add(apply_map(f, instance))
+    return images
+
+
+def enum_min_c(
+    instance: Instance,
+    constants: Iterable[Const],
+    product_cap: int = ENUM_PRODUCT_CAP,
+) -> MinRepSet:
+    """All subset-minimal images f(T) over legal maps f: dom(T) -> dom(T)+C."""
+    constants = tuple(sorted(set(constants), key=value_key))
+    images = legal_images(instance, constants, product_cap)
     return MinRepSet(instance, constants, tuple(_minimal_images(images)), "whole")
 
 

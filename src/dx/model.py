@@ -62,9 +62,6 @@ class NullAllocator:
         self._next += 1
         return n
 
-    def fresh_tuple(self, k: int) -> Tuple[Null, ...]:
-        return tuple(self.fresh() for _ in range(k))
-
 
 # ---------------------------------------------------------------- variables
 

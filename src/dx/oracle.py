@@ -181,8 +181,6 @@ def _as_horn(sentence: FOQuery) -> Optional[_HornRule]:
     if matrix is None:
         return None
     literals = _flatten_or(matrix)
-    if literals is None:
-        return None
     body: List[Tuple[str, Tuple[Term, ...]]] = []
     head_atom = None
     head_eq = None
@@ -208,22 +206,6 @@ def _as_horn(sentence: FOQuery) -> Optional[_HornRule]:
     if not head_vars <= body_vars:
         return None
     return _HornRule(tuple(body), head_atom, head_eq)
-
-
-def _flatten_or(matrix: Formula) -> Optional[List[Formula]]:
-    if isinstance(matrix, Or):
-        out: List[Formula] = []
-        for p in matrix.parts:
-            sub = _flatten_or(p)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
-    if isinstance(matrix, (RelAtom, Eq)) or (
-        isinstance(matrix, Not) and isinstance(matrix.sub, (RelAtom, Eq))
-    ):
-        return [matrix]
-    return None
 
 
 class _ConstraintEngine:
@@ -306,9 +288,7 @@ def _overcount_violation(body: Formula, combined: Instance) -> bool:
     matrix = _push_negations(matrix)
     if matrix is None:
         return False
-    literals = _flatten_or_loose(matrix)
-    if literals is None:
-        return False
+    literals = _flatten_or(matrix)
     counts = [l for l in literals if isinstance(l, CountExists)]
     negs = [
         (l.sub.rel, l.sub.terms)
@@ -334,15 +314,11 @@ def _overcount_violation(body: Formula, combined: Instance) -> bool:
     return False
 
 
-def _flatten_or_loose(matrix: Formula) -> Optional[List[Formula]]:
+def _flatten_or(matrix: Formula) -> List[Formula]:
+    """The disjuncts of a (nested) disjunction; any other formula is its own
+    single disjunct."""
     if isinstance(matrix, Or):
-        out: List[Formula] = []
-        for p in matrix.parts:
-            sub = _flatten_or_loose(p)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
+        return [lit for p in matrix.parts for lit in _flatten_or(p)]
     return [matrix]
 
 
@@ -353,14 +329,13 @@ def _st_minimal_solutions(
     mapping: SchemaMapping,
     source: Instance,
     universe: Sequence[Const],
-    null_cap: int = 8,
 ) -> List[Instance]:
     """Ground instances over the universe that are minimal with respect to
     the st-tgds alone: injective fresh instantiations of the minimal
     representatives of the core of the chased source."""
     core = core_of(chase.canonical_solution(mapping, source))
     base_consts = set(core.consts()) | mapping_constants(mapping)
-    reps = enum_min_c(core, base_consts, null_cap=null_cap, product_cap=60_000)
+    reps = enum_min_c(core, base_consts, product_cap=60_000)
     available = [c for c in universe if c not in base_consts]
     out: Set[Instance] = set()
     for rep in reps.representatives:

@@ -217,8 +217,25 @@ def test_compare_agreement(files, capsys):
     assert code == 0 and json.loads(out)["agree"] is True
 
 
+def test_eval_force_oracle_is_oracle(files, capsys):
+    write, _ = files
+    argv = [
+        "eval",
+        "-m", write("m.dx", COPY_MAP),
+        "-s", write("s.inst", COPY_SRC),
+        "-q", write("q1.q", COPY_QUERY),
+        "--budget-fresh", "2",
+        "--budget-atoms", "4",
+    ]
+    code, oracle_out, _ = run(argv + ["--oracle"], capsys)
+    assert code == 0 and json.loads(oracle_out)["meta"]["path"] == "oracle"
+    code, forced_out, _ = run(argv + ["--force-oracle"], capsys)
+    assert code == 0 and forced_out == oracle_out
+
+
 def test_compare_random_seeded(files, capsys):
     code, out, _ = run(["compare", "--random", "5", "--seed", "3"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["agree"] is True and doc["trials"] == 5
+    assert doc["skipped"] == 1
