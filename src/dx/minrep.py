@@ -1,12 +1,13 @@
 """Representatives of the minimal possible worlds of an instance.
 
-``legal_images`` enumerates the images of all legal self-maps into dom(T)
-plus a constant pool; ``enum_min_c`` keeps the subset-minimal ones for the
-oracle, and the general evaluator does the same over its own pool.  The
-enumeration is exponential in the number of nulls and is gated by a product
-cap on the number of maps.  The per-block variant only remaps the nulls of
-one atom block and is polynomial for a fixed per-block null bound; it feeds
-the fast query-evaluation path.
+``legal_images`` enumerates the images of the legal self-maps into dom(T)
+plus a constant pool one atom block at a time and joins the minimal block
+images; ``enum_min_c`` keeps the subset-minimal joins for the oracle, and
+the general evaluator does the same over its own pool.  The enumeration is
+exponential in the number of nulls of a block and is gated by a product cap
+on the number of maps of all nulls.  The per-block variant only remaps the
+nulls of one atom block and is polynomial for a fixed per-block null bound;
+it feeds the fast query-evaluation path.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .model import (
     Null,
     Value,
     apply_map,
+    atom_key,
     instance_key,
     value_key,
 )
@@ -49,32 +51,36 @@ class MinRepSet:
 
 
 def _minimal_images(images: Iterable[Instance]) -> List[Instance]:
-    """Subset-minimal members, smallest first.
+    """Subset-minimal members, smallest first (in ``instance_key`` order).
 
     A proper subset is strictly smaller and its first atom occurs in the
-    candidate, so each candidate is only compared against the already-kept
+    candidate, so each candidate is only compared against the smaller kept
     images anchored at one of its atoms.
     """
-    distinct = sorted(set(images), key=instance_key)
-    if distinct and not distinct[0].atoms:
-        return distinct[:1]  # the empty instance is anchored nowhere
-    kept: List[Instance] = []
-    by_anchor: Dict[Atom, List[Instance]] = {}
+    distinct = set(images)
+    atom_keys: Dict[Atom, tuple] = {}
     for img in distinct:
-        size = len(img)
-        dominated = False
-        for a in img.sorted_atoms():
-            for other in by_anchor.get(a, ()):
-                if len(other) < size and other.subset_of(img):
-                    dominated = True
-                    break
-            if dominated:
-                break
-        if not dominated:
+        for a in img.atoms:
+            if a not in atom_keys:
+                atom_keys[a] = atom_key(a)
+    keyed = sorted(
+        ((len(img), tuple(sorted(atom_keys[a] for a in img.atoms))), img)
+        for img in distinct
+    )
+    if keyed and not keyed[0][1].atoms:
+        return [keyed[0][1]]  # the empty instance is anchored nowhere
+    atom_of = {k: a for a, k in atom_keys.items()}
+    kept: List[Instance] = []
+    by_anchor: Dict[Atom, List[FrozenSet[Atom]]] = {}
+    for _, same_size in itertools.groupby(keyed, key=lambda pair: pair[0][0]):
+        new = []
+        for (_, keys), img in same_size:
+            contains = img.atoms.issuperset
+            if not any(any(map(contains, by_anchor.get(a, ()))) for a in img.atoms):
+                new.append((keys[0], img))
+        for first, img in new:
+            by_anchor.setdefault(atom_of[first], []).append(img.atoms)
             kept.append(img)
-            atoms = img.sorted_atoms()
-            if atoms:
-                by_anchor.setdefault(atoms[0], []).append(img)
     return kept
 
 
@@ -83,20 +89,33 @@ def legal_images(
     constants: Iterable[Const],
     product_cap: int = ENUM_PRODUCT_CAP,
 ) -> Set[Instance]:
-    """Every image f(T) over the legal maps f that send each null of T into
-    dom(T) + constants and fix its constants."""
+    """The images f(T), over the legal maps f that send each null of T into
+    dom(T) + constants and fix its constants, that can be subset-minimal.
+
+    Atom blocks share no nulls, so f(T) is the union of one image per block,
+    and it contains the union of minimal block images below those.  Hence
+    every subset-minimal image of T is such a union, and the minimal members
+    of the returned set are exactly the minimal images of T.  The cap still
+    counts the maps of all nulls together.
+    """
     nulls = sorted(instance.nulls(), key=value_key)
     pool = _pool(instance, constants)
     if len(pool) ** len(nulls) > product_cap:
         raise BudgetExceeded(
             f"{len(pool)}^{len(nulls)} legal maps exceed the cap of {product_cap}"
         )
-    images = set()
-    for choice in itertools.product(pool, repeat=len(nulls)):
-        f: Dict[Value, Value] = {c: c for c in instance.consts()}
-        f.update(zip(nulls, choice))
-        images.add(apply_map(f, instance))
-    return images
+    per_block: List[List[FrozenSet[Atom]]] = []
+    for block in atom_blocks(instance).blocks:
+        block_nulls = sorted(block.nulls(), key=value_key)
+        images = set()
+        for choice in itertools.product(pool, repeat=len(block_nulls)):
+            f: Dict[Value, Value] = {c: c for c in block.consts()}
+            f.update(zip(block_nulls, choice))
+            images.add(apply_map(f, block))
+        per_block.append([img.atoms for img in _minimal_images(images)])
+    return {
+        Instance(frozenset().union(*parts)) for parts in itertools.product(*per_block)
+    }
 
 
 def enum_min_c(

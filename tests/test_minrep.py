@@ -12,6 +12,7 @@ from dx import (
     atom_blocks,
     atom_in_some_minimal,
     atoms_isomorphic,
+    canonical_solution,
     core_solution,
     enum_min_c,
     enum_min_c_block,
@@ -23,7 +24,7 @@ from dx.corelib import core_retract_fixing
 from dx.errors import BudgetExceeded, PreconditionViolated
 from dx.logic import fresh_constants
 from dx.minrep import BlockRep, all_block_reps, block_reps
-from dx.model import value_key
+from dx.model import instance_key, value_key
 from dx.randgen import gen_packed_mapping, gen_source
 
 from fixtures import (
@@ -313,3 +314,54 @@ def test_block_reps_match_reference():
                 assert block_reps(inst, idx, constants) == expected, (inst, idx)
                 expected_all += [r for r in expected if r not in expected_all]
             assert all_block_reps(inst, constants) == tuple(expected_all), inst
+
+
+# ------------------------------------------------------------- enum_min_c reference
+
+
+def _reference_min_c(inst, constants):
+    """Subset-minimal images over the maps of all nulls at once, in
+    instance_key order."""
+    nulls = sorted(inst.nulls(), key=value_key)
+    pool = sorted(set(inst.dom()) | set(constants), key=value_key)
+    images = set()
+    for choice in itertools.product(pool, repeat=len(nulls)):
+        f = {v: v for v in inst.consts()}
+        f.update(zip(nulls, choice))
+        images.add(apply_map(f, inst))
+    minimal = [img for img in images if not any(o.proper_subset_of(img) for o in images)]
+    return tuple(sorted(minimal, key=instance_key))
+
+
+def test_enum_min_c_matches_reference():
+    # enum_min_c works block by block; its output must still be the minimal
+    # whole images, in order, and its cap must still count all nulls
+    n1, n2, n3 = Null("t", 1), Null("t", 2), Null("t", 3)
+    insts = _small_fixtures() + [
+        Instance([Atom("E", (a, n1)), Atom("E", (a, n2))]),
+        Instance([Atom("E", (a, n1)), Atom("E", (n1, n2)), Atom("E", (a, n3))]),
+        Instance([Atom("E", (n1, n2)), Atom("E", (n2, n1)), Atom("E", (n3, n3))]),
+        Instance(),
+    ]
+    rng = random.Random(20261019)
+    while len(insts) < 40:
+        m = gen_packed_mapping(rng)
+        s = gen_source(rng, max_atoms=3)
+        for inst in (canonical_solution(m, s), core_solution(m, s)):
+            if len(inst.nulls()) <= 4:
+                insts.append(inst)
+    compared = 0
+    for inst in insts:
+        for constants in (set(), {a}, {c, Const("zz")}):
+            maps = (len(set(inst.dom()) | constants)) ** len(inst.nulls())
+            if maps > 3000:
+                with pytest.raises(BudgetExceeded):
+                    enum_min_c(inst, constants, product_cap=3000)
+                continue
+            expected = _reference_min_c(inst, constants)
+            assert enum_min_c(inst, constants).representatives == expected, inst
+            compared += 1
+            if maps > 1:
+                with pytest.raises(BudgetExceeded):
+                    enum_min_c(inst, constants, product_cap=maps - 1)
+    assert compared >= 60
