@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .errors import NotGround
 from .logic import eval_fo
 from .model import (
     Atom,

@@ -181,8 +181,11 @@ def _core_of(
 
 def core_of(instance: Instance) -> Instance:
     """A core of the instance, reached by block-local retractions; works on
-    arbitrary instances, not only chase results."""
-    return _core_of(instance, frozenset())
+    arbitrary instances, not only chase results.  The result is marked as a
+    core, which ``is_core`` reads instead of searching again."""
+    core = _core_of(instance, frozenset())
+    object.__setattr__(core, "_core", True)
+    return core
 
 
 def core_retract_fixing(
@@ -202,7 +205,7 @@ def core_retract_fixing(
 
 
 def is_core(instance: Instance) -> bool:
-    return len(core_of(instance)) == len(instance)
+    return instance._core or len(core_of(instance)) == len(instance)
 
 
 def core_solution(mapping: SchemaMapping, source: Instance) -> Instance:

@@ -4,7 +4,11 @@ The fast path decides universal queries on a packed core: the negated query
 is split into existential conjuncts, and a conjunct is satisfiable over some
 finite union of minimal possible worlds iff the block-wise minimal
 representatives can be joined compatibly into a witness instance padded with
-disjoint copies of the core.  The general evaluator realizes the same test by
+disjoint copies of the core.  The places of each positive literal come from
+an index of the representatives' anchors, built once per set of
+representatives and matched without renaming; the candidate lists are
+memoised per literal, and a representative is renamed whole only when a
+search leaf glues it.  The general evaluator realizes the same test by
 bounded brute force (no packedness needed) and is exponential.
 
 Both paths share one driver: a candidate tuple is specialized into every
@@ -46,7 +50,6 @@ from .model import (
     Value,
     Var,
     apply_map,
-    apply_map_atom,
     match_conjunction,
     value_key,
 )
@@ -287,10 +290,8 @@ def satisfies_conjunct(
     from: splitting a query into disjuncts must not shrink the domain its
     quantifiers range over.
     """
-    adom = sorted(
-        set(instance.dom()) | set(conjunct.consts()) | set(context), key=value_key
-    )
-    if conjunct.quantified and not adom:
+    named = set(conjunct.consts()) | set(context)
+    if conjunct.quantified and not (named or instance.dom()):
         return False  # an existential prefix needs a nonempty active domain
     if conjunct.is_empty:
         return True
@@ -298,6 +299,7 @@ def satisfies_conjunct(
     for _, terms in conjunct.positives:
         positive_vars.update(t for t in terms if isinstance(t, Var))
     loose = [v for v in conjunct.variables() if v not in positive_vars]
+    adom = sorted(set(instance.dom()) | named, key=value_key) if loose else []
 
     def check(bnd: Dict[Var, Value]) -> bool:
         for rel, terms in conjunct.negatives:
@@ -329,8 +331,10 @@ def satisfies_conjunct(
 
 @dataclass(frozen=True)
 class CandidatePair:
-    """A renamed block representative together with an assignment that places
-    one positive literal inside it."""
+    """A block representative together with an assignment that places one
+    positive literal inside its renamed copy.  ``join_pairs`` needs the
+    renamed copy; ``CoreEvaluator``'s candidate lists hold the unrenamed
+    representative until a search leaf glues the pair."""
 
     instance: Instance
     assignment: Tuple[Tuple[Var, Value], ...]
@@ -426,11 +430,14 @@ def join_pairs(
 # ---------------------------------------------------------------- core evaluation
 
 
-def _copy_renamer(instance: Instance, tag: str) -> Dict[Value, Value]:
-    remap: Dict[Value, Value] = {c: c for c in instance.consts()}
-    for j, n in enumerate(sorted(instance.nulls(), key=value_key)):
-        remap[n] = Null(tag, j)
-    return remap
+def _null_rank(instance: Instance) -> Dict[Null, int]:
+    """Each null's position in the canonical order of the instance's nulls:
+    the copy tagged ``t`` renames null ``n`` to ``Null(t, rank[n])``."""
+    return {n: j for j, n in enumerate(sorted(instance.nulls(), key=value_key))}
+
+
+# (relation, arity) -> [(representative, anchor, null rank of the representative)]
+AnchorIndex = Dict[Tuple[str, int], List[Tuple[Instance, Atom, Dict[Null, int]]]]
 
 
 class CoreEvaluator:
@@ -439,8 +446,20 @@ class CoreEvaluator:
 
     Block representatives are cached by the context constants outside
     dom(core): they enter the representatives only through the pool
-    dom(core) + constants, which the others cannot change.  Renamed copies
-    of the core and of the representatives are cached by instance and tag.
+    dom(core) + constants, which the others cannot change.
+
+    The i-th positive literal of a conjunct is placed in a copy of a
+    representative whose nulls are renamed into the tag ``cp<i>``.  No
+    representative is renamed to find those places.  Once per cache key the
+    anchors are indexed by (relation, arity), representatives in order and
+    each one's anchors in ``repr`` order, next to a null rank per
+    representative that does not depend on the tag.  A literal is matched
+    against the unrenamed anchor, which is equivalent because the renaming
+    is injective and a null never equals a constant, and only the matched
+    values are renamed.  Each literal's candidate pairs are memoised per
+    (cache key, literal, tag); they carry the unrenamed representative, and
+    the renamed whole-instance copy is built, and cached by instance and
+    tag, only for the pairs a search leaf glues.
     """
 
     def __init__(self, core: Instance, block_bound: Optional[int] = None):
@@ -451,25 +470,86 @@ class CoreEvaluator:
         self.core = core
         self.block_bound = block_bound
         self._reps: Dict[FrozenSet[Const], Tuple[BlockRep, ...]] = {}
-        self._copies: Dict[
-            Tuple[Instance, str], Tuple[Dict[Value, Value], Instance]
-        ] = {}
+        self._anchors: Dict[FrozenSet[Const], AnchorIndex] = {}
+        self._candidates: Dict[tuple, Tuple[CandidatePair, ...]] = {}
+        self._copies: Dict[Tuple[Instance, str], Instance] = {}
+        self._paddings: Dict[Tuple[int, int], Instance] = {}
+
+    def _reps_key(self, constants: Iterable[Const]) -> FrozenSet[Const]:
+        return frozenset(constants) - self.core.dom()
 
     def reps_for(self, constants: Iterable[Const]) -> Tuple[BlockRep, ...]:
-        key = frozenset(constants) - self.core.dom()
+        key = self._reps_key(constants)
         if key not in self._reps:
             self._reps[key] = all_block_reps(self.core, key, self.block_bound)
         return self._reps[key]
 
-    def _renamed(
-        self, instance: Instance, tag: str
-    ) -> Tuple[Dict[Value, Value], Instance]:
-        """The renaming of the instance's nulls into ``tag`` and its image."""
+    def _renamed(self, instance: Instance, tag: str) -> Instance:
+        """The instance with its nulls renamed into ``tag``."""
         key = (instance, tag)
         if key not in self._copies:
-            remap = _copy_renamer(instance, tag)
-            self._copies[key] = (remap, apply_map(remap, instance))
+            remap: Dict[Value, Value] = {c: c for c in instance.consts()}
+            remap.update((n, Null(tag, j)) for n, j in _null_rank(instance).items())
+            self._copies[key] = apply_map(remap, instance)
         return self._copies[key]
+
+    def _padding(self, start: int, stop: int) -> Instance:
+        """The union of the core's copies ``cp<start + 1>`` to ``cp<stop>``."""
+        key = (start, stop)
+        if key not in self._paddings:
+            self._paddings[key] = Instance(
+                a
+                for i in range(start, stop)
+                for a in self._renamed(self.core, f"cp{i + 1}").atoms
+            )
+        return self._paddings[key]
+
+    def _anchor_index(
+        self, context: Iterable[Const]
+    ) -> Tuple[FrozenSet[Const], AnchorIndex]:
+        """The cache key of the context and the anchors of its
+        representatives, each with the null rank of its representative."""
+        reps = self.reps_for(context)
+        key = self._reps_key(context)
+        if key not in self._anchors:
+            index: AnchorIndex = {}
+            for rep in reps:
+                rank = _null_rank(rep.instance)
+                for anchor in sorted(rep.anchors, key=repr):
+                    index.setdefault((anchor.rel, len(anchor.args)), []).append(
+                        (rep.instance, anchor, rank)
+                    )
+            self._anchors[key] = index
+        return key, self._anchors[key]
+
+    def _candidate_pairs(
+        self,
+        key: FrozenSet[Const],
+        index: AnchorIndex,
+        literal: Tuple[str, Tuple[Term, ...]],
+        tag: str,
+    ) -> Tuple[CandidatePair, ...]:
+        """The places of one positive literal among the indexed anchors,
+        their assignments renamed into ``tag``.  Each pair carries the
+        unrenamed representative, not its renamed copy."""
+        memo_key = (key, literal, tag)
+        if memo_key not in self._candidates:
+            rel, terms = literal
+            pairs: List[CandidatePair] = []
+            seen = set()
+            for inst, anchor, rank in index.get((rel, len(terms)), ()):
+                alpha = _match_pattern(terms, anchor)
+                if alpha is None:
+                    continue
+                assignment = tuple(
+                    (var, Null(tag, rank[v]) if isinstance(v, Null) else v)
+                    for var, v in sorted(alpha.items(), key=lambda it: it[0].name)
+                )
+                if (inst, assignment) not in seen:
+                    seen.add((inst, assignment))
+                    pairs.append(CandidatePair(inst, assignment))
+            self._candidates[memo_key] = tuple(pairs)
+        return self._candidates[memo_key]
 
     def conjunct_satisfiable(
         self, conjunct: ExistentialConjunct, context: Iterable[Const] = ()
@@ -482,53 +562,40 @@ class CoreEvaluator:
             # when the (dropped) existential prefix still quantifies
             return not conjunct.quantified or bool(context) or len(self.core) > 0
         s = conjunct.copy_count
-        copies = [self._renamed(self.core, f"cp{i + 1}")[1] for i in range(s)]
         if conjunct.k == 0:
-            padding = Instance(a for c in copies for a in c.atoms)
-            return satisfies_conjunct(padding, conjunct, context)
+            return satisfies_conjunct(self._padding(0, s), conjunct, context)
 
-        reps = self.reps_for(context)
-        candidate_sets: List[List[CandidatePair]] = []
-        for i, (rel, terms) in enumerate(conjunct.positives):
-            renamed: List[CandidatePair] = []
-            seen = set()
-            for rep in reps:
-                remap, inst = self._renamed(rep.instance, f"cp{i + 1}")
-                for anchor in sorted(rep.anchors, key=lambda a: repr(a)):
-                    if anchor.rel != rel or len(anchor.args) != len(terms):
-                        continue
-                    alpha = _match_pattern(terms, apply_map_atom(remap, anchor))
-                    if alpha is None:
-                        continue
-                    pair = CandidatePair(inst, tuple(sorted(alpha.items(), key=lambda it: it[0].name)))
-                    if (pair.instance, pair.assignment) not in seen:
-                        seen.add((pair.instance, pair.assignment))
-                        renamed.append(pair)
-            if not renamed:
+        key, index = self._anchor_index(context)
+        candidate_sets: List[Tuple[CandidatePair, ...]] = []
+        for i, literal in enumerate(conjunct.positives):
+            pairs = self._candidate_pairs(key, index, literal, f"cp{i + 1}")
+            if not pairs:
                 return False  # a positive literal has no witness anywhere
-            candidate_sets.append(renamed)
+            candidate_sets.append(pairs)
 
-        padding = Instance(
-            a for c in copies[conjunct.k :] for a in c.atoms
-        )
+        padding = self._padding(conjunct.k, s)
         chosen: List[CandidatePair] = []
 
-        def search(i: int) -> bool:
+        def search(i: int, relation: Optional[Dict[Value, FrozenSet[Value]]]) -> bool:
             if i == len(candidate_sets):
-                relation = compatible_and_relation(chosen)
-                if relation is None:
-                    return False
-                glued, _ = join_pairs(chosen, relation)
+                glued, _ = join_pairs(
+                    [
+                        CandidatePair(self._renamed(p.instance, f"cp{j + 1}"), p.assignment)
+                        for j, p in enumerate(chosen)
+                    ],
+                    relation,
+                )
                 probe = glued.union(padding)
                 return satisfies_conjunct(probe, conjunct, context)
             for pair in candidate_sets[i]:
                 chosen.append(pair)
-                if compatible_and_relation(chosen) is not None and search(i + 1):
+                relation = compatible_and_relation(chosen)
+                if relation is not None and search(i + 1, relation):
                     return True
                 chosen.pop()
             return False
 
-        return search(0)
+        return search(0, None)
 
 
 def _match_pattern(
@@ -753,7 +820,6 @@ def eval_gcwa_star_universal_general(
     q: FOQuery,
     values: Sequence[Const],
     valuation_cap: int = GENERAL_VALUATION_CAP,
-    _core: Optional[Instance] = None,
     _evaluator: Optional[_GeneralEvaluator] = None,
 ) -> bool:
     """Exponential evaluator for universal queries over any mapping made of
@@ -763,8 +829,7 @@ def eval_gcwa_star_universal_general(
             "TargetConstraints", "the general evaluator handles st-tgds only"
         )
     if _evaluator is None:
-        core = _core if _core is not None else core_solution(mapping, source)
-        _evaluator = _GeneralEvaluator(core, valuation_cap)
+        _evaluator = _GeneralEvaluator(core_solution(mapping, source), valuation_cap)
     return _is_certain(_evaluator, q, values)
 
 

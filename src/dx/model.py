@@ -134,9 +134,13 @@ def atoms_isomorphic(a1: Atom, a2: Atom) -> bool:
 
 
 class Instance:
-    """A finite set of atoms (set semantics, no duplicates)."""
+    """A finite set of atoms (set semantics, no duplicates).
 
-    __slots__ = ("atoms", "_dom", "_rel_index", "_hash", "_sorted")
+    ``_core`` is True once ``corelib.core_of`` has returned this instance,
+    so later core tests on it need no search.
+    """
+
+    __slots__ = ("atoms", "_dom", "_rel_index", "_hash", "_sorted", "_core")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         object.__setattr__(self, "atoms", frozenset(atoms))
@@ -144,6 +148,7 @@ class Instance:
         object.__setattr__(self, "_rel_index", None)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_sorted", None)
+        object.__setattr__(self, "_core", False)
 
     # -- set plumbing
 
@@ -393,10 +398,6 @@ def apply_map(f: Mapping[Value, Value], instance: Instance) -> Instance:
         except KeyError as exc:
             raise UndefinedValue(f"map is undefined on {exc.args[0]!r}") from exc
     return Instance(out)
-
-
-def apply_map_atom(f: Mapping[Value, Value], atom: Atom) -> Atom:
-    return Atom(atom.rel, tuple(f[v] for v in atom.args))
 
 
 # ---------------------------------------------------------------- matching

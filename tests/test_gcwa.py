@@ -34,8 +34,11 @@ from dx.gcwa import (
     join_pairs,
     satisfies_conjunct,
 )
+import dx.corelib
 import dx.gcwa
+from dx.corelib import is_core
 from dx.logic import And, Eq, Exists, FOQuery, Forall, Not, Or, RelAtom
+from dx.model import apply_map, value_key
 from dx.oracle import Budget
 from dx.randgen import gen_packed_mapping, gen_source, gen_universal_query
 from dx.textio import SourceText
@@ -239,6 +242,89 @@ def test_core_eval_rejects_non_core():
         CoreEvaluator(Instance([Atom("E", (a, n1)), Atom("E", (a, n2))]))
 
 
+def _reference_pairs(reps, literal, tag):
+    """Candidate pairs the way the renaming-first construction builds them:
+    rename every representative whole into ``tag``, match the literal on
+    each renamed anchor (representatives in order, anchors in ``repr``
+    order) and keep the first of equal (instance, assignment) pairs."""
+    rel, terms = literal
+    out = []
+    for rep in reps:
+        remap = {c: c for c in rep.instance.consts()}
+        for j, n in enumerate(sorted(rep.instance.nulls(), key=value_key)):
+            remap[n] = Null(tag, j)
+        renamed = apply_map(remap, rep.instance)
+        for anchor in sorted(rep.anchors, key=repr):
+            args = tuple(remap[v] for v in anchor.args)
+            if anchor.rel != rel or len(args) != len(terms):
+                continue
+            alpha = {}
+            for t, v in zip(terms, args):
+                if (t != v) if isinstance(t, Const) else (alpha.setdefault(t, v) != v):
+                    break
+            else:
+                pair = (renamed, tuple(sorted(alpha.items(), key=lambda it: it[0].name)))
+                if pair not in out:
+                    out.append(pair)
+    return out
+
+
+def _probe_literals(core, outside):
+    """Positive literals over the core's relations: all-distinct variables,
+    one repeated variable, and a constant (of the core, or outside it) in
+    each position."""
+    consts = sorted(core.consts(), key=value_key)[:2] + [outside]
+    shapes = {(a.rel, len(a.args)) for a in core.atoms}
+    out = []
+    for rel, arity in sorted(shapes):
+        names = [Var(f"v{i}") for i in range(arity)]
+        out.append((rel, tuple(names)))
+        out.append((rel, tuple(names[:1] * arity)))
+        for pos in range(arity):
+            for c in consts:
+                out.append((rel, tuple(c if i == pos else t for i, t in enumerate(names))))
+    return out
+
+
+def _packed_cores():
+    yield _ef_core()
+    for m_text, s_text in ((COPY_MAP, COPY_SRC), (LEQ2_MAP, LEQ_SRC)):
+        m = mapping(m_text)
+        yield core_solution(m, instance(s_text, m.source))
+    m = mapping(CLQ_MAP)
+    for edges in ([(1, 2), (1, 3), (2, 3)], [(1, 2), (2, 3)]):
+        yield core_solution(m, instance(clique_source(edges), m.source))
+    yield _ef_chain_core(_ef_chain(8))[0]
+    rng = random.Random(2024)
+    made = 0
+    while made < 30:
+        m = gen_packed_mapping(rng)
+        core = core_solution(m, gen_source(rng, max_atoms=5))
+        if core.nulls():
+            made += 1
+            yield core
+
+
+def test_candidate_pairs_match_renaming_first_reference():
+    checked = 0
+    for core in _packed_cores():
+        evaluator = CoreEvaluator(core)
+        outside = Const("zz")
+        for context in (frozenset(), frozenset([outside])):
+            key, index = evaluator._anchor_index(context)
+            reps = evaluator.reps_for(context)
+            for literal in _probe_literals(core, outside):
+                for tag in ("cp1", "cp2"):
+                    got = []
+                    for p in evaluator._candidate_pairs(key, index, literal, tag):
+                        pair = (evaluator._renamed(p.instance, tag), p.assignment)
+                        if pair not in got:  # reps equal after renaming
+                            got.append(pair)
+                    assert got == _reference_pairs(reps, literal, tag), (core, literal, tag)
+                    checked += len(got)
+    assert checked > 1000
+
+
 # ------------------------------------------------------------- fast path
 
 
@@ -352,6 +438,34 @@ def test_ef_chain_fast_path_at_twenty_source_atoms(block_reps_calls):
     core, q = _ef_chain_core(edges)
     assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
     assert len(block_reps_calls) == 1
+
+
+def test_ef_chain_fast_path_at_forty_source_atoms(block_reps_calls):
+    edges = _ef_chain(40)
+    core, q = _ef_chain_core(edges)
+    assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
+    assert len(block_reps_calls) == 1
+
+
+def test_fast_path_runs_the_core_search_once(monkeypatch):
+    calls = []
+    original = dx.corelib.core_of
+
+    def counting(inst):
+        calls.append(inst)
+        return original(inst)
+
+    monkeypatch.setattr(dx.corelib, "core_of", counting)
+    edges = _ef_chain(10)
+    core, q = _ef_chain_core(edges)  # the one search, in core_solution
+    assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
+    assert len(calls) == 1
+
+    n1, n2 = Null("t", 1), Null("t", 2)
+    non_core = Instance([Atom("E", (a, n1)), Atom("E", (a, n2))])
+    assert not is_core(non_core)
+    assert not is_core(non_core)  # core_of marked its result, not its input
+    assert is_core(dx.corelib.core_of(non_core))
 
 
 # ------------------------------------------------------------- general path

@@ -1,0 +1,63 @@
+"""Every name a ``dx`` module imports is used in that module.
+
+A stdlib stand-in for an unused-import lint: each module of ``src/dx``
+except the package ``__init__`` (which imports to re-export) is parsed with
+``ast``, and every imported name must occur as a name in the module's code,
+quoted annotations included.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import dx
+
+MODULES = sorted(
+    p for p in Path(dx.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+def imported_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def referenced_names(tree: ast.Module):
+    names = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            names |= referenced_names(ast.parse(ann.value, mode="eval"))
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = referenced_names(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_scan_flags_an_unused_import():
+    tree = ast.parse(
+        "from .errors import NotGround, DxError\n"
+        "def f(x: 'Instance') -> None:\n"
+        "    raise DxError(x)\n"
+    )
+    used = referenced_names(tree)
+    assert [n for n, _ in imported_names(tree) if n not in used] == ["NotGround"]
