@@ -9,9 +9,10 @@ that block's nulls still loses it), so the fixpoint is a genuine core.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import PreconditionViolated
 from .model import (
@@ -20,7 +21,6 @@ from .model import (
     Null,
     SchemaMapping,
     Value,
-    apply_map,
     atom_key,
     require_ground,
     value_key,
@@ -83,125 +83,134 @@ def blocks_packed(instance: Instance) -> bool:
     return True
 
 
-def _find_shrinking_endo(
-    current: Instance,
-    movable: Tuple[Null, ...],
-    fixed: FrozenSet[Value],
-) -> Optional[Dict[Value, Value]]:
-    """First endomorphism of ``current`` that fixes everything except the
-    ``movable`` nulls (minus ``fixed``) and has a strictly smaller image.
+@dataclass(frozen=True)
+class Image:
+    """The instance ``base - gone | extra``, kept as its difference to
+    ``base``: ``gone`` lies within ``base`` and misses ``extra``."""
 
-    Nulls are tried in descending occurrence order, images in canonical
-    order; the first strictly shrinking assignment wins, which keeps the
-    core computation deterministic.
-    """
-    free = [n for n in movable if n in current.dom() and n not in fixed]
-    if not free:
-        return None
-    occurrences: Dict[Null, int] = {n: 0 for n in free}
-    affected: List[Atom] = []
-    atoms_by_null: Dict[Null, List[Atom]] = {n: [] for n in free}
-    free_set = set(free)
-    for a in current.atoms:
-        touched = [v for v in a.args if v in free_set]
-        if touched:
-            affected.append(a)
-            for v in set(touched):
-                occurrences[v] += 1
-                atoms_by_null[v].append(a)
-    free.sort(key=lambda n: (-occurrences[n], value_key(n)))
-    candidates = sorted(current.dom(), key=value_key)
-    untouched = frozenset(current.atoms) - frozenset(affected)
+    base: Instance
+    extra: FrozenSet[Atom]
+    gone: FrozenSet[Atom] = frozenset()
+
+    def __contains__(self, atom: Atom) -> bool:
+        return atom in self.extra or (atom in self.base.atoms and atom not in self.gone)
+
+    def whole(self) -> Instance:
+        return Instance((self.base.atoms - self.gone) | self.extra)
+
+    def matching(self, rel: str, arity: int, at, values) -> Iterator[Atom]:
+        """Its atoms of ``rel`` and ``arity`` with ``values`` at positions ``at``."""
+        for a in itertools.chain(self.base.atoms_matching(rel, arity, at, values), self.extra):
+            if a in self and a.rel == rel and len(a.args) == arity and all(
+                a.args[i] == v for i, v in zip(at, values)
+            ):
+                yield a
+
+
+def _shrink(
+    image: Image, atoms: Sequence[Atom], fixed: FrozenSet[Value], domain: Optional[List[Value]]
+) -> Optional[Set[Atom]]:
+    """The atoms lost by the first shrinking retraction of the image that moves
+    only the nulls of ``atoms`` (every atom holding them) outside ``fixed``, or
+    None.  Nulls go in descending occurrence order, values in canonical order;
+    the first assignment that moves a null, keeps every atom in the image and
+    loses one wins.  A null takes every value of the ``domain`` or, without
+    one, only those held in its place by the atoms matching its atom with the
+    most positions bound: that cuts only branches without a shrinking leaf."""
+    holders: Dict[Null, List[Atom]] = {}
+    for a in atoms:
+        for v in set(a.args):
+            if isinstance(v, Null) and v not in fixed:
+                holders.setdefault(v, []).append(a)
+    free = sorted(holders, key=lambda n: (-len(holders[n]), value_key(n)))
+    affected = [a for a in atoms if any(v in holders for v in a.args)]
     assignment: Dict[Value, Value] = {}
 
-    def atom_image(atom: Atom) -> Optional[Atom]:
+    def image_of(atom: Atom) -> Optional[Atom]:
         args = []
         for v in atom.args:
-            if v in free_set:
-                w = assignment.get(v)
-                if w is None:
+            if v in holders:
+                v = assignment.get(v)
+                if v is None:
                     return None
-                args.append(w)
-            else:
-                args.append(v)
+            args.append(v)
         return Atom(atom.rel, tuple(args))
 
-    def rec(i: int) -> Optional[Dict[Value, Value]]:
+    def bound(atom: Atom, null: Null) -> List[int]:
+        return [i for i, v in enumerate(atom.args)
+                if v != null and (v not in holders or v in assignment)]
+
+    def values_for(null: Null) -> Sequence[Value]:
+        if domain is not None:
+            return domain
+        atom = max(holders[null], key=lambda a: len(bound(a, null)))
+        at = tuple(bound(atom, null))
+        first, *others = [i for i, v in enumerate(atom.args) if v == null]
+        found = image.matching(atom.rel, len(atom.args), at,
+                               tuple(assignment.get(atom.args[i], atom.args[i]) for i in at))
+        return sorted({b.args[first] for b in found
+                       if all(b.args[i] == b.args[first] for i in others)}, key=value_key)
+
+    def rec(i: int) -> Optional[Set[Atom]]:
         if i == len(free):
             if all(assignment[n] == n for n in free):
                 return None
-            images = {atom_image(a) for a in affected}
-            if len(images | untouched) < len(current):
-                full = {v: v for v in current.dom()}
-                full.update(assignment)
-                return full
-            return None
+            return set(affected) - {image_of(a) for a in affected} or None
         null = free[i]
-        for cand in candidates:
+        for cand in values_for(null):
             assignment[null] = cand
-            ok = True
-            for a in atoms_by_null[null]:
-                img = atom_image(a)
-                if img is not None and img not in current:
-                    ok = False
-                    break
-            if ok:
-                found = rec(i + 1)
-                if found is not None:
-                    return found
+            if all(img is None or img in image for img in map(image_of, holders[null])):
+                lost = rec(i + 1)
+                if lost:
+                    return lost
             del assignment[null]
         return None
 
     return rec(0)
 
 
-def block_null_tuples(partition: BlockPartition) -> List[Tuple[Null, ...]]:
-    """The nulls of every block, each block's in canonical order."""
-    return [tuple(sorted(b.nulls(), key=value_key)) for b in partition.blocks]
-
-
-def _core_of(
-    instance: Instance,
-    fixed: FrozenSet[Value],
-    block_nulls: Optional[Sequence[Tuple[Null, ...]]] = None,
-) -> Instance:
-    if block_nulls is None:
-        block_nulls = block_null_tuples(atom_blocks(instance))
-    current = instance
-    changed = True
-    while changed:
-        changed = False
-        for nulls in block_nulls:
-            endo = _find_shrinking_endo(current, nulls, fixed)
-            if endo is not None:
-                current = apply_map(endo, current)
-                changed = True
-    return current
-
-
 def core_of(instance: Instance) -> Instance:
     """A core of the instance, reached by block-local retractions; works on
     arbitrary instances, not only chase results.  The result is marked as a
     core, which ``is_core`` reads instead of searching again."""
-    core = _core_of(instance, frozenset())
+    core = core_retract_fixing(instance, ())
     object.__setattr__(core, "_core", True)
     return core
 
 
 def core_retract_fixing(
-    instance: Instance,
+    instance: Union[Instance, Image],
     fixed: Iterable[Value],
-    blocks: Optional[Sequence[Tuple[Null, ...]]] = None,
-) -> Instance:
+    blocks: Optional[Sequence[Instance]] = None,
+) -> Union[Instance, Image]:
     """Core extraction whose retractions additionally fix the given values.
 
     Used for the per-block minimal representatives, where the freshly mapped
-    block atoms must survive into the core.  ``blocks`` lists the null tuples
-    of the only blocks tried, in the order they are tried (by default every
-    block, in canonical order); leaving out blocks that can never shrink the
-    instance returns the same instance.
-    """
-    return _core_of(instance, frozenset(fixed), blocks)
+    block atoms must survive into the core.  ``blocks`` lists the only blocks
+    tried, in the order they are tried (by default every block, in canonical
+    order); leaving out blocks that can never shrink the instance returns the
+    same instance.  Retraction only removes atoms, so a block is searched over
+    its atoms still in the image.  An ``Image`` (blocks of its base) comes
+    back retracted, its values probed from the base's position index; a plain
+    instance still scans every value (ROADMAP says why)."""
+    probe = isinstance(instance, Image)
+    image = instance if probe else Image(instance, frozenset())
+    fixed = frozenset(fixed)
+    blocks = atom_blocks(image.base).blocks if blocks is None else blocks
+    domain = None if probe else sorted(instance.dom(), key=value_key)
+    changed = True
+    while changed:
+        changed = False
+        for block in blocks:
+            lost = _shrink(image, [a for a in block.atoms if a not in image.gone], fixed, domain)
+            if lost:
+                image = dataclasses.replace(image, gone=image.gone | lost)
+                if not probe:
+                    domain = sorted(image.whole().dom(), key=value_key)
+                changed = True
+    if probe:
+        return image
+    return image.whole() if image.gone else instance
 
 
 def is_core(instance: Instance) -> bool:

@@ -19,7 +19,9 @@ the fast backend and ``_GeneralEvaluator`` the general one.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -50,6 +52,7 @@ from .model import (
     Value,
     Var,
     apply_map,
+    match_args,
     match_conjunction,
     value_key,
 )
@@ -313,7 +316,12 @@ def satisfies_conjunct(
                 return False
         return True
 
-    for bnd in match_conjunction(list(conjunct.positives), instance):
+    # only existence counts, so the atoms need no canonical order
+    by_rel: Dict[str, List[Atom]] = {}
+    for a in instance.atoms:
+        by_rel.setdefault(a.rel, []).append(a)
+    positives = list(conjunct.positives)
+    for bnd in match_conjunction(positives, instance, atoms_for=lambda r, _: by_rel.get(r, ())):
         if not loose:
             if check(bnd):
                 return True
@@ -333,10 +341,10 @@ def satisfies_conjunct(
 class CandidatePair:
     """A block representative together with an assignment that places one
     positive literal inside its renamed copy.  ``join_pairs`` needs the
-    renamed copy; ``CoreEvaluator``'s candidate lists hold the unrenamed
-    representative until a search leaf glues the pair."""
+    renamed copy; ``CoreEvaluator``'s candidate lists hold the ``BlockRep``
+    until a search leaf glues the pair."""
 
-    instance: Instance
+    instance: Union[Instance, BlockRep]
     assignment: Tuple[Tuple[Var, Value], ...]
 
     def values(self) -> Tuple[Value, ...]:
@@ -430,36 +438,31 @@ def join_pairs(
 # ---------------------------------------------------------------- core evaluation
 
 
-def _null_rank(instance: Instance) -> Dict[Null, int]:
-    """Each null's position in the canonical order of the instance's nulls:
-    the copy tagged ``t`` renames null ``n`` to ``Null(t, rank[n])``."""
-    return {n: j for j, n in enumerate(sorted(instance.nulls(), key=value_key))}
+def _renamed(instance: Instance, tag: str) -> Instance:
+    """The instance with its nulls renamed, in canonical order, into
+    ``Null(tag, 0)``, ``Null(tag, 1)``, ..."""
+    names = {n: Null(tag, j) for j, n in enumerate(sorted(instance.nulls(), key=value_key))}
+    return Instance(Atom(a.rel, tuple([names.get(v, v) for v in a.args])) for a in instance.atoms)
 
 
-# (relation, arity) -> [(representative, anchor, null rank of the representative)]
-AnchorIndex = Dict[Tuple[str, int], List[Tuple[Instance, Atom, Dict[Null, int]]]]
+# (relation, arity) -> [(representative, anchor, ranks of its anchor nulls)]
+AnchorIndex = Dict[Tuple[str, int], List[Tuple[BlockRep, Atom, Dict[Null, int]]]]
 
 
 class CoreEvaluator:
     """Evaluates existential conjuncts over the minimal possible worlds of a
     fixed packed core.
 
-    Block representatives are cached by the context constants outside
-    dom(core): they enter the representatives only through the pool
-    dom(core) + constants, which the others cannot change.
-
-    The i-th positive literal of a conjunct is placed in a copy of a
-    representative whose nulls are renamed into the tag ``cp<i>``.  No
-    representative is renamed to find those places.  Once per cache key the
-    anchors are indexed by (relation, arity), representatives in order and
-    each one's anchors in ``repr`` order, next to a null rank per
-    representative that does not depend on the tag.  A literal is matched
-    against the unrenamed anchor, which is equivalent because the renaming
-    is injective and a null never equals a constant, and only the matched
-    values are renamed.  Each literal's candidate pairs are memoised per
-    (cache key, literal, tag); they carry the unrenamed representative, and
-    the renamed whole-instance copy is built, and cached by instance and
-    tag, only for the pairs a search leaf glues.
+    Block representatives, deltas on the core, are cached by the context
+    constants outside dom(core), the only ones that change the pool.  The
+    i-th positive literal of a conjunct is placed in a copy of one whose
+    nulls are renamed, in canonical order, into the tag ``cp<i>``.  Once per
+    cache key the anchors are indexed by (relation, arity), representatives
+    in order and each one's anchors in ``repr`` order, with their nulls'
+    ranks in the representative.  A literal is matched against the
+    unrenamed anchor (the renaming is injective and a null never equals a
+    constant).  Candidate pairs are memoised per (cache key, literal, tag)
+    and carry the representative; a leaf renames only those it glues.
     """
 
     def __init__(self, core: Instance, block_bound: Optional[int] = None):
@@ -469,11 +472,14 @@ class CoreEvaluator:
             raise PreconditionViolated("NotCore", "the instance is not a core")
         self.core = core
         self.block_bound = block_bound
+        self._queries: Dict[FOQuery, tuple] = {}
         self._reps: Dict[FrozenSet[Const], Tuple[BlockRep, ...]] = {}
         self._anchors: Dict[FrozenSet[Const], AnchorIndex] = {}
         self._candidates: Dict[tuple, Tuple[CandidatePair, ...]] = {}
-        self._copies: Dict[Tuple[Instance, str], Instance] = {}
+        self._groups: Dict[tuple, Dict[tuple, list]] = {}
         self._paddings: Dict[Tuple[int, int], Instance] = {}
+        self._rank = {n: j for j, n in enumerate(sorted(core.nulls(), key=value_key))}
+        self._uses = Counter(v for a in core.atoms for v in a.args if isinstance(v, Null))
 
     def _reps_key(self, constants: Iterable[Const]) -> FrozenSet[Const]:
         return frozenset(constants) - self.core.dom()
@@ -484,40 +490,38 @@ class CoreEvaluator:
             self._reps[key] = all_block_reps(self.core, key, self.block_bound)
         return self._reps[key]
 
-    def _renamed(self, instance: Instance, tag: str) -> Instance:
-        """The instance with its nulls renamed into ``tag``."""
-        key = (instance, tag)
-        if key not in self._copies:
-            remap: Dict[Value, Value] = {c: c for c in instance.consts()}
-            remap.update((n, Null(tag, j)) for n, j in _null_rank(instance).items())
-            self._copies[key] = apply_map(remap, instance)
-        return self._copies[key]
-
     def _padding(self, start: int, stop: int) -> Instance:
         """The union of the core's copies ``cp<start + 1>`` to ``cp<stop>``."""
         key = (start, stop)
         if key not in self._paddings:
             self._paddings[key] = Instance(
-                a
-                for i in range(start, stop)
-                for a in self._renamed(self.core, f"cp{i + 1}").atoms
+                a for i in range(start, stop) for a in _renamed(self.core, f"cp{i + 1}").atoms
             )
         return self._paddings[key]
+
+    def _anchor_rank(self, rep: BlockRep) -> Dict[Null, int]:
+        """The anchor nulls' canonical ranks in the representative: their
+        core ranks less the lacking core nulls below, those only gone atoms
+        use (a representative's nulls are all core nulls)."""
+        kept = {v: self._rank[v] for a in rep.anchors for v in a.args if isinstance(v, Null)}
+        gone = Counter(v for a in rep.gone for v in a.args if isinstance(v, Null))
+        lacking = sorted(self._rank[v] for v, k in gone.items()
+                         if k == self._uses[v] and v not in kept)
+        return {v: r - bisect.bisect_left(lacking, r) for v, r in kept.items()}
 
     def _anchor_index(
         self, context: Iterable[Const]
     ) -> Tuple[FrozenSet[Const], AnchorIndex]:
-        """The cache key of the context and the anchors of its
-        representatives, each with the null rank of its representative."""
+        """The cache key of the context and its representatives' anchors."""
         reps = self.reps_for(context)
         key = self._reps_key(context)
         if key not in self._anchors:
             index: AnchorIndex = {}
             for rep in reps:
-                rank = _null_rank(rep.instance)
+                rank = self._anchor_rank(rep)
                 for anchor in sorted(rep.anchors, key=repr):
                     index.setdefault((anchor.rel, len(anchor.args)), []).append(
-                        (rep.instance, anchor, rank)
+                        (rep, anchor, rank)
                     )
             self._anchors[key] = index
         return key, self._anchors[key]
@@ -530,24 +534,26 @@ class CoreEvaluator:
         tag: str,
     ) -> Tuple[CandidatePair, ...]:
         """The places of one positive literal among the indexed anchors,
-        their assignments renamed into ``tag``.  Each pair carries the
-        unrenamed representative, not its renamed copy."""
+        holding its constants (anchors are grouped, in index order, by their
+        values at those positions), assignments renamed into ``tag``.  An
+        assignment fixes its anchor, so no pair repeats."""
         memo_key = (key, literal, tag)
         if memo_key not in self._candidates:
             rel, terms = literal
+            consts = tuple(i for i, t in enumerate(terms) if isinstance(t, Const))
+            groups = self._groups.get((key, rel, len(terms), consts))
+            if groups is None:
+                groups = self._groups[key, rel, len(terms), consts] = {}
+                for entry in index.get((rel, len(terms)), ()):
+                    groups.setdefault(tuple(entry[1].args[i] for i in consts), []).append(entry)
             pairs: List[CandidatePair] = []
-            seen = set()
-            for inst, anchor, rank in index.get((rel, len(terms)), ()):
-                alpha = _match_pattern(terms, anchor)
-                if alpha is None:
-                    continue
-                assignment = tuple(
-                    (var, Null(tag, rank[v]) if isinstance(v, Null) else v)
-                    for var, v in sorted(alpha.items(), key=lambda it: it[0].name)
-                )
-                if (inst, assignment) not in seen:
-                    seen.add((inst, assignment))
-                    pairs.append(CandidatePair(inst, assignment))
+            for rep, anchor, rank in groups.get(tuple(terms[i] for i in consts), ()):
+                alpha = match_args(terms, anchor.args)
+                if alpha is not None:
+                    pairs.append(CandidatePair(rep, tuple(
+                        (var, Null(tag, rank[v]) if isinstance(v, Null) else v)
+                        for var, v in sorted(alpha.items(), key=lambda it: it[0].name)
+                    )))
             self._candidates[memo_key] = tuple(pairs)
         return self._candidates[memo_key]
 
@@ -578,15 +584,11 @@ class CoreEvaluator:
 
         def search(i: int, relation: Optional[Dict[Value, FrozenSet[Value]]]) -> bool:
             if i == len(candidate_sets):
-                glued, _ = join_pairs(
-                    [
-                        CandidatePair(self._renamed(p.instance, f"cp{j + 1}"), p.assignment)
-                        for j, p in enumerate(chosen)
-                    ],
-                    relation,
-                )
-                probe = glued.union(padding)
-                return satisfies_conjunct(probe, conjunct, context)
+                glued, _ = join_pairs([
+                    CandidatePair(_renamed(p.instance.instance, f"cp{j + 1}"), p.assignment)
+                    for j, p in enumerate(chosen)
+                ], relation)
+                return satisfies_conjunct(glued.union(padding), conjunct, context)
             for pair in candidate_sets[i]:
                 chosen.append(pair)
                 relation = compatible_and_relation(chosen)
@@ -596,20 +598,6 @@ class CoreEvaluator:
             return False
 
         return search(0, None)
-
-
-def _match_pattern(
-    terms: Tuple[Term, ...], atom: Atom
-) -> Optional[Dict[Var, Value]]:
-    alpha: Dict[Var, Value] = {}
-    for t, v in zip(terms, atom.args):
-        if isinstance(t, Const):
-            if t != v:
-                return None
-        else:
-            if alpha.setdefault(t, v) != v:
-                return None
-    return alpha
 
 
 # ---------------------------------------------------------------- fast path
@@ -624,9 +612,12 @@ def _is_certain(
 ) -> bool:
     """The driver shared by both evaluators: a tuple of candidate constants
     is a certain answer iff no conjunct of the negated query, specialized to
-    it, is satisfiable by the evaluator's ``conjunct_satisfiable``."""
-    templates = normalize_negation(q)
-    allowed = set(candidate_constants(evaluator.core, q))
+    it, is satisfiable by the evaluator's ``conjunct_satisfiable``; the
+    templates and candidate constants are memoised per evaluator and query."""
+    if q not in evaluator._queries:
+        allowed = frozenset(candidate_constants(evaluator.core, q))
+        evaluator._queries[q] = (normalize_negation(q), allowed)
+    templates, allowed = evaluator._queries[q]
     if len(values) != q.width or any(v not in allowed for v in values):
         return False
     context = frozenset(q.consts()) | frozenset(values)
@@ -700,6 +691,7 @@ class _GeneralEvaluator:
     def __init__(self, core: Instance, valuation_cap: int):
         self.core = core
         self.valuation_cap = valuation_cap
+        self._queries: Dict[FOQuery, tuple] = {}
         self._cache: Dict[Tuple[FrozenSet[Const], int], tuple] = {}
 
     def _reps(self, base: FrozenSet[Const], fresh_count: int):

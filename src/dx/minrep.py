@@ -7,20 +7,20 @@ the general evaluator does the same over its own pool.  The enumeration is
 exponential in the number of nulls of a block and is gated by a product cap
 on the number of maps of all nulls.  The per-block variant only remaps the
 nulls of one atom block and is polynomial for a fixed per-block null bound;
-it feeds the fast query-evaluation path.
+it feeds the fast path, each representative a delta on the instance.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BlockTooLarge, BudgetExceeded, PreconditionViolated
 from .corelib import (
     BlockPartition,
+    Image,
     atom_blocks,
-    block_null_tuples,
     blocks_packed,
     core_retract_fixing,
     is_core,
@@ -34,6 +34,7 @@ from .model import (
     apply_map,
     atom_key,
     instance_key,
+    match_args,
     value_key,
 )
 
@@ -129,31 +130,41 @@ def enum_min_c(
     return MinRepSet(instance, constants, tuple(_minimal_images(images)), "whole")
 
 
-@dataclass(frozen=True)
-class BlockRep:
-    """One per-block representative: the core of a minimal block image plus
-    the freshly mapped block atoms that are guaranteed to survive in it."""
+class BlockRep(Image):
+    """One per-block representative: the core of a minimal block image, and
+    its anchors, the freshly mapped block atoms guaranteed to survive in it.
+    An ``Image`` on the instance: the anchors are ``extra``, the block's
+    other atoms and the rest atoms its retraction removed are ``gone``.
+    ``instance`` rebuilds it whole on each read."""
 
-    instance: Instance
-    anchors: FrozenSet[Atom]
+    @property
+    def anchors(self) -> FrozenSet[Atom]:
+        return self.extra
 
-
-def _maps_onto(src: Atom, dst: Atom) -> bool:
-    """Is there a map of the nulls of ``src`` that turns it into ``dst``?"""
-    if src.rel != dst.rel or len(src.args) != len(dst.args):
-        return False
-    h: Dict[Value, Value] = {}
-    for u, v in zip(src.args, dst.args):
-        if isinstance(u, Null):
-            if h.setdefault(u, v) != v:
-                return False
-        elif u != v:
-            return False
-    return True
+    @property
+    def instance(self) -> Instance:
+        return self.whole()
 
 
 def _pool(instance: Instance, constants: Iterable[Const]) -> List[Value]:
     return sorted(set(instance.dom()) | set(constants), key=value_key)
+
+
+def _blocks_onto(instance: Instance, partition: BlockPartition) -> Callable[[Atom], Set[int]]:
+    """The blocks with an atom that maps onto a given atom.  Such an atom
+    holds the given atom's values at its own constant positions, so only the
+    position index tables of the constant patterns in use are probed."""
+    block_of = dict(partition.atom_block)
+    patterns = {
+        (a.rel, len(a.args), tuple(i for i, v in enumerate(a.args) if isinstance(v, Const)))
+        for a in instance.atoms
+    }
+    return lambda atom: {
+        block_of[b]
+        for rel, arity, at in patterns if (rel, arity) == (atom.rel, len(atom.args))
+        for b in instance.atoms_matching(rel, arity, at, tuple(atom.args[i] for i in at))
+        if match_args(b.args, atom.args) is not None
+    }
 
 
 def _block_reps(
@@ -162,7 +173,7 @@ def _block_reps(
     block_index: int,
     pool: Sequence[Value],
     max_block_nulls: Optional[int],
-    scoped: bool,
+    blocks_onto: Optional[Callable[[Atom], Set[int]]],
 ) -> Tuple[BlockRep, ...]:
     block = partition.blocks[block_index]
     block_nulls = sorted(block.nulls(), key=value_key)
@@ -170,49 +181,39 @@ def _block_reps(
         raise BlockTooLarge(
             f"block has {len(block_nulls)} nulls, cap is {max_block_nulls}"
         )
-    rest = instance.minus(block.atoms).atoms
     block_null_set = set(block_nulls)
 
     fresh_sets: List[FrozenSet[Atom]] = []
+    f: Dict[Value, Value] = {v: v for v in block.dom()}
     for choice in itertools.product(pool, repeat=len(block_nulls)):
-        f: Dict[Value, Value] = {v: v for v in block.dom()}
         f.update(zip(block_nulls, choice))
-        fresh = apply_map(f, block).atoms - rest
-        if all(
-            v in block_null_set for a in fresh for v in a.args if isinstance(v, Null)
-        ):
+        # the mapped block atoms outside the rest of the instance
+        fresh = frozenset(
+            a for a in (Atom(b.rel, tuple([f[v] for v in b.args])) for b in block.atoms)
+            if a in block.atoms or a not in instance.atoms
+        )
+        if all(v in block_null_set for a in fresh for v in a.args if isinstance(v, Null)):
             fresh_sets.append(fresh)
 
     # an image is fresh | rest with fresh disjoint from rest, so images
-    # compare as their fresh-atom sets do
-    minimal = {img.atoms for img in _minimal_images(Instance(s) for s in fresh_sets)}
-    null_tuples = block_null_tuples(partition)
-    rest_blocks = [i for i in range(len(partition.blocks)) if i != block_index]
-    by_rel: Dict[str, List[Tuple[int, Atom]]] = {}
-    for atom, idx in partition.atom_block:
-        if idx != block_index:
-            by_rel.setdefault(atom.rel, []).append((idx, atom))
-
+    # compare as their fresh-atom sets do; equal sizes make all minimal
+    minimal = set(fresh_sets)
+    if len({len(s) for s in minimal}) > 1:
+        minimal = {img.atoms for img in _minimal_images(Instance(s) for s in minimal)}
     reps: List[BlockRep] = []
-    seen: Set[FrozenSet[Atom]] = set()
-    for fresh in fresh_sets:
-        if fresh in seen or fresh not in minimal:
+    for fresh in dict.fromkeys(fresh_sets):
+        if fresh not in minimal:
             continue
-        seen.add(fresh)
-        if scoped:
+        if blocks_onto is None:
+            movable = [b for i, b in enumerate(partition.blocks) if i != block_index]
+        else:
             # rest is a union of blocks of a core, hence a core: a rest
             # block can only shrink the image by mapping onto a fresh atom
-            movable = sorted({
-                idx for a in fresh for idx, b in by_rel.get(a.rel, ())
-                if _maps_onto(b, a)
-            })
-        else:
-            movable = rest_blocks
+            onto = set().union(*map(blocks_onto, fresh)) - {block_index}
+            movable = [partition.blocks[i] for i in sorted(onto)]
         anchor_nulls = {v for a in fresh for v in a.args if isinstance(v, Null)}
-        cored = core_retract_fixing(
-            Instance(fresh | rest), anchor_nulls, [null_tuples[i] for i in movable]
-        )
-        reps.append(BlockRep(cored, fresh))
+        image = BlockRep(instance, fresh, block.atoms - fresh)
+        reps.append(core_retract_fixing(image, anchor_nulls, movable))
     return tuple(reps)
 
 
@@ -230,14 +231,7 @@ def block_reps(
     image is cored with its fresh atoms' nulls fixed, in the order the maps
     are enumerated.
     """
-    return _block_reps(
-        instance,
-        atom_blocks(instance),
-        block_index,
-        _pool(instance, constants),
-        max_block_nulls,
-        is_core(instance),
-    )
+    return next(_each_block_reps(instance, constants, max_block_nulls, [block_index]))
 
 
 def enum_min_c_block(
@@ -247,29 +241,23 @@ def enum_min_c_block(
     max_block_nulls: Optional[int] = None,
 ) -> MinRepSet:
     reps = block_reps(instance, block_index, constants, max_block_nulls)
-    distinct = tuple(
-        sorted({r.instance for r in reps}, key=instance_key)
-    )
-    return MinRepSet(
-        instance,
-        tuple(sorted(set(constants), key=value_key)),
-        distinct,
-        block_index,
-    )
+    distinct = tuple(sorted({r.instance for r in reps}, key=instance_key))
+    return MinRepSet(instance, tuple(sorted(set(constants), key=value_key)), distinct, block_index)
 
 
 def _each_block_reps(
     instance: Instance,
     constants: Iterable[Const],
     max_block_nulls: Optional[int] = None,
+    indices: Optional[Iterable[int]] = None,
 ) -> Iterator[Tuple[BlockRep, ...]]:
-    """``block_reps`` of every block in turn, sharing one partition, pool
-    and core test."""
+    """``block_reps`` of the given blocks (by default all) in turn, sharing
+    one partition, pool and core test."""
     partition = atom_blocks(instance)
     pool = _pool(instance, constants)
-    scoped = is_core(instance)
-    for idx in range(len(partition.blocks)):
-        yield _block_reps(instance, partition, idx, pool, max_block_nulls, scoped)
+    blocks_onto = _blocks_onto(instance, partition) if is_core(instance) else None
+    for idx in range(len(partition.blocks)) if indices is None else indices:
+        yield _block_reps(instance, partition, idx, pool, max_block_nulls, blocks_onto)
 
 
 def all_block_reps(
@@ -277,14 +265,14 @@ def all_block_reps(
     constants: Iterable[Const],
     max_block_nulls: Optional[int] = None,
 ) -> Tuple[BlockRep, ...]:
-    """Per-block representatives over every atom block, deduplicated."""
+    """Per-block representatives over every atom block, deduplicated.  Two
+    representatives are equal iff their instances and anchors are."""
     out: List[BlockRep] = []
     seen = set()
     for reps in _each_block_reps(instance, constants, max_block_nulls):
         for rep in reps:
-            key = (rep.instance, rep.anchors)
-            if key not in seen:
-                seen.add(key)
+            if rep not in seen:
+                seen.add(rep)
                 out.append(rep)
     return tuple(out)
 
@@ -303,7 +291,5 @@ def atom_in_some_minimal(instance: Instance, atom: Atom) -> bool:
         raise PreconditionViolated("NotCore", "the instance is not a core")
     constants = [v for v in atom.args if isinstance(v, Const)]
     return any(
-        atom in rep.instance
-        for reps in _each_block_reps(instance, constants)
-        for rep in reps
+        atom in rep for reps in _each_block_reps(instance, constants) for rep in reps
     )

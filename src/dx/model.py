@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DxError, NotGround, UndefinedValue
 
@@ -101,7 +101,7 @@ class Atom:
 
 
 def atom_key(a: Atom):
-    return (a.rel, tuple(value_key(v) for v in a.args))
+    return (a.rel, tuple([value_key(v) for v in a.args]))
 
 
 def instance_key(instance: "Instance"):
@@ -140,12 +140,12 @@ class Instance:
     so later core tests on it need no search.
     """
 
-    __slots__ = ("atoms", "_dom", "_rel_index", "_hash", "_sorted", "_core")
+    __slots__ = ("atoms", "_dom", "_tables", "_hash", "_sorted", "_core")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         object.__setattr__(self, "atoms", frozenset(atoms))
         object.__setattr__(self, "_dom", None)
-        object.__setattr__(self, "_rel_index", None)
+        object.__setattr__(self, "_tables", None)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_core", False)
@@ -212,21 +212,20 @@ class Instance:
     def is_ground(self) -> bool:
         return not self.nulls()
 
-    def relations(self) -> FrozenSet[str]:
-        return frozenset(a.rel for a in self.atoms)
-
-    def atoms_for(self, rel: str) -> Tuple[Atom, ...]:
-        idx = object.__getattribute__(self, "_rel_index")
-        if idx is None:
-            idx = {}
-            for a in sorted(self.atoms, key=atom_key):
-                idx.setdefault(a.rel, []).append(a)
-            idx = {r: tuple(v) for r, v in idx.items()}
-            object.__setattr__(self, "_rel_index", idx)
-        return idx.get(rel, ())
-
-
-EMPTY = Instance()
+    def atoms_matching(
+        self, rel: str, arity: int, positions: Tuple[int, ...], values: Tuple[Value, ...]
+    ) -> Sequence[Atom]:
+        """The atoms of ``rel`` and ``arity`` holding ``values`` at
+        ``positions``, in canonical order, from a table built on first use."""
+        if self._tables is None:
+            object.__setattr__(self, "_tables", {})
+        table = self._tables.get((rel, arity, positions))
+        if table is None:
+            table = self._tables[rel, arity, positions] = {}
+            for a in self.sorted_atoms():
+                if a.rel == rel and len(a.args) == arity:
+                    table.setdefault(tuple(a.args[i] for i in positions), []).append(a)
+        return table.get(values, ())
 
 
 # ---------------------------------------------------------------- schemas
@@ -403,24 +402,37 @@ def apply_map(f: Mapping[Value, Value], instance: Instance) -> Instance:
 # ---------------------------------------------------------------- matching
 
 
+def match_args(pattern: Sequence, args: Sequence[Value]) -> Optional[Dict]:
+    """The map of the pattern's variables or nulls that turns it into
+    ``args`` position by position, or None; a constant matches itself."""
+    alpha: Dict = {}
+    for t, v in zip(pattern, args):
+        if (t != v) if isinstance(t, Const) else (alpha.setdefault(t, v) != v):
+            return None
+    return alpha
+
+
 def match_conjunction(
     patterns: Sequence[Tuple[str, Tuple[Term, ...]]],
     instance: Instance,
     binding: Optional[Dict[Var, Value]] = None,
+    atoms_for: Optional[Callable[[str, int], Iterable[Atom]]] = None,
 ) -> Iterator[Dict[Var, Value]]:
     """All extensions of ``binding`` that embed every pattern atom in I.
 
     Patterns are (relation, terms) pairs with Var/Const terms.  Yields
-    bindings in a deterministic order (atoms of I in canonical order).
+    bindings in a deterministic order (atoms of I in canonical order), or
+    in the order of ``atoms_for(relation, arity)``, if given.
     """
     binding = dict(binding or {})
+    atoms_for = atoms_for or (lambda rel, arity: instance.atoms_matching(rel, arity, (), ()))
 
     def rec(i: int, bnd: Dict[Var, Value]) -> Iterator[Dict[Var, Value]]:
         if i == len(patterns):
             yield dict(bnd)
             return
         rel, terms = patterns[i]
-        for atom in instance.atoms_for(rel):
+        for atom in atoms_for(rel, len(terms)):
             if len(atom.args) != len(terms):
                 continue
             local = {}

@@ -332,18 +332,19 @@ def _st_minimal_solutions(
 ) -> List[Instance]:
     """Ground instances over the universe that are minimal with respect to
     the st-tgds alone: injective fresh instantiations of the minimal
-    representatives of the core of the chased source."""
+    representatives of the core of the chased source, of which the core has
+    the most nulls (no legal image is a proper subset of a core)."""
     core = core_of(chase.canonical_solution(mapping, source))
     base_consts = set(core.consts()) | mapping_constants(mapping)
-    reps = enum_min_c(core, base_consts, product_cap=60_000)
     available = [c for c in universe if c not in base_consts]
+    if len(core.nulls()) > len(available):
+        raise BudgetExceeded(
+            f"{len(core.nulls())} fresh values needed but only {len(available)} in the universe"
+        )
+    reps = enum_min_c(core, base_consts, product_cap=60_000)
     out: Set[Instance] = set()
     for rep in reps.representatives:
         nulls = sorted(rep.nulls(), key=value_key)
-        if len(nulls) > len(available):
-            raise BudgetExceeded(
-                f"{len(nulls)} fresh values needed but only {len(available)} in the universe"
-            )
         for images in itertools.permutations(available, len(nulls)):
             v: Dict[Value, Value] = {c: c for c in rep.consts()}
             v.update(zip(nulls, images))

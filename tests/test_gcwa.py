@@ -317,7 +317,7 @@ def test_candidate_pairs_match_renaming_first_reference():
                 for tag in ("cp1", "cp2"):
                     got = []
                     for p in evaluator._candidate_pairs(key, index, literal, tag):
-                        pair = (evaluator._renamed(p.instance, tag), p.assignment)
+                        pair = (dx.gcwa._renamed(p.instance.instance, tag), p.assignment)
                         if pair not in got:  # reps equal after renaming
                             got.append(pair)
                     assert got == _reference_pairs(reps, literal, tag), (core, literal, tag)
@@ -445,6 +445,26 @@ def test_ef_chain_fast_path_at_forty_source_atoms(block_reps_calls):
     core, q = _ef_chain_core(edges)
     assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
     assert len(block_reps_calls) == 1
+
+
+def test_ef_chain_fast_path_at_eighty_source_atoms(block_reps_calls):
+    edges = _ef_chain(80)
+    core, q = _ef_chain_core(edges)
+    assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
+    assert len(block_reps_calls) == 1
+
+
+def test_ef_chain_rep_storage_grows_polynomially():
+    # the paper's per-block bound, without a clock: the atoms the block
+    # representatives store (anchors and the core atoms they lack) may grow
+    # at most 2^2.5 times per doubling of the chain; whole cored images grow
+    # about 8 times
+    stored = []
+    for n in (10, 20, 40):
+        core, q = _ef_chain_core(_ef_chain(n))
+        reps = CoreEvaluator(core).reps_for(q.consts())
+        stored.append(sum(len(rep.extra) + len(rep.gone) for rep in reps))
+    assert all(big <= 2 ** 2.5 * small for small, big in zip(stored, stored[1:])), stored
 
 
 def test_fast_path_runs_the_core_search_once(monkeypatch):

@@ -1,9 +1,12 @@
-"""Every name a ``dx`` module imports is used in that module.
+"""Every name a ``dx`` module imports is used in that module, and every
+private module-level function or class of ``dx`` is used somewhere in it.
 
-A stdlib stand-in for an unused-import lint: each module of ``src/dx``
-except the package ``__init__`` (which imports to re-export) is parsed with
-``ast``, and every imported name must occur as a name in the module's code,
-quoted annotations included.
+A stdlib stand-in for an unused-import and dead-code lint: each module of
+``src/dx`` except the package ``__init__`` (which imports to re-export) is
+parsed with ``ast``, and every imported name must occur as a name in the
+module's code, quoted annotations included.  A private definition (a name
+with one leading underscore) must occur as a name in the code of some
+module of the package.
 """
 
 import ast
@@ -13,9 +16,8 @@ import pytest
 
 import dx
 
-MODULES = sorted(
-    p for p in Path(dx.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+PACKAGE = sorted(Path(dx.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module):
@@ -61,3 +63,38 @@ def test_scan_flags_an_unused_import():
     )
     used = referenced_names(tree)
     assert [n for n, _ in imported_names(tree) if n not in used] == ["NotGround"]
+
+
+def private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                yield node.name, node.lineno
+
+
+def test_every_private_definition_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE}
+    used = set().union(*map(referenced_names, trees.values()))
+    unused = [
+        f"{name} ({module}, line {line})"
+        for module, tree in trees.items()
+        for name, line in private_definitions(tree)
+        if name not in used
+    ]
+    assert not unused, f"private definitions nothing in dx uses: {', '.join(unused)}"
+
+
+def test_scan_flags_an_unreferenced_private_definition():
+    tree = ast.parse(
+        "def _rank(x):\n"
+        "    return x\n"
+        "def _renamed(x):\n"
+        "    return x\n"
+        "class _Used:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _Used().attr, obj._renamed\n"
+    )
+    used = referenced_names(tree)
+    # an attribute of the same name is not a use of the module-level one
+    assert [n for n, _ in private_definitions(tree) if n not in used] == ["_rank", "_renamed"]

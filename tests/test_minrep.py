@@ -311,9 +311,38 @@ def test_block_reps_match_reference():
             expected_all = []
             for idx in range(len(atom_blocks(inst).blocks)):
                 expected = _reference_block_reps(inst, idx, constants)
-                assert block_reps(inst, idx, constants) == expected, (inst, idx)
+                assert _whole(block_reps(inst, idx, constants)) == _whole(expected), (inst, idx)
                 expected_all += [r for r in expected if r not in expected_all]
-            assert all_block_reps(inst, constants) == tuple(expected_all), inst
+            assert _whole(all_block_reps(inst, constants)) == _whole(expected_all), inst
+
+
+def _whole(reps):
+    return [(rep.instance, rep.anchors) for rep in reps]
+
+
+def test_local_retraction_matches_whole_instance_retraction():
+    # each representative is retracted locally, over the blocks its fresh
+    # atoms can receive; rebuilt whole, it must be what retracting the whole
+    # image over all of its blocks gives
+    n1, n2, n3 = Null("t", 1), Null("t", 2), Null("t", 3)
+    non_cores = [
+        Instance([Atom("E", (a, n1)), Atom("E", (a, n2))]),
+        Instance([Atom("E", (a, n1)), Atom("E", (n1, n2)), Atom("E", (a, n3))]),
+    ]
+    retracted = 0
+    for inst in _small_fixtures() + non_cores + _random_packed_cores(30):
+        partition = atom_blocks(inst)
+        for constants in (set(), {a}, {c, Const("zz")}):
+            for idx, block in enumerate(partition.blocks):
+                rest = inst.atoms - block.atoms
+                for rep in block_reps(inst, idx, constants):
+                    assert rep.base is inst
+                    anchor_nulls = {v for atom in rep.anchors for v in atom.nulls()}
+                    image = Instance(rep.anchors | rest)
+                    expected = core_retract_fixing(image, anchor_nulls)
+                    assert rep.instance == expected, (inst, idx, rep.anchors)
+                    retracted += len(expected) < len(image)
+    assert retracted > 100
 
 
 # ------------------------------------------------------------- enum_min_c reference

@@ -334,3 +334,19 @@ def test_minimal_solutions_on_random_mappings_are_minimal():
             for atom in sol.atoms:
                 assert not is_solution(m, s, sol.minus([atom]))
         checked += 1
+
+
+def test_too_many_core_nulls_fail_before_enumeration(monkeypatch):
+    # the core is its own representative and has the most nulls, so a core
+    # with more nulls than fresh values is refused without enumerating
+    import dx.oracle
+    from dx.errors import BudgetExceeded
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("enum_min_c ran on an over-budget core")
+
+    monkeypatch.setattr(dx.oracle, "enum_min_c", must_not_run)
+    m = mapping("source P/1. target E/2. tgd P(x) -> exists z: E(x,z).")
+    s = instance("P(a). P(b). P(c).", m.source)
+    with pytest.raises(BudgetExceeded, match="3 fresh values needed but only 2"):
+        minimal_ground_solutions(m, s, Budget(2, 8, 2))
