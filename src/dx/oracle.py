@@ -10,7 +10,7 @@ fresh constant never changes an answer.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, UnsupportedSemantics
@@ -64,11 +64,7 @@ class Budget:
     max_fixpoint_rounds: int = 3
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "fresh_constants": self.fresh_constants,
-            "max_atoms": self.max_atoms,
-            "max_fixpoint_rounds": self.max_fixpoint_rounds,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -148,6 +144,11 @@ class _HornRule:
     head_eq: Optional[Tuple[Term, Term]]
 
 
+def _ground(rel: str, terms: Sequence[Term], bnd: Dict[Var, Value]) -> Atom:
+    """The atom ``rel(terms)`` with every variable replaced by its binding."""
+    return Atom(rel, tuple(t if isinstance(t, Const) else bnd[t] for t in terms))
+
+
 def _push_negations(matrix: Formula, negate: bool = False) -> Optional[Formula]:
     """NNF for quantifier-free matrices; bails out (None) when a counting
     quantifier would have to be negated."""
@@ -157,16 +158,11 @@ def _push_negations(matrix: Formula, negate: bool = False) -> Optional[Formula]:
         return Not(matrix) if negate else matrix
     if isinstance(matrix, Not):
         return _push_negations(matrix.sub, not negate)
-    if isinstance(matrix, _And):
+    if isinstance(matrix, (_And, Or)):
         parts = [_push_negations(p, negate) for p in matrix.parts]
         if any(p is None for p in parts):
             return None
-        return Or(tuple(parts)) if negate else _And(tuple(parts))
-    if isinstance(matrix, Or):
-        parts = [_push_negations(p, negate) for p in matrix.parts]
-        if any(p is None for p in parts):
-            return None
-        return _And(tuple(parts)) if negate else Or(tuple(parts))
+        return (_And if isinstance(matrix, Or) == negate else Or)(tuple(parts))
     if isinstance(matrix, CountExists) and not negate:
         return matrix
     return None
@@ -251,14 +247,10 @@ class _ConstraintEngine:
                         continue
                     if rule.head_atom is None:
                         return None
-                    rel, terms = rule.head_atom
-                    atom = Atom(
-                        rel,
-                        tuple(t if isinstance(t, Const) else bnd[t] for t in terms),
-                    )
+                    atom = _ground(*rule.head_atom, bnd)
                     if atom in combined:
                         continue
-                    if rel not in self.mapping.target:
+                    if atom.rel not in self.mapping.target:
                         return None  # constraint forces a source fact
                     current.add(atom)
                     changed = True
@@ -275,10 +267,7 @@ class _ConstraintEngine:
         by adding atoms (currently: a bounded count already above its upper
         limit)."""
         combined = source.union(target)
-        for sentence in self.residue:
-            if _overcount_violation(sentence.body, combined):
-                return True
-        return False
+        return any(_overcount_violation(s.body, combined) for s in self.residue)
 
 
 def _overcount_violation(body: Formula, combined: Instance) -> bool:
@@ -377,7 +366,7 @@ def _minimal_extensions(
         for extra in itertools.combinations(candidates, size):
             nodes += 1
             if nodes > node_cap:
-                raise BudgetExceeded("extension search exceeded its node cap")
+                raise BudgetExceeded(f"extension search exceeded its node cap of {node_cap} nodes")
             cand_base = Instance(closed.atoms | frozenset(extra))
             if any(f.subset_of(cand_base) for f in found):
                 continue
@@ -432,32 +421,54 @@ def minimal_ground_solutions(
 def _union_closure(
     members: Sequence[Instance], max_atoms: int, cap: int = UNION_CLOSURE_CAP
 ) -> List[Instance]:
-    """All distinct unions of nonempty subsets of the members, capped by size."""
-    base: List[FrozenSet[Atom]] = []
-    seen: Set[FrozenSet[Atom]] = set()
-    for m in sorted(set(members), key=instance_key):
-        if len(m.atoms) <= max_atoms and m.atoms not in seen:
-            seen.add(m.atoms)
-            base.append(m.atoms)
-    frontier = list(base)
+    """All distinct unions of nonempty subsets of the members of at most
+    ``max_atoms`` atoms, in ``instance_key`` order.
+
+    Each round joins every union the last round found (at first, the
+    distinct members within ``max_atoms``, in ``instance_key`` order) with
+    every such member; ``work`` counts the joins.  More than 40 × ``cap``
+    joins or ``cap`` unions raise ``BudgetExceeded``.  A union is an int
+    whose bit n-1-i stands for the i-th of the n atoms in ``atom_key``
+    order: ``m`` is inside ``u`` iff ``u | m == u``, the binary digits list
+    the atoms in order, and of two masks of one size the larger comes first.
+    """
+    kept = {m.atoms for m in members if len(m) <= max_atoms}
+    atoms = sorted({a for m in kept for a in m}, key=atom_key)
+    n = len(atoms)
+    bit = {a: 1 << (n - 1 - i) for i, a in enumerate(atoms)}
+
+    def order(w: int) -> Tuple[int, int]:
+        return w.bit_count(), -w
+
+    base = sorted((sum(bit[a] for a in m) for m in kept), key=order)
+    seen = set(base)
+    frontier = base
+    work_cap = 40 * cap
     work = 0
     while frontier:
-        nxt: List[FrozenSet[Atom]] = []
+        nxt: List[int] = []
         for u in frontier:
-            for m in base:
-                work += 1
-                if work > 40 * cap:
-                    raise BudgetExceeded("union closure exceeded its work cap")
-                if m <= u:
-                    continue
+            # the joins left before the work cap, which raises after them
+            joins = base if work + len(base) <= work_cap else base[: work_cap - work]
+            work += len(joins)
+            for m in joins:
                 w = u | m
-                if len(w) <= max_atoms and w not in seen:
+                if w != u and w.bit_count() <= max_atoms and w not in seen:
                     if len(seen) >= cap:
-                        raise BudgetExceeded("union closure exceeded its cap")
+                        raise BudgetExceeded(f"union closure exceeded its cap of {cap} unions")
                     seen.add(w)
                     nxt.append(w)
+            if len(joins) < len(base):
+                raise BudgetExceeded(f"union closure exceeded its work cap of {work_cap} steps")
         frontier = nxt
-    return [Instance(a) for a in seen]
+    # a union of one-atom sets reuses the atoms' stored hashes
+    singletons = [frozenset([a]) for a in atoms]
+    empty: FrozenSet[Atom] = frozenset()
+    digits = f"0{n}b"
+    return [
+        Instance(empty.union(*[s for s, d in zip(singletons, format(w, digits)) if d == "1"]))
+        for w in sorted(seen, key=order)
+    ]
 
 
 def _is_union_of(instance: Instance, members: Sequence[Instance]) -> bool:
@@ -505,7 +516,7 @@ def tstar_fixpoint(
         converged = True
     for _ in range(budget.max_fixpoint_rounds if not converged else 0):
         added: List[Instance] = []
-        for union in sorted(_union_closure(generators, budget.max_atoms), key=instance_key):
+        for union in _union_closure(generators, budget.max_atoms):
             if chase.is_solution(mapping, source, union):
                 continue  # its own minimal extension, already a union
             for ext in _minimal_extensions(
@@ -548,7 +559,7 @@ def gcwa_star_solutions(
     meta = dict(fix.family.meta)
     meta["tstar_size"] = len(fix.family)
     meta["converged"] = fix.converged
-    return SolutionFamily(_sorted_family(chosen), "gcwa_star", meta)
+    return SolutionFamily(tuple(chosen), "gcwa_star", meta)
 
 
 def is_gcwa_star_solution(
@@ -612,7 +623,7 @@ def _solution_subsets(
         for combo in itertools.combinations(pool, size):
             count += 1
             if count > cap:
-                raise BudgetExceeded("solution enumeration exceeded its cap")
+                raise BudgetExceeded(f"solution enumeration exceeded its cap of {cap} subsets")
             inst = Instance(combo)
             if chase.is_solution(mapping, source, inst):
                 yield inst
@@ -630,16 +641,7 @@ def _justified_atoms(
         for bnd in match_conjunction(body_patterns, source):
             seed = {v: bnd[v] for v in tgd.frontier_vars()}
             for full in match_conjunction(head_patterns, target, seed):
-                for pa in tgd.head:
-                    justified.add(
-                        Atom(
-                            pa.rel,
-                            tuple(
-                                t if isinstance(t, Const) else full[t]
-                                for t in pa.terms
-                            ),
-                        )
-                    )
+                justified.update(_ground(pa.rel, pa.terms, full) for pa in tgd.head)
     return justified
 
 
@@ -745,16 +747,7 @@ def answers_semantics(
                 for images in itertools.product(universe, repeat=len(tgd.exists_vars)):
                     assignment = dict(frontier)
                     assignment.update(zip(tgd.exists_vars, images))
-                    for pa in tgd.head:
-                        head_pool.add(
-                            Atom(
-                                pa.rel,
-                                tuple(
-                                    t if isinstance(t, Const) else assignment[t]
-                                    for t in pa.terms
-                                ),
-                            )
-                        )
+                    head_pool.update(_ground(pa.rel, pa.terms, assignment) for pa in tgd.head)
         pool = sorted(head_pool, key=atom_key)
 
         def pws_family() -> Iterator[Instance]:

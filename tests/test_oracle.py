@@ -16,9 +16,10 @@ from dx import (
     parse_instance,
     parse_query,
 )
-from dx.errors import UnsupportedSemantics
-from dx.oracle import Budget, target_atom_pool, universe_of
-from dx.randgen import gen_packed_mapping, gen_source
+from dx.errors import BudgetExceeded, UnsupportedSemantics
+from dx.model import instance_key
+from dx.oracle import Budget, _union_closure, target_atom_pool, universe_of
+from dx.randgen import gen_packed_mapping, gen_source, gen_universal_query
 from dx.textio import SourceText
 
 from fixtures import (
@@ -350,3 +351,154 @@ def test_too_many_core_nulls_fail_before_enumeration(monkeypatch):
     s = instance("P(a). P(b). P(c).", m.source)
     with pytest.raises(BudgetExceeded, match="3 fresh values needed but only 2"):
         minimal_ground_solutions(m, s, Budget(2, 8, 2))
+
+
+# ------------------------------------------------------------- union closure reference
+
+
+def _reference_union_closure(members, max_atoms, cap=60_000):
+    """The union closure on frozensets of atoms: the same member order,
+    rounds, work count and caps as ``dx.oracle._union_closure``, returning
+    the unions sorted by ``instance_key``."""
+    base = []
+    seen = set()
+    for m in sorted(set(members), key=instance_key):
+        if len(m.atoms) <= max_atoms and m.atoms not in seen:
+            seen.add(m.atoms)
+            base.append(m.atoms)
+    frontier = list(base)
+    work = 0
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for m in base:
+                work += 1
+                if work > 40 * cap:
+                    raise BudgetExceeded(
+                        f"union closure exceeded its work cap of {40 * cap} steps"
+                    )
+                if m <= u:
+                    continue
+                w = u | m
+                if len(w) <= max_atoms and w not in seen:
+                    if len(seen) >= cap:
+                        raise BudgetExceeded(
+                            f"union closure exceeded its cap of {cap} unions"
+                        )
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return sorted((Instance(a) for a in seen), key=instance_key)
+
+
+def _closure_outcome(closure, members, max_atoms, cap):
+    try:
+        return closure(members, max_atoms, cap)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def _e(*pairs):
+    return Instance([Atom("E", (Const(x), Const(y))) for x, y in pairs])
+
+
+def _hand_made_families():
+    ab, bc, cd, ac = _e(("a", "b")), _e(("b", "c")), _e(("c", "d")), _e(("a", "c"))
+    big = _e(*[("a", x) for x in "bcdefgh"])
+    full = [_e(("a", x), ("b", x), ("c", x)) for x in "defghij"]
+    # 40 members of 3 atoms and no union within 3 atoms: exactly 1600 joins,
+    # the work cap at cap 40
+    forty = [_e(("a", f"v{i}"), ("b", f"v{i}"), ("c", f"v{i}")) for i in range(40)]
+    return [
+        [],
+        [Instance([])],
+        [Instance([]), ab, bc],
+        [ab, ab, bc, bc, ab],
+        [ab, _e(("a", "b"), ("b", "c")), bc],
+        [ab, bc, cd, ac, _e(("a", "b"), ("c", "d"))],
+        [big, ab, bc],
+        [big],
+        full,
+        full + [ab, bc],
+        forty,
+    ]
+
+
+def _random_minimal_families(count, seed=7207):
+    rng = random.Random(seed)
+    families = []
+    while len(families) < count:
+        m = gen_packed_mapping(rng)
+        s = gen_source(rng, max_atoms=5)
+        try:
+            families.append(list(minimal_ground_solutions(m, s, Budget(2, 8, 2))))
+        except BudgetExceeded:
+            continue
+    return families
+
+
+def test_union_closure_matches_reference():
+    # the same unions in the same order, and the same errors at the same
+    # caps, for the size cap and for the work cap
+    families = _hand_made_families() + _random_minimal_families(30)
+    errors = set()
+    for members in families:
+        for max_atoms in (0, 3, 6, 8):
+            for cap in (1, 2, 3, 5, 8, 13, 39, 40, 60_000):
+                expected = _closure_outcome(_reference_union_closure, members, max_atoms, cap)
+                got = _closure_outcome(_union_closure, members, max_atoms, cap)
+                assert got == expected, (members, max_atoms, cap)
+                if isinstance(expected, str):
+                    errors.add(expected.split(" of ")[0])
+    assert errors == {
+        "union closure exceeded its cap",
+        "union closure exceeded its work cap",
+    }
+
+
+def test_union_closure_cap_message_names_its_limit():
+    members = [_e(("a", x)) for x in "bcd"]
+    with pytest.raises(BudgetExceeded) as info:
+        _union_closure(members, 8, cap=4)
+    assert str(info.value) == "union closure exceeded its cap of 4 unions"
+
+
+def _criterion_8_triples(count, seed=20260808):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = gen_packed_mapping(rng)
+        s = gen_source(rng, max_atoms=5)
+        yield m, s, gen_universal_query(rng, free_count=rng.randint(0, 1))
+    for map_text, src_text, q_text in (
+        (MOT_MAP, PE_SRC, PE_QUERY),
+        (EFF_MAP, PE_SRC, EFF_QUERY),
+        (C23_MAP, PE_SRC, C23_QUERY),
+        (LEQ1_MAP, LEQ_SRC, LEQ_QUERY),
+    ):
+        m = mapping(map_text)
+        yield m, instance(src_text, m.source), query(q_text, m.combined_schema())
+
+
+def _gcwa_star_outcomes(triples, budgets):
+    out = []
+    for m, s, q in triples:
+        for budget in budgets:
+            try:
+                family = gcwa_star_solutions(m, s, budget).instances
+                answers = answers_semantics(m, s, q, "gcwa-star", budget).answers
+                out.append((family, answers))
+            except BudgetExceeded as exc:
+                out.append(str(exc))
+    return out
+
+
+def test_gcwa_star_outputs_match_reference_closure(monkeypatch):
+    import dx.oracle
+
+    triples = list(_criterion_8_triples(40))
+    budgets = (Budget(2, 8, 2), Budget(2, 5, 2))
+    got = _gcwa_star_outcomes(triples, budgets)
+    monkeypatch.setattr(dx.oracle, "_union_closure", _reference_union_closure)
+    expected = _gcwa_star_outcomes(triples, budgets)
+    assert got == expected
+    assert any(isinstance(o, str) for o in got) and any(isinstance(o, tuple) for o in got)
