@@ -1,8 +1,9 @@
 """Walkthrough: the polynomial fast path against the brute-force oracle.
 
 Universal queries over packed-dependency mappings are decided on the core in
-polynomial time; the oracle enumerates whole solution families instead.  The
-two must agree, and `dx compare` wraps exactly this check.
+polynomial time; the general evaluator and the oracle enumerate whole
+solution families instead.  The three must agree, and `dx compare` wraps
+exactly this check.
 
 Run with:  python3 demos/04_fast_vs_oracle.py
 """
@@ -10,50 +11,33 @@ Run with:  python3 demos/04_fast_vs_oracle.py
 import random
 from pathlib import Path
 
-from dx import (
-    Budget,
-    answers_gcwa_star_universal,
-    answers_gcwa_star_universal_general,
-    answers_semantics,
-    core_solution,
-    parse_instance,
-    parse_mapping,
-    parse_query,
-)
-from dx.errors import BudgetExceeded
-from dx.randgen import gen_packed_mapping, gen_source, gen_universal_query
+from dx import Budget, parse_instance, parse_mapping, parse_query
+from dx.randgen import random_triples, three_way
 from dx.textio import SourceText, serialize_mapping, serialize_query
 
 DATA = Path(__file__).parent / "data"
 
 mapping = parse_mapping(SourceText.from_file(DATA / "chain.dx"))
 source = parse_instance(SourceText.from_file(DATA / "chain.inst"), mapping.source)
-core = core_solution(mapping, source)
 
 for query_file in ("chain_three.q", "chain_fb.q"):
     query = parse_query(SourceText.from_file(DATA / query_file), mapping.target)
-    fast = answers_gcwa_star_universal(core, query)
-    general = answers_gcwa_star_universal_general(mapping, source, query)
-    oracle = answers_semantics(mapping, source, query, "gcwa-star", Budget(3, 8, 2))
-    print(f"{query_file}: fast={sorted(fast)} general={sorted(general)} "
-          f"oracle={sorted(oracle.answers)}")
+    result = three_way(mapping, source, query, Budget(3, 8, 2))
+    print(f"{query_file}: fast={sorted(result.fast)} general={sorted(result.general)} "
+          f"oracle={sorted(result.oracle)}")
 
 print("\nrandom packed mappings, three evaluators each:")
-rng = random.Random(0)
+triples = random_triples(random.Random(0), max_atoms=5)
 shown = 0
 while shown < 5:
-    m = gen_packed_mapping(rng)
-    s = gen_source(rng, max_atoms=4)
-    q = gen_universal_query(rng, free_count=0)
-    try:
-        fast = answers_gcwa_star_universal(core_solution(m, s), q)
-        general = answers_gcwa_star_universal_general(m, s, q)
-        oracle = set(answers_semantics(m, s, q, "gcwa-star", Budget(2, 8, 2)).answers)
-    except BudgetExceeded:
+    m, s, q = next(triples)
+    result = three_way(m, s, q, Budget(2, 8, 2))
+    if result.skipped:
+        evaluator, exc = result.skipped
+        print(f"  skipped: {evaluator}: {exc}")
         continue
     shown += 1
-    agree = fast == general == oracle
-    print(f"  trial {shown}: certain={bool(fast)} agree={agree}")
-    if not agree:  # should never happen
+    print(f"  trial {shown}: certain={bool(result.fast)} agree={result.agree}")
+    if not result.agree:  # should never happen
         print(serialize_mapping(m))
         print(serialize_query(q))

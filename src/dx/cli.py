@@ -271,55 +271,39 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _compare_one(mapping, source, q, budget) -> dict:
-    """The fast, general and oracle answers of one triple as sorted name
-    lists, and whether the three agree."""
-    answers = {
-        "fast": gcwa.answers_gcwa_star_universal(core_solution(mapping, source), q),
-        "general": gcwa.answers_gcwa_star_universal_general(mapping, source, q),
-        "oracle": oracle.answers_semantics(mapping, source, q, "gcwa-star", budget).answers,
-    }
-    report = {k: sorted([v.name for v in t] for t in a) for k, a in answers.items()}
-    report["agree"] = answers["fast"] == answers["general"] == answers["oracle"]
-    return report
-
-
 def _cmd_compare(args) -> int:
-    budget = oracle.Budget(args.budget_fresh, args.budget_atoms, args.budget_rounds)
-    reports = []
-    agree = True
+    budget = _budget(args)
+
+    def answer_lists(result: randgen.Agreement) -> dict:
+        return {name: sorted([v.name for v in t] for t in getattr(result, name))
+                for name in ("fast", "general", "oracle")}
+
     if args.random:
-        seed = args.seed
-        if seed is None:
-            seed = int(os.environ.get("DX_SEED", "0"))
-        rng = random.Random(seed)
-        done = skipped = 0
+        seed = args.seed if args.seed is not None else int(os.environ.get("DX_SEED", "0"))
+        triples = randgen.random_triples(random.Random(seed))
+        disagreements, skip_reasons, done = [], [], 0
         while done < args.random:
-            mapping = randgen.gen_packed_mapping(rng)
-            source = randgen.gen_source(rng)
-            q = randgen.gen_universal_query(rng, free_count=rng.randint(0, 1))
-            try:
-                report = _compare_one(mapping, source, q, budget)
-            except BudgetExceeded:
-                skipped += 1
+            result = randgen.three_way(*next(triples), budget)
+            if result.skipped:
+                evaluator, exc = result.skipped
+                skip_reasons.append(f"{evaluator}: {exc}")
                 continue
-            ok = report.pop("agree")
-            agree &= ok
             done += 1
-            if not ok:
-                reports.append({"trial": done, **report})
-        doc = {"agree": agree, "trials": done, "skipped": skipped, "seed": seed,
-               "disagreements": reports}
+            if not result.agree:
+                disagreements.append({"trial": done, **answer_lists(result)})
+        doc = {"agree": not disagreements, "trials": done, "skipped": len(skip_reasons),
+               "skip_reasons": skip_reasons, "seed": seed, "disagreements": disagreements}
     else:
         if not (args.mapping and args.source and args.query):
             raise DxError("compare needs -m, -s and -q (or --random N)")
         mapping = _load_mapping(args.mapping)
         source = _load_instance(args.source, mapping, "source")
-        q = _load_query(args.query, mapping)
-        doc = _compare_one(mapping, source, q, budget)
-        agree = doc["agree"]
+        result = randgen.three_way(mapping, source, _load_query(args.query, mapping), budget)
+        if result.skipped:
+            raise result.skipped[1]
+        doc = {**answer_lists(result), "agree": result.agree}
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.output)
-    return EXIT_OK if agree else EXIT_USAGE
+    return EXIT_OK if doc["agree"] else EXIT_USAGE
 
 
 def main(argv=None) -> int:

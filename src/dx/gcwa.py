@@ -28,18 +28,17 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 from .corelib import blocks_packed, core_solution, is_core
 from .errors import NotHomomorphismClosed, NotUniversal, PreconditionViolated
 from .logic import (
-    And,
     Eq,
     FOQuery,
     Formula,
     Not,
-    Or,
     RelAtom,
     all_constants,
     dnf_literals,
     is_ucq,
     prenex,
     query_answers,
+    to_nnf,
 )
 from .minrep import BlockRep, _minimal_images, all_block_reps, legal_images
 from .model import (
@@ -153,25 +152,13 @@ def normalize_negation(q: FOQuery) -> Tuple[DisjunctTemplate, ...]:
     if p is None or any(kind != "forall" for kind, _ in p[0]):
         raise NotUniversal(f"query {q.name} is not a universal query")
     prefix, matrix = p
-    negated = _negate_matrix(matrix)
+    negated = to_nnf(matrix, negate=True)
     templates: List[DisjunctTemplate] = []
     for literals in dnf_literals(negated):
         t = _build_template(literals, quantified=bool(prefix))
         if t is not None:
             templates.append(t)
     return tuple(templates)
-
-
-def _negate_matrix(matrix: Formula) -> Formula:
-    if isinstance(matrix, (RelAtom, Eq)):
-        return Not(matrix)
-    if isinstance(matrix, Not):
-        return matrix.sub
-    if isinstance(matrix, And):
-        return Or(tuple(_negate_matrix(p) for p in matrix.parts))
-    if isinstance(matrix, Or):
-        return And(tuple(_negate_matrix(p) for p in matrix.parts))
-    raise NotUniversal("quantifier left inside a prenex matrix")
 
 
 def _build_template(

@@ -352,7 +352,8 @@ def _substitute(f: Formula, mapping: Dict[Var, Term]) -> Formula:
 
 
 def to_nnf(f: Formula, negate: bool = False) -> Formula:
-    """Negation normal form; counting quantifiers are not supported here."""
+    """Negation normal form of f, or of not-f when ``negate``.  A counting
+    quantifier is kept as it is and may not be negated (DxError)."""
     if isinstance(f, (RelAtom, Eq)):
         return Not(f) if negate else f
     if isinstance(f, Not):
@@ -369,6 +370,8 @@ def to_nnf(f: Formula, negate: bool = False) -> Formula:
     if isinstance(f, Forall):
         inner = to_nnf(f.sub, negate)
         return Exists(f.var, inner) if negate else Forall(f.var, inner)
+    if isinstance(f, CountExists) and not negate:
+        return f
     raise DxError("counting quantifier has no negation normal form here")
 
 

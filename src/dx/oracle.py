@@ -13,7 +13,7 @@ import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import BudgetExceeded, UnsupportedSemantics
+from .errors import BudgetExceeded, DxError, UnsupportedSemantics
 from . import chase
 from .corelib import core_of
 from .logic import (
@@ -31,6 +31,7 @@ from .logic import (
     is_ucq,
     query_answers,
     all_constants,
+    to_nnf,
 )
 from .minrep import enum_min_c
 from .model import (
@@ -149,32 +150,14 @@ def _ground(rel: str, terms: Sequence[Term], bnd: Dict[Var, Value]) -> Atom:
     return Atom(rel, tuple(t if isinstance(t, Const) else bnd[t] for t in terms))
 
 
-def _push_negations(matrix: Formula, negate: bool = False) -> Optional[Formula]:
-    """NNF for quantifier-free matrices; bails out (None) when a counting
-    quantifier would have to be negated."""
-    from .logic import And as _And
-
-    if isinstance(matrix, (RelAtom, Eq)):
-        return Not(matrix) if negate else matrix
-    if isinstance(matrix, Not):
-        return _push_negations(matrix.sub, not negate)
-    if isinstance(matrix, (_And, Or)):
-        parts = [_push_negations(p, negate) for p in matrix.parts]
-        if any(p is None for p in parts):
-            return None
-        return (_And if isinstance(matrix, Or) == negate else Or)(tuple(parts))
-    if isinstance(matrix, CountExists) and not negate:
-        return matrix
-    return None
-
-
 def _as_horn(sentence: FOQuery) -> Optional[_HornRule]:
     body_vars: Set[Var] = set()
     matrix = sentence.body
     while isinstance(matrix, Forall):
         matrix = matrix.sub
-    matrix = _push_negations(matrix)
-    if matrix is None:
+    try:
+        matrix = to_nnf(matrix)
+    except DxError:  # a negated counting quantifier
         return None
     literals = _flatten_or(matrix)
     body: List[Tuple[str, Tuple[Term, ...]]] = []
@@ -274,8 +257,9 @@ def _overcount_violation(body: Formula, combined: Instance) -> bool:
     matrix = body
     while isinstance(matrix, Forall):
         matrix = matrix.sub
-    matrix = _push_negations(matrix)
-    if matrix is None:
+    try:
+        matrix = to_nnf(matrix)
+    except DxError:  # a negated counting quantifier
         return False
     literals = _flatten_or(matrix)
     counts = [l for l in literals if isinstance(l, CountExists)]

@@ -5,9 +5,12 @@ brute-force enumerations stay exact within their budgets."""
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import AbstractSet, Iterator, List, Optional, Sequence, Tuple
 
-from .logic import And, Eq, FOQuery, Forall, Formula, Not, Or, RelAtom, Exists
+from . import corelib, gcwa, oracle
+from .errors import BudgetExceeded
+from .logic import And, Eq, Exists, FOQuery, Forall, Formula, Not, Or, RelAtom, formula_free_vars
 from .model import (
     Atom,
     Const,
@@ -148,14 +151,52 @@ def gen_ucq(rng: random.Random, free_count: int = 1) -> FOQuery:
                 atoms.append(RelAtom("U", (v,)))
         conj: Formula = atoms[0] if len(atoms) == 1 else And(tuple(atoms))
         for v in reversed(bound):
-            if v in _formula_vars(conj):
+            if v in formula_free_vars(conj):
                 conj = Exists(v, conj)
         disjuncts.append(conj)
     body = disjuncts[0] if len(disjuncts) == 1 else Or(tuple(disjuncts))
     return FOQuery("q", free, body)
 
 
-def _formula_vars(f: Formula):
-    from .logic import formula_free_vars
+def random_triples(
+    rng: random.Random, max_atoms: int = 6
+) -> Iterator[Tuple[SchemaMapping, Instance, FOQuery]]:
+    """An endless stream of (packed mapping, source, universal query)
+    triples, drawn in a fixed order so that a seed names its triples."""
+    while True:
+        mapping = gen_packed_mapping(rng)
+        source = gen_source(rng, max_atoms)
+        yield mapping, source, gen_universal_query(rng, free_count=rng.randint(0, 1))
 
-    return formula_free_vars(f)
+
+@dataclass(frozen=True)
+class Agreement:
+    """The fast, general and oracle answers of one triple.  ``skipped`` is
+    None, or the name of the first evaluator that exceeded its budget and
+    the error it raised; the three answer sets are then None."""
+
+    fast: Optional[AbstractSet[Tuple[Const, ...]]]
+    general: Optional[AbstractSet[Tuple[Const, ...]]]
+    oracle: Optional[AbstractSet[Tuple[Const, ...]]]
+    skipped: Optional[Tuple[str, BudgetExceeded]] = None
+
+    @property
+    def agree(self) -> bool:
+        return self.skipped is None and self.fast == self.general == self.oracle
+
+
+def three_way(
+    mapping: SchemaMapping, source: Instance, q: FOQuery, budget: oracle.Budget
+) -> Agreement:
+    """Answer q by the fast path on the core, the general evaluator and the
+    oracle, in that order, stopping at the first one over its budget."""
+    stage = "fast"
+    try:
+        fast = gcwa.answers_gcwa_star_universal(corelib.core_solution(mapping, source), q)
+        stage = "general"
+        general = gcwa.answers_gcwa_star_universal_general(mapping, source, q)
+        stage = "oracle"
+        answers = oracle.answers_semantics(mapping, source, q, "gcwa-star", budget).answers
+    except BudgetExceeded as exc:
+        return Agreement(None, None, None, skipped=(stage, exc))
+    return Agreement(fast, general, answers)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -239,3 +240,20 @@ def test_compare_random_seeded(files, capsys):
     doc = json.loads(out)
     assert doc["agree"] is True and doc["trials"] == 5
     assert doc["skipped"] == 1
+    assert doc["skip_reasons"] == ["oracle: 4 fresh values needed but only 3 in the universe"]
+
+
+def test_compare_over_budget_exits_3(capsys):
+    data = Path(__file__).resolve().parent.parent / "demos" / "data"
+    code, out, err = run(
+        [
+            "compare",
+            "-m", str(data / "chain.dx"),
+            "-s", str(data / "chain.inst"),
+            "-q", str(data / "chain_fb.q"),
+            "--budget-fresh", "0",
+        ],
+        capsys,
+    )
+    assert code == 3 and out == ""
+    assert err == "error: budget exceeded: 1 fresh values needed but only 0 in the universe\n"

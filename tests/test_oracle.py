@@ -17,9 +17,17 @@ from dx import (
     parse_query,
 )
 from dx.errors import BudgetExceeded, UnsupportedSemantics
-from dx.model import instance_key
-from dx.oracle import Budget, _union_closure, target_atom_pool, universe_of
-from dx.randgen import gen_packed_mapping, gen_source, gen_universal_query
+from dx.model import Var, instance_key
+from dx.oracle import (
+    Budget,
+    _HornRule,
+    _as_horn,
+    _overcount_violation,
+    _union_closure,
+    target_atom_pool,
+    universe_of,
+)
+from dx.randgen import gen_packed_mapping, gen_source, random_triples
 from dx.textio import SourceText
 
 from fixtures import (
@@ -464,11 +472,7 @@ def test_union_closure_cap_message_names_its_limit():
 
 
 def _criterion_8_triples(count, seed=20260808):
-    rng = random.Random(seed)
-    for _ in range(count):
-        m = gen_packed_mapping(rng)
-        s = gen_source(rng, max_atoms=5)
-        yield m, s, gen_universal_query(rng, free_count=rng.randint(0, 1))
+    yield from itertools.islice(random_triples(random.Random(seed), max_atoms=5), count)
     for map_text, src_text, q_text in (
         (MOT_MAP, PE_SRC, PE_QUERY),
         (EFF_MAP, PE_SRC, EFF_QUERY),
@@ -502,3 +506,25 @@ def test_gcwa_star_outputs_match_reference_closure(monkeypatch):
     expected = _gcwa_star_outcomes(triples, budgets)
     assert got == expected
     assert any(isinstance(o, str) for o in got) and any(isinstance(o, tuple) for o in got)
+
+
+def test_constraint_split_and_overcount_check():
+    # the Horn and counting fixtures, a nested quantifier and a negated count
+    # under one instance whose P-constant has four E-successors
+    sentences = [
+        mapping(text).general_constraints[0]
+        for text in (
+            MOT_MAP,
+            C23_MAP,
+            "source P/1. target E/2. constraint forall x: P(x) -> exists z: E(x,z).",
+            "source P/1. target E/2. constraint forall x: P(x) -> ~exists[2,3] z: E(x,z).",
+        )
+    ]
+    m = mapping(C23_MAP)
+    combined = instance("P(a). E(a,b). E(a,c). E(a,d). E(a,e).", m.combined_schema())
+    x, x2, y = Var("x"), Var("x2"), Var("y")
+    horn = _HornRule((("E", (x, y)), ("E", (x2, y))), ("F", (x, x2)), None)
+    assert [_as_horn(s) for s in sentences] == [horn, None, None, None]
+    assert [_overcount_violation(s.body, combined) for s in sentences] == [
+        False, True, False, False,
+    ]
