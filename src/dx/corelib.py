@@ -5,6 +5,8 @@ endomorphism that only moves the nulls of a single atom block.  Whenever a
 shrinking endomorphism exists at all, a block-local one exists too (an atom
 lost from the image lies in some block, and restricting the endomorphism to
 that block's nulls still loses it), so the fixpoint is a genuine core.
+A null's candidate values are probed from the instance's position index,
+and each round after the first retries only the blocks that shrank.
 """
 
 from __future__ import annotations
@@ -107,16 +109,15 @@ class Image:
                 yield a
 
 
-def _shrink(
-    image: Image, atoms: Sequence[Atom], fixed: FrozenSet[Value], domain: Optional[List[Value]]
-) -> Optional[Set[Atom]]:
+def _shrink(image: Image, atoms: Sequence[Atom], fixed: FrozenSet[Value]) -> Optional[Set[Atom]]:
     """The atoms lost by the first shrinking retraction of the image that moves
     only the nulls of ``atoms`` (every atom holding them) outside ``fixed``, or
     None.  Nulls go in descending occurrence order, values in canonical order;
     the first assignment that moves a null, keeps every atom in the image and
-    loses one wins.  A null takes every value of the ``domain`` or, without
-    one, only those held in its place by the atoms matching its atom with the
-    most positions bound: that cuts only branches without a shrinking leaf."""
+    loses one wins.  A null takes only the values held in its place by the
+    image's atoms matching its atom with the most positions bound: that cuts
+    only branches without a shrinking leaf, so the winner is the one a scan of
+    every value of the image would find."""
     holders: Dict[Null, List[Atom]] = {}
     for a in atoms:
         for v in set(a.args):
@@ -141,8 +142,6 @@ def _shrink(
                 if v != null and (v not in holders or v in assignment)]
 
     def values_for(null: Null) -> Sequence[Value]:
-        if domain is not None:
-            return domain
         atom = max(holders[null], key=lambda a: len(bound(a, null)))
         at = tuple(bound(atom, null))
         first, *others = [i for i, v in enumerate(atom.args) if v == null]
@@ -190,25 +189,24 @@ def core_retract_fixing(
     tried, in the order they are tried (by default every block, in canonical
     order); leaving out blocks that can never shrink the instance returns the
     same instance.  Retraction only removes atoms, so a block is searched over
-    its atoms still in the image.  An ``Image`` (blocks of its base) comes
-    back retracted, its values probed from the base's position index; a plain
-    instance still scans every value (ROADMAP says why)."""
-    probe = isinstance(instance, Image)
-    image = instance if probe else Image(instance, frozenset())
+    its atoms still in the image, its values probed from the base's position
+    index.  A retraction moving one block's nulls removes only that block's
+    atoms, so a block without a shrinking retraction never gains one: each
+    round after the first retries only the blocks that shrank in the last.
+    An ``Image`` (blocks of its base) comes back retracted, a plain instance
+    as an instance."""
+    image = instance if isinstance(instance, Image) else Image(instance, frozenset())
     fixed = frozenset(fixed)
-    blocks = atom_blocks(image.base).blocks if blocks is None else blocks
-    domain = None if probe else sorted(instance.dom(), key=value_key)
-    changed = True
-    while changed:
-        changed = False
-        for block in blocks:
-            lost = _shrink(image, [a for a in block.atoms if a not in image.gone], fixed, domain)
+    todo = atom_blocks(image.base).blocks if blocks is None else blocks
+    while todo:
+        shrunk = []
+        for block in todo:
+            lost = _shrink(image, [a for a in block.atoms if a not in image.gone], fixed)
             if lost:
                 image = dataclasses.replace(image, gone=image.gone | lost)
-                if not probe:
-                    domain = sorted(image.whole().dom(), key=value_key)
-                changed = True
-    if probe:
+                shrunk.append(block)
+        todo = shrunk
+    if isinstance(instance, Image):
         return image
     return image.whole() if image.gone else instance
 

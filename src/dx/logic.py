@@ -1,6 +1,7 @@
 """First-order query AST, active-domain evaluation, and certain answers.
 
-Evaluation is naive: nulls inside an instance are treated as if they were
+Evaluation answers positive-existential bodies by index join, the rest
+naively.  Either way nulls inside an instance are treated as if they were
 ordinary constants, equality compares values by identity, and quantifiers
 range over dom(I) together with the constants of the formula being evaluated.
 """
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BudgetExceeded, DxError, UnboundVariable
 from .model import Atom, Const, Instance, Term, Value, Var, value_key
@@ -236,14 +237,57 @@ def query_answers(q: FOQuery, instance: Instance) -> Set[Tuple[Value, ...]]:
     """All width-|free| tuples over dom(I) + dom(q) satisfying the body.
 
     Answers may contain nulls; a Boolean query yields {()} or the empty set.
+    A positive-existential body is answered by an index join, others naively.
     """
     adom = active_domain(instance, q.body)
     out: Set[Tuple[Value, ...]] = set()
+    if is_ucq(q):
+        for bnd in _join(q.body, instance, adom, {}):
+            out.update(itertools.product(*((bnd[v],) if v in bnd else adom for v in q.free_vars)))
+        return out
     for tup in itertools.product(adom, repeat=q.width):
         assignment = dict(zip(q.free_vars, tup))
         if eval_fo(q.body, instance, assignment, adom=adom):
             out.add(tup)
     return out
+
+
+def _join(f: Formula, instance: Instance, adom: Tuple[Value, ...],
+          bnd: Dict[Var, Value]) -> Iterator[Dict[Var, Value]]:
+    """The bindings extending ``bnd`` under which every value of adom for
+    each variable they leave unbound satisfies the positive formula ``f``."""
+    if isinstance(f, RelAtom):
+        at = tuple(i for i, t in enumerate(f.terms) if not isinstance(t, Var) or t in bnd)
+        for a in instance.atoms_matching(f.rel, len(f.terms), at,
+                                         tuple(bnd.get(f.terms[i], f.terms[i]) for i in at)):
+            out = dict(bnd)
+            if all(out.setdefault(t, v) == v for t, v in zip(f.terms, a.args) if isinstance(t, Var)):
+                yield out
+    elif isinstance(f, Eq):
+        left, right = (bnd.get(t, t) for t in (f.left, f.right))
+        if left == right:
+            yield bnd
+        elif isinstance(left, Var) and isinstance(right, Var):
+            yield from ({**bnd, left: v, right: v} for v in adom)
+        elif isinstance(left, Var) or isinstance(right, Var):
+            var, value = (left, right) if isinstance(left, Var) else (right, left)
+            yield {**bnd, var: value}
+    elif isinstance(f, Or):
+        for part in f.parts:
+            yield from _join(part, instance, adom, bnd)
+    elif isinstance(f, Exists):
+        if adom:  # no witness exists in an empty domain
+            outer = {f.var: bnd[f.var]} if f.var in bnd else {}
+            for out in _join(f.sub, instance, adom, {v: w for v, w in bnd.items() if v != f.var}):
+                yield {**{v: w for v, w in out.items() if v != f.var}, **outer}
+    elif f.parts:
+        # the first conjunct that is not an equality of two unbound variables
+        i = next((i for i, p in enumerate(f.parts) if not (isinstance(p, Eq) and all(
+            isinstance(t, Var) and t not in bnd for t in (p.left, p.right)))), 0)
+        for out in _join(f.parts[i], instance, adom, bnd):
+            yield from _join(And(f.parts[:i] + f.parts[i + 1:]), instance, adom, out)
+    else:
+        yield bnd
 
 
 # ---------------------------------------------------------------- certain answers

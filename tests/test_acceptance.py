@@ -2,7 +2,6 @@
 with its elapsed time and checked against its stated time budget."""
 
 import collections
-import itertools
 import random
 import time
 
@@ -33,7 +32,6 @@ from dx import (
 )
 from dx.corelib import mapping_block_bound
 from dx.errors import BudgetExceeded, PreconditionViolated
-from dx.logic import fresh_constants
 from dx.minrep import all_block_reps
 from dx.model import value_key
 from dx.oracle import Budget, gcwa_star_solutions

@@ -11,7 +11,6 @@ from fixtures import (
     COPY_QUERY,
     COPY_SRC,
     EF_MAP,
-    EF_Q3,
     EF_SRC,
     EF_UCQ,
     NAF_INSTANCE,

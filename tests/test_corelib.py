@@ -1,5 +1,7 @@
+import itertools
 import random
 
+import dx.corelib
 from dx import (
     Atom,
     Const,
@@ -16,7 +18,8 @@ from dx import (
 )
 from dx.corelib import mapping_block_bound
 from dx.randgen import gen_packed_mapping, gen_source
-from dx.model import homomorphically_equivalent
+from dx.model import homomorphically_equivalent, value_key
+from dx.textio import SourceText, parse_instance, parse_mapping, serialize_instance
 
 from fixtures import (
     BLK_INSTANCE,
@@ -148,3 +151,97 @@ def test_cores_of_equivalent_instances_are_isomorphic():
         assert homomorphically_equivalent(sol, inflated)
         assert instances_isomorphic(core_of(sol), core_of(inflated))
         checked += 1
+
+
+# ------------------------------------------------------------- the full scan
+
+
+def _reference_shrink(current, atoms):
+    """The atoms lost by the first shrinking retraction moving only the nulls
+    of ``atoms``: nulls in descending occurrence order, each trying every
+    value of ``current`` in canonical order, the first lossy leaf winning."""
+    nulls = sorted({v for a in atoms for v in a.args if isinstance(v, Null)},
+                   key=lambda n: (-sum(n in a.args for a in atoms), value_key(n)))
+    for values in itertools.product(sorted(current.dom(), key=value_key), repeat=len(nulls)):
+        h = dict(zip(nulls, values))
+        images = {Atom(a.rel, tuple(h.get(v, v) for v in a.args)) for a in atoms}
+        if images <= current.atoms and set(atoms) - images:
+            return set(atoms) - images
+    return None
+
+
+def _reference_core_of(instance):
+    """core_of as a full-domain scan that retries every block each round."""
+    blocks = atom_blocks(instance).blocks
+    changed = True
+    while changed:
+        changed = False
+        for block in blocks:
+            lost = _reference_shrink(instance, list(block.atoms & instance.atoms))
+            if lost:
+                instance, changed = instance.minus(lost), True
+    return instance
+
+
+MAT_MAP = """source P/1, R/2, Q/2. target E/2, F/2.
+tgd P(x) -> E(x,x). tgd P(x) -> exists z: E(x,z).
+tgd R(x,y) -> exists z: E(x,z), F(z,y). tgd Q(x,y) -> F(x,y)."""
+
+
+def _materialize_source(rng, n):
+    """n source atoms over n/3 constants plus b: a fifth P, half R, the rest
+    Q, a third of those copying an R edge out of a P constant, which makes
+    that edge's block redundant in the core."""
+    consts = [f"c{i}" for i in range(max(4, n // 3))]
+    P = rng.sample(consts, n // 5)
+    R = set()
+    while len(R) < n // 2:
+        R.add((rng.choice(consts), rng.choice(consts + ["b"] * 3)))
+    n_q = n - len(P) - len(R)
+    redundant = sorted(e for e in R if e[0] in P)
+    Q = set(rng.sample(redundant, min(len(redundant), n_q // 3)))
+    while len(Q) < n_q:
+        Q.add((rng.choice(consts), rng.choice(consts + ["b"])))
+    return " ".join([f"P({x})." for x in P] + [f"R({x},{y})." for x, y in sorted(R)]
+                    + [f"Q({x},{y})." for x, y in sorted(Q)])
+
+
+def test_core_of_matches_the_full_scan():
+    rng = random.Random(53)
+    for _ in range(300):
+        sol = canonical_solution(gen_packed_mapping(rng), gen_source(rng, max_atoms=8))
+        core, reference = core_of(sol), _reference_core_of(sol)
+        assert core == reference
+        assert serialize_instance(core) == serialize_instance(reference)
+    m = parse_mapping(SourceText(MAT_MAP))
+    for n in (50, 100, 200, 400):
+        src = parse_instance(SourceText(_materialize_source(rng, n)), m.source)
+        sol = canonical_solution(m, src)
+        core = core_of(sol)
+        reference = _reference_core_of(sol)
+        assert len(core) < len(sol) and core == reference
+        assert serialize_instance(core) == serialize_instance(reference)
+
+
+def test_core_rounds_retry_only_shrunk_blocks(monkeypatch):
+    # the F-block loses F(_t2,_t0) in the first round and F(_t3,_t2) in the
+    # second: one try per block, then two more of the F-block alone
+    t0, t2, t3, t9 = (Null("t", i) for i in (0, 2, 3, 9))
+    inst = Instance([
+        Atom("F", (t2, t0)), Atom("F", (t3, t2)), Atom("F", (t3, t3)),
+        Atom("E", (a, b)), Atom("E", (a, t9)), Atom("F", (t9, c)),
+    ])
+    tried = []
+    shrink = dx.corelib._shrink
+
+    def counting(image, atoms, fixed):
+        lost = shrink(image, atoms, fixed)
+        tried.append(bool(lost))
+        return lost
+
+    monkeypatch.setattr(dx.corelib, "_shrink", counting)
+    core = core_of(inst)
+    assert len(atom_blocks(inst).blocks) == 3
+    assert tried == [False, False, True, True, False]
+    assert core == Instance([Atom("E", (a, b)), Atom("E", (a, t9)), Atom("F", (t9, c)),
+                             Atom("F", (t3, t3))])

@@ -27,7 +27,6 @@ from dx.errors import (
 from dx.gcwa import (
     CandidatePair,
     CoreEvaluator,
-    UNSAT,
     Unsatisfiable,
     compatible_and_relation,
     join_pairs,
@@ -36,7 +35,7 @@ from dx.gcwa import (
 import dx.corelib
 import dx.gcwa
 from dx.corelib import is_core
-from dx.logic import And, Eq, Exists, FOQuery, Forall, Not, Or, RelAtom
+from dx.logic import Eq, Exists, FOQuery, Forall, Not, RelAtom
 from dx.model import apply_map, value_key
 from dx.oracle import Budget
 from dx.randgen import (

@@ -1,12 +1,13 @@
-"""Every name a ``dx`` module imports is used in that module, and every
-private module-level function or class of ``dx`` is used somewhere in it.
+"""Every name a ``dx`` module, a test or a demo imports is used in that
+file, and every private module-level function or class of ``dx`` is used
+somewhere in it.
 
 A stdlib stand-in for an unused-import and dead-code lint: each module of
-``src/dx`` except the package ``__init__`` (which imports to re-export) is
-parsed with ``ast``, and every imported name must occur as a name in the
-module's code, quoted annotations included.  A private definition (a name
-with one leading underscore) must occur as a name in the code of some
-module of the package.
+``src/dx`` except the package ``__init__`` (which imports to re-export),
+each ``tests/*.py`` and each ``demos/*.py`` is parsed with ``ast``, and
+every imported name must occur as a name in the file's code, quoted
+annotations included.  A private definition (a name with one leading
+underscore) must occur as a name in the code of some module of the package.
 """
 
 import ast
@@ -18,6 +19,8 @@ import dx
 
 PACKAGE = sorted(Path(dx.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+TESTS = Path(__file__).resolve().parent
+SCRIPTS = sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "demos").glob("*.py"))
 
 
 def imported_names(tree: ast.Module):
@@ -47,7 +50,10 @@ def referenced_names(tree: ast.Module):
     return names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=lambda p: p.name if p in MODULES else f"{p.parent.name}/{p.name}",
+)
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = referenced_names(tree)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import dx.logic
 from dx import (
     And,
     Atom,
@@ -18,8 +19,10 @@ from dx import (
     Or,
     RelAtom,
     Var,
+    canonical_solution,
     certain_answers,
     cert_poss,
+    core_of,
     eval_fo,
     is_cq_neg,
     is_existential,
@@ -29,6 +32,7 @@ from dx import (
 )
 from dx.errors import BudgetExceeded, UnboundVariable
 from dx.logic import active_domain, dnf_literals, prenex, to_nnf
+from dx.randgen import gen_packed_mapping, gen_source, gen_ucq
 
 a, b, c, d, e = (Const(x) for x in "abcde")
 x, y, z, z1, z2 = (Var(n) for n in ("x", "y", "z", "z1", "z2"))
@@ -86,6 +90,86 @@ def test_query_answers_keeps_null_tuples():
 def test_query_answers_nullary_convention():
     q = FOQuery("q", (), Eq(a, a))
     assert query_answers(q, Instance([Atom("P", (b,))])) == {()}
+
+
+def _reference_answers(q, inst):
+    """query_answers as every tuple over the active domain that eval_fo accepts."""
+    adom = active_domain(inst, q.body)
+    return {t for t in itertools.product(adom, repeat=q.width)
+            if eval_fo(q.body, inst, dict(zip(q.free_vars, t)), adom=adom)}
+
+
+def test_join_matches_naive_answers_on_random_ucqs():
+    rng = random.Random(67)
+    for _ in range(500):
+        sol = canonical_solution(gen_packed_mapping(rng), gen_source(rng, max_atoms=8))
+        for inst in (sol, core_of(sol), Instance([])):
+            q = gen_ucq(rng, free_count=rng.randint(0, 2))
+            assert query_answers(q, inst) == _reference_answers(q, inst), (q, inst)
+
+
+def _random_positive(rng, depth, scope):
+    """Positive bodies over E with equalities, empty and/or, and bound
+    variables that may shadow the free x and y."""
+    pool = [a, b] + scope
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.6:
+            return RelAtom("E", (rng.choice(pool), rng.choice(pool)))
+        return Eq(rng.choice(pool), rng.choice(pool))
+    roll = rng.random()
+    if roll < 0.65:
+        parts = tuple(_random_positive(rng, depth - 1, scope) for _ in range(rng.randint(0, 3)))
+        return (And if roll < 0.35 else Or)(parts)
+    var = rng.choice([x, y, z, z1])
+    return Exists(var, _random_positive(rng, depth - 1, scope + [var]))
+
+
+def test_join_matches_naive_answers_on_positive_formulas():
+    rng = random.Random(71)
+    values = [a, b, c, Null("t", 1), Null("t", 2)]
+    checked = 0
+    while checked < 2000:
+        free = (x, y)[: rng.randint(0, 2)]
+        body = _random_positive(rng, 3, list(free))
+        if not dx.logic.formula_free_vars(body) <= set(free):
+            continue
+        q = FOQuery("q", free, body)
+        inst = Instance(Atom("E", (rng.choice(values), rng.choice(values)))
+                        for _ in range(rng.randint(0, 4)))
+        assert query_answers(q, inst) == _reference_answers(q, inst), (q, inst)
+        checked += 1
+
+
+def test_join_edge_cases():
+    n = Null("t", 0)
+    inst = Instance([Atom("E", (a, a)), Atom("E", (a, n)), Atom("F", (n, b))])
+    dom = {a, b, n}
+    # x is absent from the second disjunct, so it ranges over the domain
+    q = FOQuery("q", (x,), Or((RelAtom("E", (x, a)), Exists(z, RelAtom("F", (z, b))))))
+    assert query_answers(q, inst) == {(v,) for v in dom}
+    assert query_answers(FOQuery("q", (x, y), Eq(x, y)), inst) == {(v, v) for v in dom}
+    assert query_answers(FOQuery("q", (x,), Eq(x, c)), inst) == {(c,)}
+    some = FOQuery("q", (), Exists(z, Eq(z, z)))
+    assert query_answers(some, Instance([])) == set()
+    assert query_answers(some, inst) == {()}
+    cycle = FOQuery("q", (), Exists(x, Exists(y, And((RelAtom("E", (x, y)), RelAtom("E", (y, x)))))))
+    assert query_answers(cycle, inst) == {()}
+    assert query_answers(cycle, Instance([Atom("E", (a, b))])) == set()
+    assert query_answers(FOQuery("q", (x,), RelAtom("E", (x, x))), inst) == {(a,)}
+    path = FOQuery("q", (x, y), Exists(z, And((RelAtom("E", (x, z)), RelAtom("F", (z, y))))))
+    assert query_answers(path, inst) == {(a, b)}
+    assert query_answers(FOQuery("q", (x, y), RelAtom("E", (x, y))), inst) == {(a, a), (a, n)}
+
+
+def test_positive_queries_do_not_reach_eval_fo(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval_fo reached")
+
+    monkeypatch.setattr(dx.logic, "eval_fo", refuse)
+    inst = Instance([Atom("E", (a, b))])
+    assert query_answers(FOQuery("q", (x,), Exists(z, RelAtom("E", (x, z)))), inst) == {(a,)}
+    with pytest.raises(AssertionError, match="eval_fo reached"):
+        query_answers(FOQuery("q", (x,), Forall(z, RelAtom("E", (x, z)))), inst)
 
 
 def test_certain_answers_intersection():

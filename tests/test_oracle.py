@@ -14,7 +14,6 @@ from dx import (
     minimal_ground_solutions,
     tstar_fixpoint,
     parse_instance,
-    parse_query,
 )
 from dx.errors import BudgetExceeded, UnsupportedSemantics
 from dx.model import Var, instance_key

@@ -2,7 +2,6 @@ import pytest
 
 from dx import (
     Const,
-    Schema,
     instances_isomorphic,
     parse_instance,
     parse_mapping,
@@ -14,7 +13,7 @@ from dx.errors import (
     SchemaViolation,
     UnknownRelation,
 )
-from dx.logic import CountExists, Exists, Forall, Or
+from dx.logic import CountExists, Forall, Or
 from dx.textio import (
     SourceText,
     answers_json,
