@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BudgetExceeded, DxError, UnboundVariable
 from .model import Atom, Const, Instance, Term, Value, Var, value_key
@@ -99,23 +99,24 @@ class FOQuery:
         return len(self.free_vars)
 
 
+def subformulas(f: Formula) -> List[Formula]:
+    """f and every formula nested in it, outermost first."""
+    out = [f]
+    for g in out:  # the loop also reads what it appends
+        if isinstance(g, (Not, Exists, Forall, CountExists)):
+            out.append(g.sub)
+        elif isinstance(g, (And, Or)):
+            out.extend(g.parts)
+    return out
+
+
 def formula_consts(f: Formula) -> FrozenSet[Const]:
     out: Set[Const] = set()
-
-    def walk(g: Formula):
+    for g in subformulas(f):
         if isinstance(g, RelAtom):
             out.update(t for t in g.terms if isinstance(t, Const))
         elif isinstance(g, Eq):
             out.update(t for t in (g.left, g.right) if isinstance(t, Const))
-        elif isinstance(g, Not):
-            walk(g.sub)
-        elif isinstance(g, (And, Or)):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, (Exists, Forall, CountExists)):
-            walk(g.sub)
-
-    walk(f)
     return frozenset(out)
 
 
@@ -137,15 +138,7 @@ def formula_free_vars(f: Formula) -> Set[Var]:
 
 
 def contains_counting(f: Formula) -> bool:
-    if isinstance(f, CountExists):
-        return True
-    if isinstance(f, Not):
-        return contains_counting(f.sub)
-    if isinstance(f, (And, Or)):
-        return any(contains_counting(p) for p in f.parts)
-    if isinstance(f, (Exists, Forall)):
-        return contains_counting(f.sub)
-    return False
+    return any(isinstance(g, CountExists) for g in subformulas(f))
 
 
 # ---------------------------------------------------------------- evaluation
@@ -233,23 +226,34 @@ def _restore(assignment: Dict[Var, Value], var: Var, saved: Optional[Value]) -> 
         assignment[var] = saved
 
 
-def query_answers(q: FOQuery, instance: Instance) -> Set[Tuple[Value, ...]]:
-    """All width-|free| tuples over dom(I) + dom(q) satisfying the body.
+def query_answers(
+    q: FOQuery,
+    instance: Instance,
+    among: Optional[AbstractSet[Tuple[Value, ...]]] = None,
+) -> Set[Tuple[Value, ...]]:
+    """All width-|free| tuples over dom(I) + dom(q) satisfying the body, or
+    only those of ``among`` when it is given.
 
     Answers may contain nulls; a Boolean query yields {()} or the empty set.
-    A positive-existential body is answered by an index join, others naively.
+    A positive-existential body is answered by an index join, others naively,
+    tuple by tuple over the domain or over ``among``.
     """
     adom = active_domain(instance, q.body)
-    out: Set[Tuple[Value, ...]] = set()
     if is_ucq(q):
+        out: Set[Tuple[Value, ...]] = set()
         for bnd in _join(q.body, instance, adom, {}):
             out.update(itertools.product(*((bnd[v],) if v in bnd else adom for v in q.free_vars)))
-        return out
-    for tup in itertools.product(adom, repeat=q.width):
-        assignment = dict(zip(q.free_vars, tup))
-        if eval_fo(q.body, instance, assignment, adom=adom):
-            out.add(tup)
-    return out
+        return out if among is None else out & among
+    if among is None:
+        candidates: Iterable[Tuple[Value, ...]] = itertools.product(adom, repeat=q.width)
+    else:
+        inside = set(adom)
+        candidates = (t for t in among if inside.issuperset(t))
+    return {
+        t
+        for t in candidates
+        if eval_fo(q.body, instance, dict(zip(q.free_vars, t)), adom=adom)
+    }
 
 
 def _join(f: Formula, instance: Instance, adom: Tuple[Value, ...],
@@ -318,8 +322,7 @@ def certain_answers(
         return set()
     common: Optional[Set[Tuple[Value, ...]]] = None
     for inst in instances:
-        answers = query_answers(q, inst)
-        common = answers if common is None else (common & answers)
+        common = query_answers(q, inst, common)
         if not common:
             return set()
     return {t for t in common if all_constants(t)}
@@ -346,7 +349,8 @@ def cert_poss(
     nulls = sorted(instance.nulls(), key=value_key)
     if len(nulls) > null_cap:
         raise BudgetExceeded(
-            f"instance has {len(nulls)} nulls; the valuation cap is {null_cap}"
+            f"valuation enumeration exceeded its cap of {null_cap} nulls"
+            f" ({len(nulls)} in the instance)"
         )
     pool: List[Const] = sorted(
         set(instance.consts()) | set(q.consts()), key=value_key

@@ -103,7 +103,8 @@ def legal_images(
     pool = _pool(instance, constants)
     if len(pool) ** len(nulls) > product_cap:
         raise BudgetExceeded(
-            f"{len(pool)}^{len(nulls)} legal maps exceed the cap of {product_cap}"
+            f"legal-map enumeration exceeded its cap of {product_cap} maps"
+            f" ({len(pool)}^{len(nulls)} needed)"
         )
     per_block: List[List[FrozenSet[Atom]]] = []
     for block in atom_blocks(instance).blocks:

@@ -5,13 +5,19 @@ budgeted universe (the source constants, the constants of the constraints and
 the query, plus a pool of fresh constants).  Results are exact relative to
 those budgets; the test suite guards adequacy by checking that one extra
 fresh constant never changes an answer.
+
+Certain answers intersect the query's answers over a family, checking only
+the tuples that survive the members read so far.  The gcwa-star family is
+kept as int masks over the members' atoms: of the unions that show the
+query the same view (the atoms of its relations and the domain) only the
+first is built and read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, DxError, UnsupportedSemantics
 from . import chase
@@ -31,6 +37,7 @@ from .logic import (
     is_ucq,
     query_answers,
     all_constants,
+    subformulas,
     to_nnf,
 )
 from .minrep import enum_min_c
@@ -402,11 +409,12 @@ def minimal_ground_solutions(
 # ---------------------------------------------------------------- fixpoint
 
 
-def _union_closure(
+def _union_masks(
     members: Sequence[Instance], max_atoms: int, cap: int = UNION_CLOSURE_CAP
-) -> List[Instance]:
+) -> Tuple[Tuple[Atom, ...], List[int]]:
     """All distinct unions of nonempty subsets of the members of at most
-    ``max_atoms`` atoms, in ``instance_key`` order.
+    ``max_atoms`` atoms, as int masks over the returned atoms, in
+    ``instance_key`` order.
 
     Each round joins every union the last round found (at first, the
     distinct members within ``max_atoms``, in ``instance_key`` order) with
@@ -417,7 +425,7 @@ def _union_closure(
     the atoms in order, and of two masks of one size the larger comes first.
     """
     kept = {m.atoms for m in members if len(m) <= max_atoms}
-    atoms = sorted({a for m in kept for a in m}, key=atom_key)
+    atoms = tuple(sorted({a for m in kept for a in m}, key=atom_key))
     n = len(atoms)
     bit = {a: 1 << (n - 1 - i) for i, a in enumerate(atoms)}
 
@@ -445,14 +453,28 @@ def _union_closure(
             if len(joins) < len(base):
                 raise BudgetExceeded(f"union closure exceeded its work cap of {work_cap} steps")
         frontier = nxt
+    return atoms, sorted(seen, key=order)
+
+
+def _decoder(atoms: Sequence[Atom]) -> Callable[[int], Instance]:
+    """The instance of a mask over ``atoms`` (bit n-1-i is atom i)."""
     # a union of one-atom sets reuses the atoms' stored hashes
     singletons = [frozenset([a]) for a in atoms]
     empty: FrozenSet[Atom] = frozenset()
-    digits = f"0{n}b"
-    return [
-        Instance(empty.union(*[s for s, d in zip(singletons, format(w, digits)) if d == "1"]))
-        for w in sorted(seen, key=order)
-    ]
+    digits = f"0{len(atoms)}b"
+
+    def decode(w: int) -> Instance:
+        return Instance(empty.union(*[s for s, d in zip(singletons, format(w, digits)) if d == "1"]))
+
+    return decode
+
+
+def _union_closure(
+    members: Sequence[Instance], max_atoms: int, cap: int = UNION_CLOSURE_CAP
+) -> List[Instance]:
+    """The unions of ``_union_masks`` as instances, in the same order."""
+    atoms, masks = _union_masks(members, max_atoms, cap)
+    return list(map(_decoder(atoms), masks))
 
 
 def _is_union_of(instance: Instance, members: Sequence[Instance]) -> bool:
@@ -527,6 +549,22 @@ def tstar_fixpoint(
     return FixpointResult(family, tuple(levels), converged)
 
 
+def _gcwa_star_masks(
+    mapping: SchemaMapping,
+    source: Instance,
+    budget: Budget,
+    extra_constants: Iterable[Const],
+) -> Tuple[FixpointResult, Tuple[Atom, ...], List[int]]:
+    """The fixpoint and the masks over the returned atoms of its unions that
+    are solutions, in ``instance_key`` order."""
+    fix = tstar_fixpoint(mapping, source, budget, extra_constants)
+    atoms, masks = _union_masks(list(fix.family.instances), budget.max_atoms)
+    if not mapping.is_st_only():  # st-tgds survive unions, other constraints need not
+        decode = _decoder(atoms)
+        masks = [w for w in masks if chase.is_solution(mapping, source, decode(w))]
+    return fix, atoms, masks
+
+
 def gcwa_star_solutions(
     mapping: SchemaMapping,
     source: Instance,
@@ -534,16 +572,11 @@ def gcwa_star_solutions(
     extra_constants: Iterable[Const] = (),
 ) -> SolutionFamily:
     """Ground solutions that are unions of fixpoint members, within budget."""
-    fix = tstar_fixpoint(mapping, source, budget, extra_constants)
-    unions = _union_closure(list(fix.family.instances), budget.max_atoms)
-    if mapping.is_st_only():
-        chosen = unions  # dependencies with existential heads survive unions
-    else:
-        chosen = [u for u in unions if chase.is_solution(mapping, source, u)]
+    fix, atoms, masks = _gcwa_star_masks(mapping, source, budget, extra_constants)
     meta = dict(fix.family.meta)
     meta["tstar_size"] = len(fix.family)
     meta["converged"] = fix.converged
-    return SolutionFamily(tuple(chosen), "gcwa_star", meta)
+    return SolutionFamily(tuple(map(_decoder(atoms), masks)), "gcwa_star", meta)
 
 
 def is_gcwa_star_solution(
@@ -574,15 +607,41 @@ def is_gcwa_star_solution(
 # ---------------------------------------------------------------- semantics
 
 
+def _query_views(q: FOQuery, atoms: Sequence[Atom], masks: Iterable[int]) -> Iterator[Instance]:
+    """The unions of ``masks`` over ``atoms``, built lazily, skipping each one
+    whose view of q matches an earlier one.  q's answers on an instance depend
+    only on the atoms of the relations q names and on dom(I) + dom(q), so the
+    view is the mask of those atoms and the values the union touches."""
+    rels = {g.rel for g in subformulas(q.body) if isinstance(g, RelAtom)}
+    seen_bits = 0
+    value_bits: Dict[Value, int] = {}
+    for i, a in enumerate(atoms):
+        bit = 1 << (len(atoms) - 1 - i)
+        if a.rel in rels:
+            seen_bits |= bit
+        for v in a.args:
+            value_bits[v] = value_bits.get(v, 0) | bit
+    values = list(value_bits.values())
+    decode = _decoder(atoms)
+    views: Set[Tuple[int, Tuple[bool, ...]]] = set()
+    for w in masks:
+        view = (w & seen_bits, tuple(w & b != 0 for b in values))
+        if view not in views:
+            views.add(view)
+            yield decode(w)
+
+
 def _intersect(
     q: FOQuery, family: Iterable[Instance]
 ) -> Tuple[Optional[Set[Tuple[Value, ...]]], int]:
+    """The query's answers common to the family's members, read until none
+    is left, and the count of members read.  After the first member only the
+    tuples still common are checked."""
     common: Optional[Set[Tuple[Value, ...]]] = None
     count = 0
     for inst in family:
         count += 1
-        answers = query_answers(q, inst)
-        common = answers if common is None else (common & answers)
+        common = query_answers(q, inst, common)
         if not common:
             break
     return common, count
@@ -747,17 +806,21 @@ def answers_semantics(
         return finish(_const_answers(common))
 
     # gcwa-star
+    views: Iterable[Instance]
     if is_ucq(q) and mapping.is_st_only():
         # monotone query: certain answers over all unions coincide with the
         # certain answers over the minimal members alone
         family = minimal_ground_solutions(mapping, source, budget, extra)
         meta["path"] = "oracle-minimal-members"
+        meta["family_size"] = len(family)
+        views = family
     else:
-        family = gcwa_star_solutions(mapping, source, budget, extra)
-        meta["converged"] = family.meta.get("converged")
-    meta["family_size"] = len(family)
-    if not len(family):
+        fix, atoms, masks = _gcwa_star_masks(mapping, source, budget, extra)
+        meta["converged"] = fix.converged
+        meta["family_size"] = len(masks)
+        views = _query_views(q, atoms, masks)
+    if not meta["family_size"]:
         meta["diagnostic"] = "no gcwa-star solution within budget"
         return finish(empty_family_answers())
-    common, _ = _intersect(q, family)
+    common, _ = _intersect(q, views)
     return finish(_const_answers(common))

@@ -73,6 +73,26 @@ CLQ_QUERY = (
     "(C(x,y) /\\ A(x,z1) /\\ A(y,z2)) -> E(z1,z2)."
 )
 
+# criterion 8's two slowest skipped trials (seed 20260808, trials 68 and 141
+# counted from 1): their cores have five nulls and the oracle refuses both
+TRIAL68_MAP = (
+    "source P/1, R/2.\n"
+    "target E/2, F/2, U/1.\n"
+    "tgd R(x,y) -> exists z1, z2: E(x,z1), F(z1,z2), U(z1).\n"
+    "tgd R(x,y), P(x) -> exists z1: E(x,z1), F(z1,y).\n"
+)
+TRIAL68_SRC = "P(b).\nR(a,a).\nR(a,b).\nR(b,a).\n"
+TRIAL68_QUERY = "q() := forall u1: forall u2: F(b,u2) \\/ F(u1,u1) \\/ ~U(u2).\n"
+
+TRIAL141_MAP = (
+    "source P/1, R/2.\n"
+    "target E/2, F/2, U/1.\n"
+    "tgd R(x,y) -> exists z1, z2: E(x,z1), F(z1,z2), U(z1).\n"
+    "tgd P(x) -> exists z1: E(x,z1).\n"
+)
+TRIAL141_SRC = "P(a).\nP(b).\nR(a,c).\nR(c,b).\n"
+TRIAL141_QUERY = "q(x1) := forall u1: E(b,x1).\n"
+
 E_SCHEMA = Schema.of({"E": 2})
 
 

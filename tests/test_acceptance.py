@@ -3,6 +3,7 @@ with its elapsed time and checked against its stated time budget."""
 
 import collections
 import random
+import re
 import time
 
 import pytest
@@ -256,16 +257,21 @@ def test_criterion_08_randomized_three_way_agreement():
         budget = Budget(2, 8, 2)
         agreed = 0
         skipped = collections.Counter()
+        stages = collections.Counter()
         while agreed < 200:
             result = three_way(*next(triples), budget)
             if result.skipped:
-                skipped[result.skipped[0]] += 1
+                evaluator, error = result.skipped
+                skipped[evaluator] += 1
+                # the stage and limit each error names, its counts blanked
+                stages[f"{evaluator}: {re.sub(r'[0-9]+', 'N', str(error))}"] += 1
                 assert sum(skipped.values()) < 200, "too many over-budget trials"
                 continue
             assert result.agree, result
             agreed += 1
         census = ", ".join(f"{name} {n}" for name, n in skipped.most_common())
-        clock.note = f"; skipped {sum(skipped.values())}: {census}"
+        reasons = "; ".join(f"{n} × {reason}" for reason, n in stages.most_common())
+        clock.note = f"; skipped {sum(skipped.values())}: {census} ({reasons})"
 
 
 def test_criterion_09_chase_core_properties():

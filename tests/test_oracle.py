@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dx import (
     Atom,
@@ -16,18 +17,29 @@ from dx import (
     parse_instance,
 )
 from dx.errors import BudgetExceeded, UnsupportedSemantics
-from dx.model import Var, instance_key
+from dx.logic import query_answers
+from dx.model import Schema, Var, atom_key, instance_key
 from dx.oracle import (
     Budget,
     _HornRule,
     _as_horn,
+    _intersect,
     _overcount_violation,
+    _query_views,
     _union_closure,
+    _union_masks,
     target_atom_pool,
     universe_of,
 )
-from dx.randgen import gen_packed_mapping, gen_source, random_triples
-from dx.textio import SourceText
+from dx.randgen import (
+    gen_packed_mapping,
+    gen_source,
+    gen_ucq,
+    gen_universal_query,
+    random_triples,
+    three_way,
+)
+from dx.textio import SourceText, serialize_instance, serialize_mapping, serialize_query
 
 from fixtures import (
     C23_MAP,
@@ -47,6 +59,12 @@ from fixtures import (
     PE_MAP,
     PE_QUERY,
     PE_SRC,
+    TRIAL68_MAP,
+    TRIAL68_QUERY,
+    TRIAL68_SRC,
+    TRIAL141_MAP,
+    TRIAL141_QUERY,
+    TRIAL141_SRC,
     instance,
     mapping,
     query,
@@ -501,10 +519,235 @@ def test_gcwa_star_outputs_match_reference_closure(monkeypatch):
     triples = list(_criterion_8_triples(40))
     budgets = (Budget(2, 8, 2), Budget(2, 5, 2))
     got = _gcwa_star_outcomes(triples, budgets)
-    monkeypatch.setattr(dx.oracle, "_union_closure", _reference_union_closure)
+    calls = []
+
+    def reference_masks(members, max_atoms, cap=60_000):
+        # the frozenset closure's unions, encoded as ``_union_masks`` does
+        calls.append(max_atoms)
+        unions = _reference_union_closure(members, max_atoms, cap)
+        atoms = sorted({a for u in unions for a in u.atoms}, key=atom_key)
+        bit = {at: 1 << (len(atoms) - 1 - i) for i, at in enumerate(atoms)}
+        return tuple(atoms), [sum(bit[at] for at in u.atoms) for u in unions]
+
+    monkeypatch.setattr(dx.oracle, "_union_masks", reference_masks)
     expected = _gcwa_star_outcomes(triples, budgets)
+    assert calls  # the answers really came from the reference closure
     assert got == expected
     assert any(isinstance(o, str) for o in got) and any(isinstance(o, tuple) for o in got)
+
+
+# ------------------------------------------------------------- gcwa-star answers reference
+
+
+def _reference_gcwa_star(m, s, q, budget, empty_policy="none"):
+    """gcwa-star answers the plain way: ``query_answers`` intersected over
+    every member of ``gcwa_star_solutions``, all-constant tuples kept, with
+    the meta ``answers_semantics`` reports on its union path."""
+    try:
+        family = gcwa_star_solutions(m, s, budget, q.consts())
+    except BudgetExceeded as exc:
+        return str(exc)
+    meta = {
+        "budget": budget.as_dict(),
+        "path": "oracle",
+        "converged": family.meta["converged"],
+        "family_size": len(family),
+    }
+    if not len(family):
+        meta["diagnostic"] = "no gcwa-star solution within budget"
+        if empty_policy == "all":
+            universe = universe_of(m, s, budget, q.consts())
+            return frozenset(itertools.product(universe, repeat=q.width)), meta
+        return frozenset(), meta
+    common = set.intersection(*(query_answers(q, inst) for inst in family))
+    return frozenset(t for t in common if all(isinstance(v, Const) for v in t)), meta
+
+
+def _gcwa_star_answers(m, s, q, budget, empty_policy="none"):
+    try:
+        res = answers_semantics(m, s, q, "gcwa-star", budget, empty_policy)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return res.answers, res.meta
+
+
+def test_gcwa_star_answers_match_whole_family_reference():
+    # criterion 8's first 40 triples and the four fixtures, two of them with
+    # target constraints: equal answers, equal meta, equal budget errors
+    kinds = set()
+    for m, s, q in _criterion_8_triples(40):
+        for budget in (Budget(2, 8, 2), Budget(2, 5, 2)):
+            expected = _reference_gcwa_star(m, s, q, budget)
+            assert _gcwa_star_answers(m, s, q, budget) == expected, (m, s, q, budget)
+            kinds.add(type(expected))
+    assert kinds == {str, tuple}
+
+
+EF_SCHEMA = Schema.of({"E": 2, "F": 2})
+
+
+def _unions_answers(q, members, max_atoms=8):
+    """The oracle's intersection over the unions of ``members`` (their
+    distinct views of q), next to the plain one over every union."""
+    atoms, masks = _union_masks(members, max_atoms)
+    got, _ = _intersect(q, _query_views(q, atoms, masks))
+    plain = set.intersection(*(query_answers(q, u) for u in _union_closure(members, max_atoms)))
+    return got, plain
+
+
+def _ef(*atoms):
+    return Instance([Atom(rel, (Const(x), Const(y))) for rel, x, y in atoms])
+
+
+def test_views_differ_by_the_domain_of_atoms_outside_the_query():
+    # the second union adds only F(c,c), outside the query's relations, but
+    # its c refutes E(a,c) for x = a
+    q = query("q(x) := forall u: E(x,u) \\/ u = x.", EF_SCHEMA)
+    members = [_ef(("E", "a", "b")), _ef(("E", "a", "b"), ("F", "c", "c"))]
+    assert query_answers(q, members[0]) == {(a,)}
+    assert _unions_answers(q, members) == (set(), set())
+
+
+def test_survivor_outside_a_later_domain_is_dropped():
+    # a is an answer on E(a,b), and the body holds for x = a on E(c,d), but
+    # a is not in that union's domain
+    q = query("q(x) := forall u: ~E(u,x).", EF_SCHEMA)
+    members = [_ef(("E", "a", "b")), _ef(("E", "c", "d"))]
+    assert query_answers(q, members[0]) == {(a,)}
+    assert _unions_answers(q, members) == (set(), set())
+
+
+def test_boolean_query_over_union_views():
+    q = query("q() := forall u: E(a,u) \\/ u = a.", EF_SCHEMA)
+    widened = [_ef(("E", "a", "b")), _ef(("E", "a", "b"), ("F", "c", "c"))]
+    covered = [_ef(("E", "a", "b")), _ef(("E", "a", "b"), ("E", "a", "c"))]
+    assert _unions_answers(q, widened) == (set(), set())
+    assert _unions_answers(q, covered) == ({()}, {()})
+
+
+def test_gcwa_star_empty_family_under_empty_cert_all():
+    # no minimal solution fits in zero atoms: the full grid, as the reference
+    m = mapping(PE_MAP)
+    s = instance(PE_SRC, m.source)
+    q = query("q(x) := forall u: ~E(x,u).", m.target)
+    budget = Budget(2, 0, 2)
+    answers, meta = _gcwa_star_answers(m, s, q, budget, "all")
+    assert answers == frozenset((c,) for c in universe_of(m, s, budget))
+    assert meta["family_size"] == 0
+    assert (answers, meta) == _reference_gcwa_star(m, s, q, budget, "all")
+
+
+def test_gcwa_star_union_views_with_target_constraints():
+    # MOT's constraint forces F atoms, C23's bounds the E successors
+    for map_text, q_text, expected in (
+        (MOT_MAP, "q() := forall u: forall w: E(u,w) -> F(u,u).", {()}),
+        (MOT_MAP, "q() := forall u: forall w: E(u,w) -> ~(u = w).", set()),
+        (C23_MAP, "q(x) := forall u: E(x,u) \\/ ~E(x,u).", {(a,)}),
+        (C23_MAP, "q() := forall u: forall w: forall v: (E(u,w) /\\ E(v,w)) -> u = v.", {()}),
+    ):
+        m = mapping(map_text)
+        s = instance(PE_SRC, m.source)
+        q = query(q_text, m.combined_schema())
+        answers, meta = _gcwa_star_answers(m, s, q, Budget(2, 8, 2))
+        assert set(answers) == expected, q_text
+        assert (answers, meta) == _reference_gcwa_star(m, s, q, Budget(2, 8, 2))
+
+
+def test_repeated_views_are_evaluated_once(monkeypatch):
+    # E and F successors are chosen independently: unions with the same E
+    # atoms and the same domain differ only in F, which q never reads
+    import dx.oracle
+
+    m = mapping(
+        "source P/1. target E/2, F/2. "
+        "tgd P(x) -> exists z: E(x,z). tgd P(x) -> exists z: F(x,z)."
+    )
+    s = instance(PE_SRC, m.source)
+    q = query("q(x) := forall u: E(x,u) \\/ ~E(x,u).", m.target)
+    budget = Budget(2, 8, 2)
+    expected = _reference_gcwa_star(m, s, q, budget)
+    evaluated = set()
+
+    def counting(original):
+        def run(first, inst, *args, **kwargs):
+            evaluated.add(inst)
+            return original(first, inst, *args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(dx.oracle, "query_answers", counting(dx.oracle.query_answers))
+    monkeypatch.setattr(dx.oracle, "eval_fo", counting(dx.oracle.eval_fo))
+    answers, meta = _gcwa_star_answers(m, s, q, budget)
+    assert (answers, meta) == expected
+    assert answers == {(a,)}
+    assert 0 < len(evaluated) < meta["family_size"]
+
+
+_PROPERTY_ATOMS = [
+    Atom(rel, args) for rel in "EF" for args in itertools.product((a, b, Const("c")), repeat=2)
+] + [Atom("U", (v,)) for v in (a, b, Const("c"))]
+
+_families = st.lists(
+    st.frozensets(st.sampled_from(_PROPERTY_ATOMS), max_size=4).map(Instance),
+    min_size=1,
+    max_size=5,
+)
+
+
+def _random_query(seed, positive):
+    rng = random.Random(seed)
+    if positive:
+        return gen_ucq(rng, free_count=rng.randint(0, 2))
+    return gen_universal_query(rng, free_count=rng.randint(0, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=_families, seed=st.integers(0, 2**32 - 1), positive=st.booleans())
+def test_intersect_matches_naive_intersection(family, seed, positive):
+    q = _random_query(seed, positive)
+    common, count = _intersect(q, family)
+    assert common == set.intersection(*(query_answers(q, inst) for inst in family))
+    assert count == len(family) or not common
+
+
+@settings(max_examples=80, deadline=None)
+@given(members=_families, seed=st.integers(0, 2**32 - 1), positive=st.booleans())
+def test_union_views_match_naive_intersection(members, seed, positive):
+    got, plain = _unions_answers(_random_query(seed, positive), members)
+    assert got == plain
+
+
+# ------------------------------------------------------------- criterion 8's slowest skips
+
+
+def _criterion_8_trial(number):
+    """Trial ``number`` (counted from 1) of criterion 8's seed, as text."""
+    m, s, q = next(
+        itertools.islice(random_triples(random.Random(20260808), max_atoms=5), number - 1, None)
+    )
+    return serialize_mapping(m), serialize_instance(s), serialize_query(q)
+
+
+def _frozen_trial_skip(map_text, src_text, q_text, number):
+    assert _criterion_8_trial(number) == (map_text, src_text, q_text)
+    m = mapping(map_text)
+    result = three_way(m, instance(src_text, m.source), query(q_text, m.target), Budget(2, 8, 2))
+    evaluator, error = result.skipped
+    return evaluator, str(error)
+
+
+def test_criterion_8_trial_68_is_skipped_by_the_oracle():
+    assert _frozen_trial_skip(TRIAL68_MAP, TRIAL68_SRC, TRIAL68_QUERY, 68) == (
+        "oracle",
+        "5 fresh values needed but only 2 in the universe",
+    )
+
+
+def test_criterion_8_trial_141_is_skipped_by_the_oracle():
+    assert _frozen_trial_skip(TRIAL141_MAP, TRIAL141_SRC, TRIAL141_QUERY, 141) == (
+        "oracle",
+        "5 fresh values needed but only 2 in the universe",
+    )
 
 
 def test_constraint_split_and_overcount_check():
