@@ -1,16 +1,22 @@
 """First-order query AST, active-domain evaluation, and certain answers.
 
-Evaluation answers positive-existential bodies by index join, the rest
-naively.  Either way nulls inside an instance are treated as if they were
-ordinary constants, equality compares values by identity, and quantifiers
-range over dom(I) together with the constants of the formula being evaluated.
+Evaluation answers positive-existential bodies by index join.  Other
+formulas are compiled once into closures that test each literal by one
+position-index probe and range a guarded quantifier block over the index
+matches of its guard atom instead of the whole domain.  Either way nulls
+inside an instance are treated as if they were ordinary constants, equality
+compares values by identity, and quantifiers range over dom(I) together with
+the constants of the formula being evaluated.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from functools import cached_property
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from .errors import BudgetExceeded, DxError, UnboundVariable
 from .model import Atom, Const, Instance, Term, Value, Var, value_key
@@ -92,11 +98,20 @@ class FOQuery:
             raise DxError(f"free variables not declared in the query head: {names}")
 
     def consts(self) -> FrozenSet[Const]:
-        return formula_consts(self.body)
+        return self.compiled.consts
 
     @property
     def width(self) -> int:
         return len(self.free_vars)
+
+    # cached on the query itself, not in a module-level table, so they are freed with it
+    @cached_property
+    def compiled(self) -> "Compiled":
+        return compile_formula(self.body, self.free_vars)
+
+    @cached_property
+    def positive(self) -> bool:
+        return is_ucq(self)
 
 
 def subformulas(f: Formula) -> List[Formula]:
@@ -110,30 +125,13 @@ def subformulas(f: Formula) -> List[Formula]:
     return out
 
 
-def formula_consts(f: Formula) -> FrozenSet[Const]:
-    out: Set[Const] = set()
-    for g in subformulas(f):
-        if isinstance(g, RelAtom):
-            out.update(t for t in g.terms if isinstance(t, Const))
-        elif isinstance(g, Eq):
-            out.update(t for t in (g.left, g.right) if isinstance(t, Const))
-    return frozenset(out)
-
-
 def formula_free_vars(f: Formula) -> Set[Var]:
-    if isinstance(f, RelAtom):
-        return {t for t in f.terms if isinstance(t, Var)}
-    if isinstance(f, Eq):
-        return {t for t in (f.left, f.right) if isinstance(t, Var)}
-    if isinstance(f, Not):
-        return formula_free_vars(f.sub)
-    if isinstance(f, (And, Or)):
-        out: Set[Var] = set()
-        for p in f.parts:
-            out |= formula_free_vars(p)
-        return out
+    if isinstance(f, (RelAtom, Eq)):
+        return {t for t in (f.terms if isinstance(f, RelAtom) else (f.left, f.right)) if isinstance(t, Var)}
     if isinstance(f, (Exists, Forall, CountExists)):
         return formula_free_vars(f.sub) - {f.var}
+    if isinstance(f, (Not, And, Or)):
+        return set().union(*map(formula_free_vars, (f.sub,) if isinstance(f, Not) else f.parts))
     raise DxError(f"unknown formula node {f!r}")
 
 
@@ -144,18 +142,127 @@ def contains_counting(f: Formula) -> bool:
 # ---------------------------------------------------------------- evaluation
 
 
-def _term_value(t: Term, assignment: Dict[Var, Value]) -> Value:
-    if isinstance(t, Const):
-        return t
-    try:
-        return assignment[t]
-    except KeyError:
-        raise UnboundVariable(f"variable {t.name} has no value")
+class Compiled(NamedTuple):
+    """A formula as closures ``run(match, adom, env) -> bool``: ``match`` is
+    the instance's ``atoms_matching``, ``adom`` the quantifier domain (it must
+    contain dom(I)) and ``env`` the slot list, ``template`` (constants in
+    place, None for variables) with the free variables' values first."""
+
+    run: Callable[..., bool]
+    template: Tuple[Optional[Value], ...]
+    consts: FrozenSet[Const]
 
 
-def active_domain(instance: Instance, formula: Formula) -> Tuple[Value, ...]:
-    dom = set(instance.dom()) | set(formula_consts(formula))
-    return tuple(sorted(dom, key=value_key))
+def compile_formula(formula: Formula, free_vars: Sequence[Var] = ()) -> Compiled:
+    """Compile with negation pushed to the literals (a negated count is
+    decided by ``not``), one slot per bound variable and ``free_vars`` first
+    (any other free variable raises UnboundVariable).  A universal block
+    whose matrix has a disjunct not-R(...) naming some of its variables
+    ranges those over the index matches of R(...), the only ones that can
+    falsify it, and the rest over the domain; dually for existential ones."""
+    template: List[Optional[Value]] = [None] * len(free_vars)
+    consts: Dict[Const, int] = {}
+
+    def slot(t: Term, scope: Dict[Var, int]) -> int:
+        if isinstance(t, Var):
+            if t not in scope:
+                raise UnboundVariable(f"variable {t.name} has no value")
+            return scope[t]
+        if t not in consts:
+            consts[t] = len(template)
+            template.append(t)
+        return consts[t]
+
+    def comp(f: Formula, neg: bool, scope: Dict[Var, int]) -> Callable[..., bool]:
+        if isinstance(f, Not):
+            return comp(f.sub, not neg, scope)
+        if isinstance(f, RelAtom):
+            rel, n, key = f.rel, len(f.terms), _getter([slot(t, scope) for t in f.terms])
+            return lambda m, adom, env, at=tuple(range(n)): (not m(rel, n, at, key(env))) is neg
+        if isinstance(f, Eq):
+            i, j = slot(f.left, scope), slot(f.right, scope)
+            return lambda m, adom, env: (env[i] == env[j]) is not neg
+        if isinstance(f, (And, Or)):
+            disj = isinstance(f, Or) != neg
+            return _connect([comp(p, n, scope) for p, n in flat_parts(f, neg, disj)], disj)
+        if isinstance(f, CountExists):
+            s, lo, hi = len(template), f.lo, f.hi
+            template.append(None)
+            sub = comp(f.sub, False, {**scope, f.var: s})
+            return lambda m, adom, env: (lo <= sum(sub(m, adom, env) for env[s] in adom) <= hi) is not neg
+        if not isinstance(f, (Exists, Forall)):
+            raise DxError(f"unknown formula node {f!r}")
+        universal, inner, block = isinstance(f, Forall) != neg, dict(scope), []
+        while isinstance(f, (Exists, Forall)) and (isinstance(f, Forall) != neg) == universal:
+            inner[f.var] = len(template)
+            block.append(len(template))
+            template.append(None)
+            f = f.sub
+        parts = flat_parts(f, neg, universal)
+        named = [len({inner.get(t) for t in p.terms} & set(block))
+                 if isinstance(p, RelAtom) and n == universal else 0 for p, n in parts]
+        if not any(named):
+            return _sweep(universal, block, comp(f, neg, inner))
+        best = named.index(max(named))
+        rest = _connect([comp(p, n, inner) for i, (p, n) in enumerate(parts) if i != best], universal)
+        guard = parts[best][0]
+        return _guarded(universal, guard.rel, [slot(t, inner) for t in guard.terms], block, rest)
+
+    run = comp(formula, False, {v: i for i, v in enumerate(free_vars)})
+    return Compiled(run, tuple(template), frozenset(consts))
+
+
+def flat_parts(f: Formula, neg: bool, disj: bool) -> List[Tuple[Formula, bool]]:
+    """The parts of f (negated when ``neg``) read as a nested disjunction
+    (``disj``) or conjunction, each with its negation flag."""
+    while isinstance(f, Not):
+        f, neg = f.sub, not neg
+    if isinstance(f, (And, Or)) and (isinstance(f, Or) != neg) == disj:
+        return [q for p in f.parts for q in flat_parts(p, neg, disj)]
+    return [(f, neg)]
+
+
+def _getter(slots: List[int]) -> Callable[[List[Optional[Value]]], Tuple[Optional[Value], ...]]:
+    return operator.itemgetter(*slots) if len(slots) > 1 else lambda env: tuple([env[s] for s in slots])
+
+
+def _connect(parts: List[Callable[..., bool]], disj: bool) -> Callable[..., bool]:
+    if disj:
+        return lambda m, adom, env: any(p(m, adom, env) for p in parts)
+    return lambda m, adom, env: all(p(m, adom, env) for p in parts)
+
+
+def _sweep(universal: bool, slots: List[int], sub: Callable[..., bool]) -> Callable[..., bool]:
+    """``sub`` quantified over the domain in each of ``slots``."""
+    for s in reversed(slots):
+        def sub(m, adom, env, s=s, inner=sub):
+            for env[s] in adom:
+                if inner(m, adom, env) is not universal:
+                    return not universal
+            return universal
+    return sub
+
+
+def _guarded(universal: bool, rel: str, slots: List[int], block: List[int],
+             rest: Callable[..., bool]) -> Callable[..., bool]:
+    """The block over the index matches of rel(slots), which bind the block
+    slots named there (a repeated one must agree), then over the domain in
+    the others; ``rest`` is the matrix without its guard."""
+    n, at = len(slots), tuple(i for i, s in enumerate(slots) if s not in block)
+    key, pairs = _getter([slots[i] for i in at]), [(i, s) for i, s in enumerate(slots) if s in block]
+    repeats = len({s for _, s in pairs}) < len(pairs)
+    sub = _sweep(universal, [s for s in block if s not in slots], rest)
+
+    def run(m, adom, env):
+        for atom in m(rel, n, at, key(env)):
+            for i, s in pairs:
+                env[s] = atom.args[i]
+            agree = not repeats or all(env[s] == atom.args[i] for i, s in pairs)
+            if agree and sub(m, adom, env) is not universal:
+                return not universal
+        return universal
+
+    return run
 
 
 def eval_fo(
@@ -164,66 +271,13 @@ def eval_fo(
     assignment: Optional[Dict[Var, Value]] = None,
     adom: Optional[Tuple[Value, ...]] = None,
 ) -> bool:
-    """Naive satisfaction with quantifiers ranging over dom(I) + dom(phi).
-
-    ``adom`` can be supplied by callers that evaluate a subformula of a
-    larger query; by default it is computed from ``formula`` itself.
-    """
+    """Satisfaction with quantifiers ranging over ``adom``, by default
+    dom(I) + dom(phi); a supplied ``adom`` must contain dom(I)."""
+    assignment = assignment or {}
+    c = compile_formula(formula, tuple(assignment))
     if adom is None:
-        adom = active_domain(instance, formula)
-    assignment = dict(assignment or {})
-
-    def rec(f: Formula) -> bool:
-        if isinstance(f, RelAtom):
-            args = tuple(_term_value(t, assignment) for t in f.terms)
-            return Atom(f.rel, args) in instance
-        if isinstance(f, Eq):
-            return _term_value(f.left, assignment) == _term_value(f.right, assignment)
-        if isinstance(f, Not):
-            return not rec(f.sub)
-        if isinstance(f, And):
-            return all(rec(p) for p in f.parts)
-        if isinstance(f, Or):
-            return any(rec(p) for p in f.parts)
-        if isinstance(f, Exists):
-            saved = assignment.get(f.var)
-            for v in adom:
-                assignment[f.var] = v
-                if rec(f.sub):
-                    _restore(assignment, f.var, saved)
-                    return True
-            _restore(assignment, f.var, saved)
-            return False
-        if isinstance(f, Forall):
-            saved = assignment.get(f.var)
-            for v in adom:
-                assignment[f.var] = v
-                if not rec(f.sub):
-                    _restore(assignment, f.var, saved)
-                    return False
-            _restore(assignment, f.var, saved)
-            return True
-        if isinstance(f, CountExists):
-            saved = assignment.get(f.var)
-            count = 0
-            for v in adom:
-                assignment[f.var] = v
-                if rec(f.sub):
-                    count += 1
-                    if count > f.hi:
-                        break
-            _restore(assignment, f.var, saved)
-            return f.lo <= count <= f.hi
-        raise DxError(f"unknown formula node {f!r}")
-
-    return rec(formula)
-
-
-def _restore(assignment: Dict[Var, Value], var: Var, saved: Optional[Value]) -> None:
-    if saved is None:
-        assignment.pop(var, None)
-    else:
-        assignment[var] = saved
+        adom = tuple(instance.dom() | c.consts)
+    return c.run(instance.atoms_matching, adom, [*assignment.values(), *c.template[len(assignment):]])
 
 
 def query_answers(
@@ -235,25 +289,21 @@ def query_answers(
     only those of ``among`` when it is given.
 
     Answers may contain nulls; a Boolean query yields {()} or the empty set.
-    A positive-existential body is answered by an index join, others naively,
-    tuple by tuple over the domain or over ``among``.
+    A positive-existential body is answered by an index join, others by the
+    query's compiled body, tuple by tuple over the domain or over ``among``.
     """
-    adom = active_domain(instance, q.body)
-    if is_ucq(q):
+    c = q.compiled
+    inside = instance.dom() | c.consts
+    adom = tuple(inside)
+    if q.positive:
         out: Set[Tuple[Value, ...]] = set()
         for bnd in _join(q.body, instance, adom, {}):
             out.update(itertools.product(*((bnd[v],) if v in bnd else adom for v in q.free_vars)))
         return out if among is None else out & among
-    if among is None:
-        candidates: Iterable[Tuple[Value, ...]] = itertools.product(adom, repeat=q.width)
-    else:
-        inside = set(adom)
-        candidates = (t for t in among if inside.issuperset(t))
-    return {
-        t
-        for t in candidates
-        if eval_fo(q.body, instance, dict(zip(q.free_vars, t)), adom=adom)
-    }
+    candidates = (itertools.product(adom, repeat=q.width) if among is None
+                  else (t for t in among if inside.issuperset(t)))
+    m, tail = instance.atoms_matching, c.template[q.width:]
+    return {t for t in candidates if c.run(m, adom, [*t, *tail])}
 
 
 def _join(f: Formula, instance: Instance, adom: Tuple[Value, ...],

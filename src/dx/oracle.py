@@ -19,7 +19,7 @@ import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import BudgetExceeded, DxError, UnsupportedSemantics
+from .errors import BudgetExceeded, UnsupportedSemantics
 from . import chase
 from .corelib import core_of
 from .logic import (
@@ -27,8 +27,6 @@ from .logic import (
     FOQuery,
     Forall,
     Formula,
-    Not,
-    Or,
     RelAtom,
     Eq,
     cert_poss,
@@ -37,8 +35,8 @@ from .logic import (
     is_ucq,
     query_answers,
     all_constants,
+    flat_parts,
     subformulas,
-    to_nnf,
 )
 from .minrep import enum_min_c
 from .model import (
@@ -162,23 +160,18 @@ def _as_horn(sentence: FOQuery) -> Optional[_HornRule]:
     matrix = sentence.body
     while isinstance(matrix, Forall):
         matrix = matrix.sub
-    try:
-        matrix = to_nnf(matrix)
-    except DxError:  # a negated counting quantifier
-        return None
-    literals = _flatten_or(matrix)
     body: List[Tuple[str, Tuple[Term, ...]]] = []
     head_atom = None
     head_eq = None
-    for lit in literals:
-        if isinstance(lit, Not) and isinstance(lit.sub, RelAtom):
-            body.append((lit.sub.rel, lit.sub.terms))
-            body_vars.update(t for t in lit.sub.terms if isinstance(t, Var))
+    for lit, negated in flat_parts(matrix, False, True):
+        if isinstance(lit, RelAtom) and negated:
+            body.append((lit.rel, lit.terms))
+            body_vars.update(t for t in lit.terms if isinstance(t, Var))
         elif isinstance(lit, RelAtom):
             if head_atom or head_eq:
                 return None
             head_atom = (lit.rel, lit.terms)
-        elif isinstance(lit, Eq):
+        elif isinstance(lit, Eq) and not negated:
             if head_atom or head_eq:
                 return None
             head_eq = (lit.left, lit.right)
@@ -264,17 +257,9 @@ def _overcount_violation(body: Formula, combined: Instance) -> bool:
     matrix = body
     while isinstance(matrix, Forall):
         matrix = matrix.sub
-    try:
-        matrix = to_nnf(matrix)
-    except DxError:  # a negated counting quantifier
-        return False
-    literals = _flatten_or(matrix)
-    counts = [l for l in literals if isinstance(l, CountExists)]
-    negs = [
-        (l.sub.rel, l.sub.terms)
-        for l in literals
-        if isinstance(l, Not) and isinstance(l.sub, RelAtom)
-    ]
+    literals = flat_parts(matrix, False, True)
+    counts = [l for l, negated in literals if isinstance(l, CountExists) and not negated]
+    negs = [(l.rel, l.terms) for l, negated in literals if isinstance(l, RelAtom) and negated]
     if len(counts) != 1 or len(negs) + 1 != len(literals):
         return False
     count = counts[0]
@@ -294,15 +279,24 @@ def _overcount_violation(body: Formula, combined: Instance) -> bool:
     return False
 
 
-def _flatten_or(matrix: Formula) -> List[Formula]:
-    """The disjuncts of a (nested) disjunction; any other formula is its own
-    single disjunct."""
-    if isinstance(matrix, Or):
-        return [lit for p in matrix.parts for lit in _flatten_or(p)]
-    return [matrix]
-
-
 # ---------------------------------------------------------------- minimal solutions
+
+
+def fresh_values(
+    mapping: SchemaMapping, source: Instance, universe: Sequence[Const]
+) -> Tuple[Instance, Set[Const], List[Const]]:
+    """The core of the chased source, the constants it and the mapping name,
+    and the universe's other (fresh) values.  Refuses a core with more nulls
+    than fresh values: it has the most nulls of the minimal representatives."""
+    core = core_of(chase.canonical_solution(mapping, source))
+    base_consts = set(core.consts()) | mapping_constants(mapping)
+    available = [c for c in universe if c not in base_consts]
+    if len(core.nulls()) > len(available):
+        raise BudgetExceeded(
+            f"fresh-value universe exceeded its cap of {len(available)} values"
+            f" ({len(core.nulls())} needed)"
+        )
+    return core, base_consts, available
 
 
 def _st_minimal_solutions(
@@ -312,15 +306,8 @@ def _st_minimal_solutions(
 ) -> List[Instance]:
     """Ground instances over the universe that are minimal with respect to
     the st-tgds alone: injective fresh instantiations of the minimal
-    representatives of the core of the chased source, of which the core has
-    the most nulls (no legal image is a proper subset of a core)."""
-    core = core_of(chase.canonical_solution(mapping, source))
-    base_consts = set(core.consts()) | mapping_constants(mapping)
-    available = [c for c in universe if c not in base_consts]
-    if len(core.nulls()) > len(available):
-        raise BudgetExceeded(
-            f"{len(core.nulls())} fresh values needed but only {len(available)} in the universe"
-        )
+    representatives of the core of the chased source."""
+    core, base_consts, available = fresh_values(mapping, source, universe)
     reps = enum_min_c(core, base_consts, product_cap=60_000)
     out: Set[Instance] = set()
     for rep in reps.representatives:

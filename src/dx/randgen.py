@@ -189,10 +189,13 @@ def three_way(
     mapping: SchemaMapping, source: Instance, q: FOQuery, budget: oracle.Budget
 ) -> Agreement:
     """Answer q by the fast path on the core, the general evaluator and the
-    oracle, in that order, stopping at the first one over its budget."""
+    oracle, in that order, stopping at the first one over its budget.  The
+    oracle's cheap fresh-value check runs before the general evaluator."""
     stage = "fast"
     try:
         fast = gcwa.answers_gcwa_star_universal(corelib.core_solution(mapping, source), q)
+        stage = "oracle"
+        oracle.fresh_values(mapping, source, oracle.universe_of(mapping, source, budget, q.consts()))
         stage = "general"
         general = gcwa.answers_gcwa_star_universal_general(mapping, source, q)
         stage = "oracle"

@@ -239,7 +239,7 @@ def test_compare_random_seeded(files, capsys):
     doc = json.loads(out)
     assert doc["agree"] is True and doc["trials"] == 5
     assert doc["skipped"] == 1
-    assert doc["skip_reasons"] == ["oracle: 4 fresh values needed but only 3 in the universe"]
+    assert doc["skip_reasons"] == ["oracle: fresh-value universe exceeded its cap of 3 values (4 needed)"]
 
 
 def test_compare_over_budget_exits_3(capsys):
@@ -255,4 +255,4 @@ def test_compare_over_budget_exits_3(capsys):
         capsys,
     )
     assert code == 3 and out == ""
-    assert err == "error: budget exceeded: 1 fresh values needed but only 0 in the universe\n"
+    assert err == "error: budget exceeded: fresh-value universe exceeded its cap of 0 values (1 needed)\n"

@@ -31,8 +31,9 @@ from dx import (
     query_answers,
 )
 from dx.errors import BudgetExceeded, UnboundVariable
-from dx.logic import active_domain, dnf_literals, prenex, to_nnf
-from dx.randgen import gen_packed_mapping, gen_source, gen_ucq
+from dx.logic import dnf_literals, prenex, subformulas, to_nnf
+from dx.model import value_key
+from dx.randgen import gen_packed_mapping, gen_source, gen_ucq, gen_universal_query
 
 a, b, c, d, e = (Const(x) for x in "abcde")
 x, y, z, z1, z2 = (Var(n) for n in ("x", "y", "z", "z1", "z2"))
@@ -92,11 +93,19 @@ def test_query_answers_nullary_convention():
     assert query_answers(q, Instance([Atom("P", (b,))])) == {()}
 
 
+def _adom(inst, body):
+    """dom(I) and the constants of the formula, sorted."""
+    terms = [t for g in subformulas(body) for t in (
+        g.terms if isinstance(g, RelAtom) else (g.left, g.right) if isinstance(g, Eq) else ())]
+    return tuple(sorted(set(inst.dom()) | {t for t in terms if isinstance(t, Const)}, key=value_key))
+
+
 def _reference_answers(q, inst):
-    """query_answers as every tuple over the active domain that eval_fo accepts."""
-    adom = active_domain(inst, q.body)
+    """query_answers as every tuple over the active domain that the ground
+    expansion accepts."""
+    adom = _adom(inst, q.body)
     return {t for t in itertools.product(adom, repeat=q.width)
-            if eval_fo(q.body, inst, dict(zip(q.free_vars, t)), adom=adom)}
+            if _ground_expand(q.body, inst, adom, dict(zip(q.free_vars, t)))}
 
 
 def test_join_matches_naive_answers_on_random_ucqs():
@@ -162,13 +171,19 @@ def test_join_edge_cases():
 
 
 def test_positive_queries_do_not_reach_eval_fo(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("eval_fo reached")
+    # a query compiles its body on first use; the compiled evaluator is the
+    # one FO evaluator, so a positive query must never run it
+    compile_formula = dx.logic.compile_formula
 
-    monkeypatch.setattr(dx.logic, "eval_fo", refuse)
+    def refusing(*args):
+        def refuse(*args):
+            raise AssertionError("compiled evaluator reached")
+        return compile_formula(*args)._replace(run=refuse)
+
+    monkeypatch.setattr(dx.logic, "compile_formula", refusing)
     inst = Instance([Atom("E", (a, b))])
     assert query_answers(FOQuery("q", (x,), Exists(z, RelAtom("E", (x, z)))), inst) == {(a,)}
-    with pytest.raises(AssertionError, match="eval_fo reached"):
+    with pytest.raises(AssertionError, match="compiled evaluator reached"):
         query_answers(FOQuery("q", (x,), Forall(z, RelAtom("E", (x, z)))), inst)
 
 
@@ -359,18 +374,69 @@ def _random_formula(rng, depth, vars_in_scope):
     return Exists(var, inner) if roll < 0.85 else Forall(var, inner)
 
 
+def _random_guarded(rng, depth, scope):
+    """Formulas over U/1 and E/2 with constants, counting quantifiers (also
+    negated), and blocks of one or two quantifiers that are often guarded,
+    whose guard may repeat a variable and whose variables may shadow outer
+    ones, the free x among them."""
+    def atom(pool):
+        if rng.random() < 0.35:
+            return RelAtom("U", (rng.choice(pool),))
+        return RelAtom("E", (rng.choice(pool), rng.choice(pool)))
+
+    pool = [a, b] + scope
+    if depth == 0 or rng.random() < 0.25:
+        return atom(pool) if rng.random() < 0.75 else Eq(rng.choice(pool), rng.choice(pool))
+    roll = rng.random()
+    if roll < 0.12:
+        return Not(_random_guarded(rng, depth - 1, scope))
+    if roll < 0.3:
+        parts = tuple(_random_guarded(rng, depth - 1, scope) for _ in range(rng.randint(0, 3)))
+        return (And if roll < 0.21 else Or)(parts)
+    names = [x, z1, z2]
+    if roll < 0.4:
+        var, lo = rng.choice(names), rng.randint(0, 2)
+        count = CountExists(lo, lo + rng.randint(0, 2), var,
+                            _random_guarded(rng, depth - 1, scope + [var]))
+        return Not(count) if rng.random() < 0.5 else count
+    block = [rng.choice(names) for _ in range(rng.randint(1, 2))]
+    body = _random_guarded(rng, depth - 1, scope + block)
+    universal = roll < 0.7
+    if rng.random() < 0.75:
+        guard = atom([a] + block + block)
+        body = Or((Not(guard), body)) if universal else And((body, guard))
+    for var in reversed(block):
+        body = (Forall if universal else Exists)(var, body)
+    return body
+
+
+def _random_target(rng, values):
+    return Instance(
+        Atom("U", (rng.choice(values),)) if rng.random() < 0.3
+        else Atom(rng.choice("EF"), (rng.choice(values), rng.choice(values)))
+        for _ in range(rng.randint(0, 5))
+    )
+
+
 def test_eval_matches_ground_expansion_on_random_corpus():
     rng = random.Random(11)
-    checked = 0
-    while checked < 120:
-        body = _random_formula(rng, 3, [])
-        inst = Instance(
-            Atom("E", (rng.choice([a, b, c]), rng.choice([a, b, c])))
-            for _ in range(rng.randint(0, 4))
-        )
-        adom = active_domain(inst, body)
-        assert eval_fo(body, inst) == _ground_expand(body, inst, adom, {})
-        checked += 1
+    values = [a, b, c, Null("t", 1), Null("t", 2)]
+    for _ in range(1200):
+        free = [x, y][: rng.randint(0, 2)]
+        body = _random_guarded(rng, 3, free)
+        inst = _random_target(rng, values)
+        assignment = {v: rng.choice(values) for v in free}
+        expected = _ground_expand(body, inst, _adom(inst, body), assignment)
+        assert eval_fo(body, inst, assignment) == expected, (body, inst, assignment)
+    # whole queries, with and without the tuples to check
+    for _ in range(300):
+        sol = canonical_solution(gen_packed_mapping(rng), gen_source(rng, max_atoms=6))
+        q = gen_universal_query(rng, free_count=rng.randint(0, 2))
+        for inst in (sol, core_of(sol), _random_target(rng, values), Instance([])):
+            expected = _reference_answers(q, inst)
+            assert query_answers(q, inst) == expected, (q, inst)
+            among = {t for t in itertools.product(values + [d], repeat=q.width) if rng.random() < 0.5}
+            assert query_answers(q, inst, among) == expected & among, (q, inst, among)
 
 
 def test_prenex_preserves_meaning_on_nonempty_domains():

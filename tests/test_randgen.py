@@ -33,7 +33,7 @@ def test_three_way_names_the_evaluator_over_budget():
     result = three_way(m, s, q, Budget(0, 8, 2))
     evaluator, exc = result.skipped
     assert evaluator == "oracle"
-    assert str(exc) == "1 fresh values needed but only 0 in the universe"
+    assert str(exc) == "fresh-value universe exceeded its cap of 0 values (1 needed)"
     assert not result.agree
     result = three_way(m, s, q, Budget(2, 8, 2))
     assert result.skipped is None and result.agree and result.fast == {()}
