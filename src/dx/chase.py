@@ -34,23 +34,17 @@ class Trigger:
 
 
 def trigger_set(mapping: SchemaMapping, source: Instance) -> Tuple[Trigger, ...]:
-    """All (tgd, body-match) pairs, deduplicated, in deterministic order:
-    tgds in mapping order, matches in canonical value order."""
+    """All (tgd, body-match) pairs in deterministic order: tgds in mapping
+    order, matches in canonical value order.  The matcher visits each
+    sequence of body atoms once, and a binding of every body variable fixes
+    that sequence, so no binding repeats."""
     triggers: List[Trigger] = []
     for idx, tgd in enumerate(mapping.st_tgds):
         frontier = sorted(tgd.frontier_vars(), key=lambda v: v.name)
         rest_vars = sorted(tgd.body_vars() - tgd.frontier_vars(), key=lambda v: v.name)
-        seen = set()
-        matches = []
-        patterns = [(a.rel, a.terms) for a in tgd.body]
-        for bnd in match_conjunction(patterns, source):
-            key = tuple(bnd[v] for v in frontier) + tuple(bnd[v] for v in rest_vars)
-            if key in seen:
-                continue
-            seen.add(key)
-            matches.append(bnd)
-        matches.sort(
-            key=lambda bnd: tuple(value_key(bnd[v]) for v in frontier + rest_vars)
+        matches = sorted(
+            match_conjunction([(a.rel, a.terms) for a in tgd.body], source),
+            key=lambda bnd: tuple(value_key(bnd[v]) for v in frontier + rest_vars),
         )
         for bnd in matches:
             triggers.append(

@@ -303,12 +303,7 @@ def satisfies_conjunct(
                 return False
         return True
 
-    # only existence counts, so the atoms need no canonical order
-    by_rel: Dict[str, List[Atom]] = {}
-    for a in instance.atoms:
-        by_rel.setdefault(a.rel, []).append(a)
-    positives = list(conjunct.positives)
-    for bnd in match_conjunction(positives, instance, atoms_for=lambda r, _: by_rel.get(r, ())):
+    for bnd in match_conjunction(conjunct.positives, instance):
         if not loose:
             if check(bnd):
                 return True

@@ -1,6 +1,7 @@
 """First-order query AST, active-domain evaluation, and certain answers.
 
-Evaluation answers positive-existential bodies by index join.  Other
+Evaluation answers positive-existential bodies by index join, its
+relational atoms matched by ``model.match_conjunction``.  Other
 formulas are compiled once into closures that test each literal by one
 position-index probe and range a guarded quantifier block over the index
 matches of its guard atom instead of the whole domain.  Either way nulls
@@ -19,7 +20,7 @@ from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, 
                     Sequence, Set, Tuple, Union)
 
 from .errors import BudgetExceeded, DxError, UnboundVariable
-from .model import Atom, Const, Instance, Term, Value, Var, value_key
+from .model import Atom, Const, Instance, Term, Value, Var, match_conjunction, value_key
 
 ORACLE_NULL_CAP = 8
 
@@ -311,12 +312,7 @@ def _join(f: Formula, instance: Instance, adom: Tuple[Value, ...],
     """The bindings extending ``bnd`` under which every value of adom for
     each variable they leave unbound satisfies the positive formula ``f``."""
     if isinstance(f, RelAtom):
-        at = tuple(i for i, t in enumerate(f.terms) if not isinstance(t, Var) or t in bnd)
-        for a in instance.atoms_matching(f.rel, len(f.terms), at,
-                                         tuple(bnd.get(f.terms[i], f.terms[i]) for i in at)):
-            out = dict(bnd)
-            if all(out.setdefault(t, v) == v for t, v in zip(f.terms, a.args) if isinstance(t, Var)):
-                yield out
+        yield from match_conjunction([(f.rel, f.terms)], instance, bnd)
     elif isinstance(f, Eq):
         left, right = (bnd.get(t, t) for t in (f.left, f.right))
         if left == right:

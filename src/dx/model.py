@@ -5,13 +5,20 @@ freely; all operations are pure functions.  Nulls carry an explicit
 (scope, id) identity and fresh nulls are always drawn from a local
 :class:`NullAllocator`, never from global state, which keeps outputs
 deterministic for a given input ordering.
+
+There is one matcher, :func:`match_conjunction`: each pattern atom probes
+the instance's position index (:meth:`Instance.atoms_matching`) on its
+bound positions.  The chase, solution checks, query joins and
+:func:`find_homomorphism` all go through it; only ``corelib._shrink`` keeps
+its own null-first search, whose order decides which core comes out.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DxError, NotGround, UndefinedValue
 
@@ -110,24 +117,8 @@ def instance_key(instance: "Instance"):
 
 
 def atoms_isomorphic(a1: Atom, a2: Atom) -> bool:
-    """True iff the one-atom instances {a1} and {a2} are isomorphic.
-
-    Same relation and arity, constants pointwise equal, null positions
-    aligned, and the same equality pattern among the arguments.
-    """
-    if a1.rel != a2.rel or len(a1.args) != len(a2.args):
-        return False
-    for u, v in zip(a1.args, a2.args):
-        if isinstance(u, Const) != isinstance(v, Const):
-            return False
-        if isinstance(u, Const) and u != v:
-            return False
-    n = len(a1.args)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (a1.args[i] == a1.args[j]) != (a2.args[i] == a2.args[j]):
-                return False
-    return True
+    """True iff the one-atom instances {a1} and {a2} are isomorphic."""
+    return instances_isomorphic(Instance([a1]), Instance([a2]))
 
 
 # ---------------------------------------------------------------- instances
@@ -216,16 +207,29 @@ class Instance:
         self, rel: str, arity: int, positions: Tuple[int, ...], values: Tuple[Value, ...]
     ) -> Sequence[Atom]:
         """The atoms of ``rel`` and ``arity`` holding ``values`` at
-        ``positions``, in canonical order, from a table built on first use."""
-        if self._tables is None:
-            object.__setattr__(self, "_tables", {})
-        table = self._tables.get((rel, arity, positions))
+        ``positions``, in canonical order.  The instance is grouped by
+        relation once; a table on some positions is built from one group on
+        first use, and a key's atoms are sorted on its first probe."""
+        tables = self._tables
+        if tables is None:
+            tables = {}
+            for a in self.atoms:
+                tables.setdefault(a.rel, []).append(a)
+            object.__setattr__(self, "_tables", tables)
+        table = tables.get((rel, arity, positions))
         if table is None:
-            table = self._tables[rel, arity, positions] = {}
-            for a in self.sorted_atoms():
-                if a.rel == rel and len(a.args) == arity:
-                    table.setdefault(tuple(a.args[i] for i in positions), []).append(a)
-        return table.get(values, ())
+            table = tables[rel, arity, positions] = {}
+            if len(positions) > 1:
+                pick = itemgetter(*positions)
+            else:  # a slice of one position, or of none, is the key itself
+                pick = itemgetter(slice(positions[0], positions[0] + 1) if positions else slice(0))
+            for a in tables.get(rel, ()):
+                if len(a.args) == arity:
+                    table.setdefault(pick(a.args), []).append(a)
+        hits = table.get(values, ())
+        if type(hits) is list and len(hits) > 1:  # unsorted until now
+            hits = table[values] = tuple(sorted(hits, key=atom_key))
+        return hits
 
 
 # ---------------------------------------------------------------- schemas
@@ -413,47 +417,47 @@ def match_args(pattern: Sequence, args: Sequence[Value]) -> Optional[Dict]:
 
 
 def match_conjunction(
-    patterns: Sequence[Tuple[str, Tuple[Term, ...]]],
+    patterns: Iterable[Tuple[str, Tuple[Union[Term, Null], ...]]],
     instance: Instance,
-    binding: Optional[Dict[Var, Value]] = None,
-    atoms_for: Optional[Callable[[str, int], Iterable[Atom]]] = None,
-) -> Iterator[Dict[Var, Value]]:
+    binding: Optional[Mapping] = None,
+) -> Iterator[Dict]:
     """All extensions of ``binding`` that embed every pattern atom in I.
 
-    Patterns are (relation, terms) pairs with Var/Const terms.  Yields
-    bindings in a deterministic order (atoms of I in canonical order), or
-    in the order of ``atoms_for(relation, arity)``, if given.
+    Patterns are (relation, terms) pairs, read when the search first reaches
+    them.  A constant matches itself; any other term binds: a Var, or a Null
+    read as a variable.  Each pattern atom probes ``Instance.atoms_matching``
+    on its constant and already-bound positions and binds the rest (a
+    repeated term must agree), so bindings come out in the canonical order
+    of I's atoms, pattern by pattern.  It is the only conjunctive matcher;
+    ``corelib._shrink`` keeps its own null-first search, whose order picks
+    the retraction and so the core.
     """
     binding = dict(binding or {})
-    atoms_for = atoms_for or (lambda rel, arity: instance.atoms_matching(rel, arity, (), ()))
+    patterns, plan, bound = iter(patterns), [], set(binding)
 
-    def rec(i: int, bnd: Dict[Var, Value]) -> Iterator[Dict[Var, Value]]:
-        if i == len(patterns):
-            yield dict(bnd)
-            return
-        rel, terms = patterns[i]
-        for atom in atoms_for(rel, len(terms)):
-            if len(atom.args) != len(terms):
-                continue
-            local = {}
-            ok = True
-            for t, v in zip(terms, atom.args):
-                if isinstance(t, Const):
-                    if t != v:
-                        ok = False
-                        break
-                else:
-                    bound = bnd.get(t, local.get(t))
-                    if bound is None:
-                        local[t] = v
-                    elif bound != v:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            bnd.update(local)
-            yield from rec(i + 1, bnd)
-            for t in local:
+    def rec(i: int, bnd: Dict) -> Iterator[Dict]:
+        if i == len(plan):
+            pattern = next(patterns, None)
+            if pattern is None:
+                yield dict(bnd)
+                return
+            rel, terms = pattern
+            at = tuple(j for j, t in enumerate(terms) if isinstance(t, Const) or t in bound)
+            free = [(j, t) for j, t in enumerate(terms) if j not in at]
+            plan.append((rel, len(terms), at, [terms[j] for j in at], free))
+            bound.update(t for _, t in free)
+        rel, arity, at, keys, free = plan[i]
+        for atom in instance.atoms_matching(rel, arity, at, tuple([bnd.get(t, t) for t in keys])):
+            added = []
+            for j, t in free:
+                if t not in bnd:
+                    bnd[t] = atom.args[j]
+                    added.append(t)
+                elif bnd[t] != atom.args[j]:
+                    break
+            else:
+                yield from rec(i + 1, bnd)
+            for t in added:
                 del bnd[t]
 
     return rec(0, binding)
@@ -471,75 +475,30 @@ def find_homomorphism(
     """A mapping h legal for ``source`` with h(source) <= target, extending
     ``frozen``; None when no such homomorphism exists.
 
-    Complete backtracking search: nulls are assigned in order of descending
-    occurrence count, candidate images in canonical order.
+    The source atoms, their nulls read as variables, are matched into the
+    target by ``match_conjunction`` from the binding ``frozen`` plus the
+    identity on the constants; each next atom, chosen when the search first
+    needs it, is the one with the most values already bound (the first such
+    in canonical order).  ``require_injective`` takes the first match
+    that is injective on all its keys, constants and ``frozen`` included.
     """
-    assignment: Dict[Value, Value] = {}
-    for c in source.consts():
-        assignment[c] = c
-    if frozen:
-        for v, img in frozen.items():
-            if isinstance(v, Const) and img != v:
-                raise DxError("frozen map moves a constant")
-            if assignment.get(v, img) != img:
-                return None
-            assignment[v] = img
+    fixed: Dict[Value, Value] = {c: c for c in source.consts()}
+    for v, img in (frozen or {}).items():
+        if isinstance(v, Const) and img != v:
+            raise DxError("frozen map moves a constant")
+        fixed[v] = img
 
-    occurrences: Dict[Null, int] = {}
-    atoms_by_null: Dict[Null, list] = {}
-    for a in source.atoms:
-        for v in a.args:
-            if isinstance(v, Null):
-                occurrences[v] = occurrences.get(v, 0) + 1
-                atoms_by_null.setdefault(v, []).append(a)
+    def patterns() -> Iterator[Tuple[str, Tuple[Value, ...]]]:
+        bound, todo = set(fixed), list(source.sorted_atoms())
+        while todo:
+            i = max(range(len(todo)), key=lambda k: len(bound.intersection(todo[k].args)))
+            atom = todo.pop(i)
+            bound.update(atom.args)
+            yield atom.rel, atom.args
 
-    pending = [n for n in occurrences if n not in assignment]
-    pending.sort(key=lambda n: (-occurrences[n], value_key(n)))
-    candidates = sorted(target.dom(), key=value_key)
-
-    def atom_ok(atom: Atom, bnd: Dict[Value, Value]) -> bool:
-        img = []
-        for v in atom.args:
-            w = bnd.get(v)
-            if w is None:
-                return True  # not fully assigned yet
-            img.append(w)
-        return Atom(atom.rel, tuple(img)) in target
-
-    # atoms with no nulls (or only pre-assigned values) must map in right away
-    for a in source.atoms:
-        if all(v in assignment for v in a.args):
-            if not atom_ok(a, assignment):
-                return None
-
-    used = set(assignment[v] for v in assignment if isinstance(v, Null)) if require_injective else None
-    if require_injective:
-        used |= {assignment[c] for c in source.consts()}
-        if len(used) < len(source.consts()) + sum(
-            1 for v in assignment if isinstance(v, Null)
-        ):
-            return None
-
-    def rec(i: int) -> bool:
-        if i == len(pending):
-            return True
-        null = pending[i]
-        for cand in candidates:
-            if require_injective and cand in used:
-                continue
-            assignment[null] = cand
-            if all(atom_ok(a, assignment) for a in atoms_by_null[null]):
-                if require_injective:
-                    used.add(cand)
-                if rec(i + 1):
-                    return True
-                if require_injective:
-                    used.discard(cand)
-            del assignment[null]
-        return False
-
-    if rec(0):
-        return dict(assignment)
+    for h in match_conjunction(patterns(), target, fixed):
+        if not require_injective or len(set(h.values())) == len(h):
+            return h
     return None
 
 

@@ -8,13 +8,14 @@ from dx import (
     Const,
     Instance,
     Null,
+    Var,
     apply_map,
     atoms_isomorphic,
     find_homomorphism,
     instances_isomorphic,
 )
-from dx.errors import UndefinedValue
-from dx.model import value_key
+from dx.errors import DxError, UndefinedValue
+from dx.model import match_conjunction, value_key
 
 from fixtures import BLK_INSTANCE, E_SCHEMA, NAF_INSTANCE, instance
 
@@ -147,3 +148,192 @@ def test_instances_isomorphic_modulo_null_names():
     right = Instance([Atom("E", (a, Null("z", 9))), Atom("E", (Null("z", 9), Null("z", 4)))])
     assert instances_isomorphic(left, right)
     assert not instances_isomorphic(left, Instance([Atom("E", (a, n1)), Atom("E", (n2, n1))]))
+
+
+# ---------------------------------------------------------------- the matcher against references
+
+
+def _reference_match_conjunction(patterns, instance, binding=None):
+    """The scanning matcher: every atom of the pattern's relation, in
+    canonical order, for each pattern atom in turn."""
+    binding = dict(binding or {})
+
+    def rec(i, bnd):
+        if i == len(patterns):
+            yield dict(bnd)
+            return
+        rel, terms = patterns[i]
+        for atom in instance.sorted_atoms():
+            if atom.rel != rel or len(atom.args) != len(terms):
+                continue
+            local = {}
+            ok = True
+            for t, v in zip(terms, atom.args):
+                if isinstance(t, Const):
+                    ok = t == v
+                else:
+                    bound = bnd.get(t, local.get(t))
+                    if bound is None:
+                        local[t] = v
+                    else:
+                        ok = bound == v
+                if not ok:
+                    break
+            if not ok:
+                continue
+            bnd.update(local)
+            yield from rec(i + 1, bnd)
+            for t in local:
+                del bnd[t]
+
+    return rec(0, binding)
+
+
+_CONSTS = [a, b, c]
+_NULLS = [n1, n2, n3]
+_VARS = [Var("x"), Var("y"), Var("z")]
+_RELS = [("E", 2), ("F", 2), ("G", 1), ("E", 3)]
+
+
+def _random_atoms(rng, n, pool):
+    out = []
+    for _ in range(n):
+        rel, arity = rng.choice(_RELS)
+        out.append(Atom(rel, tuple(rng.choice(pool) for _ in range(arity))))
+    return out
+
+
+def _random_patterns(rng):
+    terms = _VARS * 2 + _CONSTS + _NULLS[:2]
+    patterns = []
+    for _ in range(rng.randint(0, 3)):
+        rel, arity = rng.choice(_RELS)
+        if rng.random() < 0.1:  # an arity no atom of rel has
+            arity = 4
+        patterns.append((rel, tuple(rng.choice(terms) for _ in range(arity))))
+    return patterns
+
+
+def test_match_conjunction_matches_the_scan():
+    rng = random.Random(20261019)
+    checked = nonempty = 0
+    for _ in range(1500):
+        inst = Instance(_random_atoms(rng, rng.randint(0, 20), _CONSTS + _NULLS))
+        patterns = _random_patterns(rng)
+        binding = None
+        if rng.random() < 0.4:
+            keys = rng.sample(_VARS + _NULLS[:2], rng.randint(1, 2))
+            binding = {k: rng.choice(_CONSTS + _NULLS + [Const("d")]) for k in keys}
+        got = list(match_conjunction(patterns, inst, binding))
+        assert got == list(_reference_match_conjunction(patterns, inst, binding)), (patterns, inst, binding)
+        checked += 1
+        nonempty += bool(got) and bool(patterns)
+    assert checked == 1500 and nonempty > 200
+
+
+def test_match_conjunction_edge_cases():
+    inst = Instance([Atom("E", (a, n1)), Atom("E", (n1, n1)), Atom("E", (a, b, c))])
+    x, y = Var("x"), Var("y")
+    assert list(match_conjunction([], inst)) == [{}]
+    assert list(match_conjunction([], inst, {x: a})) == [{x: a}]
+    assert list(match_conjunction([], Instance([]))) == [{}]
+    assert list(match_conjunction([("E", (x, y))], Instance([]))) == []
+    assert list(match_conjunction([("E", (x, x))], inst)) == [{x: n1}]
+    assert list(match_conjunction([("E", (a, x, y))], inst)) == [{x: b, y: c}]
+    assert list(match_conjunction([("E", (x,))], inst)) == []
+    # a null in a pattern is a variable, not the null itself
+    assert list(match_conjunction([("E", (n2, n1))], inst)) == [{n2: a, n1: n1}, {n2: n1, n1: n1}]
+    assert list(match_conjunction([("E", (x, y))], inst, {y: b})) == []
+
+
+def test_atoms_matching_buckets_are_slices_of_the_canonical_order():
+    rng = random.Random(77)
+    for trial in range(200):
+        inst = Instance(_random_atoms(rng, rng.randint(0, 15), _CONSTS + _NULLS))
+        probes = [(rel, arity, at) for rel, arity in _RELS + [("H", 2)]
+                  for k in range(arity + 1) for at in itertools.combinations(range(arity), k)]
+        rng.shuffle(probes)  # the tables must not depend on which is built first
+        for rel, arity, at in probes:
+            keys = {tuple(v for v in vals) for vals in itertools.product(_CONSTS + _NULLS, repeat=len(at))}
+            for key in sorted(keys, key=lambda t: [value_key(v) for v in t]):
+                expected = [x for x in inst.sorted_atoms() if x.rel == rel and len(x.args) == arity
+                            and all(x.args[i] == v for i, v in zip(at, key))]
+                assert list(inst.atoms_matching(rel, arity, at, key)) == expected, (trial, rel, at, key)
+
+
+def _brute_force_homomorphism(source, target, frozen, injective):
+    """Whether a map extending ``frozen`` and fixing the constants takes
+    ``source`` into ``target``, by trying every image in dom(target)."""
+    fixed = {v: v for v in source.consts()}
+    fixed.update(frozen or {})
+    free = sorted(source.nulls() - set(fixed), key=value_key)
+    for images in itertools.product(sorted(target.dom(), key=value_key), repeat=len(free)):
+        h = {**fixed, **dict(zip(free, images))}
+        if injective and len(set(h.values())) < len(h):
+            continue
+        if apply_map(h, source).subset_of(target):
+            return True
+    return False
+
+
+def _check_homomorphism(source, target, frozen, injective):
+    h = find_homomorphism(source, target, frozen=frozen, require_injective=injective)
+    assert (h is not None) == _brute_force_homomorphism(source, target, frozen, injective), (
+        source, target, frozen, injective)
+    if h is not None:
+        assert all(h[k] == v for k, v in (frozen or {}).items())
+        assert all(h[k] == k for k in source.consts())
+        assert apply_map(h, source).subset_of(target)
+        if injective:
+            assert len(set(h.values())) == len(h)
+    return h is not None
+
+
+def test_find_homomorphism_matches_brute_force():
+    rng = random.Random(4321)
+    target_nulls = [Null("u", i) for i in range(3)]
+    found = {False: 0, True: 0}
+    for _ in range(400):
+        source = Instance(_random_atoms(rng, rng.randint(0, 4), _CONSTS[:2] + _NULLS))
+        target = Instance(_random_atoms(rng, rng.randint(0, 10), _CONSTS + target_nulls))
+        frozens = [None]
+        nulls = sorted(source.nulls(), key=value_key)
+        if nulls:
+            pool = sorted(target.dom() | {Const("d")}, key=value_key)
+            # a random one, often conflicting, and one that extends a found map
+            frozens.append({nl: rng.choice(pool) for nl in rng.sample(nulls, rng.randint(1, len(nulls)))})
+            h = find_homomorphism(source, target)
+            if h is not None:
+                frozens.append({nulls[0]: h[nulls[0]], Null("w", 9): a})
+        for frozen in frozens:
+            for injective in (False, True):
+                found[_check_homomorphism(source, target, frozen, injective)] += 1
+    assert found[True] > 200 and found[False] > 600
+    with pytest.raises(DxError):
+        find_homomorphism(Instance([Atom("E", (a, n1))]), Instance([Atom("E", (b, b))]), frozen={a: b})
+
+
+def test_instances_isomorphic_on_renamings_and_changes():
+    rng = random.Random(99)
+    changed_apart = 0
+    for _ in range(150):
+        left = Instance(_random_atoms(rng, rng.randint(1, 6), _CONSTS[:2] + _NULLS))
+        fresh = [Null("r", i) for i in range(len(_NULLS))]
+        rng.shuffle(fresh)
+        renaming = {**{v: v for v in left.consts()}, **dict(zip(_NULLS, fresh))}
+        renamed = Instance(Atom(x.rel, tuple(renaming.get(v, v) for v in x.args)) for x in left.atoms)
+        assert instances_isomorphic(left, renamed)
+        assert instances_isomorphic(renamed, left)
+        victim = rng.choice(left.sorted_atoms())
+        pool = sorted(left.dom() | {c}, key=value_key)
+        i = rng.randrange(len(victim.args))
+        args = list(victim.args)
+        args[i] = rng.choice([v for v in pool if v != args[i]])
+        changed = renamed.minus([Atom(victim.rel, tuple(renaming[v] for v in victim.args))]).union(
+            Instance([Atom(victim.rel, tuple(renaming.get(v, v) for v in args))]))
+        iso = len(changed) == len(left) and any(
+            apply_map({**renaming, **dict(zip(_NULLS, perm))}, left) == changed
+            for perm in itertools.permutations(fresh))
+        assert instances_isomorphic(left, changed) == iso
+        changed_apart += not iso
+    assert changed_apart > 100
