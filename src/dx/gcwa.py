@@ -20,7 +20,9 @@ the fast backend and ``_GeneralEvaluator`` the general one.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -677,23 +679,21 @@ class _GeneralEvaluator:
         self._cache: Dict[Tuple[FrozenSet[Const], int], tuple] = {}
 
     def _reps(self, base: FrozenSet[Const], fresh_count: int):
+        """The minimal images over base + fresh constants, as a bitset of
+        their ids, each atom's and each fresh constant's holders among them
+        as such a bitset, and the fresh constants."""
         key = (base, fresh_count)
         if key in self._cache:
             return self._cache[key]
         fresh = tuple(Const(f"#b{i + 1}") for i in range(fresh_count))
-        images = legal_images(self.core, base | set(fresh), self.valuation_cap)
+        codec, images = legal_images(self.core, base | set(fresh), self.valuation_cap)
         minimal = _minimal_images(images)
-        visible: List[FrozenSet[Atom]] = [
-            frozenset(a for a in rep.atoms if a.is_ground) for rep in minimal
-        ]
-        atom_index: Dict[Atom, Set[int]] = {}
-        value_index: Dict[Value, Set[int]] = {}
-        for idx, rep in enumerate(minimal):
-            for a in visible[idx]:
-                atom_index.setdefault(a, set()).add(idx)
-            for v in rep.dom():
-                value_index.setdefault(v, set()).add(idx)
-        result = (minimal, visible, atom_index, value_index, fresh)
+        holders = codec.holders(minimal)
+        fresh_holders = {
+            b: functools.reduce(operator.or_, [h for a, h in holders.items() if b in a.args], 0)
+            for b in fresh
+        }
+        result = ((1 << len(minimal)) - 1, holders, fresh_holders, fresh)
         self._cache[key] = result
         return result
 
@@ -711,61 +711,32 @@ class _GeneralEvaluator:
         base = frozenset(
             set(self.core.consts()) | set(conjunct.consts()) | set(context)
         )
-        minimal, visible, atom_index, value_index, fresh = self._reps(base, len(ys))
-        if not minimal:
-            return False
-        all_ids = frozenset(range(len(minimal)))
+        every, holders, fresh_holders, fresh = self._reps(base, len(ys))
         base_values = sorted(base, key=value_key)
-        dirty_cache: Dict[FrozenSet[Atom], FrozenSet[int]] = {}
 
         def ground(term: Term, beta: Dict[Var, Const]) -> Const:
             return term if isinstance(term, Const) else beta[term]
-
-        def dirty_for(negated: FrozenSet[Atom]) -> FrozenSet[int]:
-            if negated not in dirty_cache:
-                bad: Set[int] = set()
-                for atom in negated:
-                    bad |= atom_index.get(atom, set())
-                dirty_cache[negated] = frozenset(bad)
-            return dirty_cache[negated]
-
-        def clean_member_exists(ids: Set[int], dirty: FrozenSet[int]) -> bool:
-            if not ids:
-                return False
-            if not dirty:
-                return True
-            return any(i not in dirty for i in ids)
 
         def check(beta: Dict[Var, Const]) -> bool:
             for l, r in conjunct.disequalities:
                 if ground(l, beta) == ground(r, beta):
                     return False
-            negated = frozenset(
-                Atom(rel, tuple(ground(t, beta) for t in terms))
-                for rel, terms in conjunct.negatives
-            )
-            dirty = dirty_for(negated)
-            if len(dirty) == len(minimal):
+            # the members whose atoms avoid the negated facts; with none
+            # left no union is a witness, else the union has a member
+            clean = every
+            for rel, terms in conjunct.negatives:
+                clean &= ~holders.get(Atom(rel, tuple(ground(t, beta) for t in terms)), 0)
+            if not clean:
                 return False
             covered_fresh: Set[Const] = set()
             for rel, terms in conjunct.positives:
                 atom = Atom(rel, tuple(ground(t, beta) for t in terms))
-                if not clean_member_exists(atom_index.get(atom, set()), dirty):
+                if not holders.get(atom, 0) & clean:
                     return False
-                covered_fresh.update(v for v in atom.args if v in fresh_set)
-            loose = {
-                beta[v] for v in ys if beta[v] in fresh_set
-            } - covered_fresh
-            for b in loose:
-                if not clean_member_exists(value_index.get(b, set()), dirty):
-                    return False
-            if not conjunct.positives and not loose:
-                # still need at least one member in the union
-                if not clean_member_exists(set(all_ids), dirty):
-                    return False
-            return True
+                covered_fresh.update(v for v in atom.args if v in fresh_holders)
+            loose = {beta[v] for v in ys if beta[v] in fresh_holders} - covered_fresh
+            return all(fresh_holders[b] & clean for b in loose)
 
-        fresh_set = set(fresh)
         ys_list = list(ys)
 
         def assign(i: int, beta: Dict[Var, Const], used_fresh: int) -> bool:

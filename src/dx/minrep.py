@@ -1,18 +1,22 @@
 """Representatives of the minimal possible worlds of an instance.
 
 ``legal_images`` enumerates the images of the legal self-maps into dom(T)
-plus a constant pool one atom block at a time and joins the minimal block
-images; ``enum_min_c`` keeps the subset-minimal joins for the oracle, and
-the general evaluator does the same over its own pool.  The enumeration is
-exponential in the number of nulls of a block and is gated by a product cap
-on the number of maps of all nulls.  The per-block variant only remaps the
-nulls of one atom block and is polynomial for a fixed per-block null bound;
-it feeds the fast path, each representative a delta on the instance.
+plus a constant pool one atom block at a time, as int masks over one
+``AtomMasks`` numbering of the block images' atoms, and joins the minimal
+block images by OR.  ``_minimal_images`` is the one subset-minimality filter,
+on masks; ``enum_min_c`` decodes its output for the oracle, and the general
+evaluator reads the masks directly.  The enumeration is exponential in the
+number of nulls of a block and is gated by a product cap on the number of
+maps of all nulls.  The per-block variant only remaps the nulls of one atom
+block and is polynomial for a fixed per-block null bound; it feeds the fast
+path, each representative a delta on the instance.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
@@ -27,13 +31,13 @@ from .corelib import (
 )
 from .model import (
     Atom,
+    AtomMasks,
     Const,
     Instance,
     Null,
     Value,
-    apply_map,
-    atom_key,
     instance_key,
+    mask_key,
     match_args,
     value_key,
 )
@@ -51,47 +55,56 @@ class MinRepSet:
     scope: Union[str, int]  # "whole" or a block index
 
 
-def _minimal_images(images: Iterable[Instance]) -> List[Instance]:
-    """Subset-minimal members, smallest first (in ``instance_key`` order).
+def _minimal_images(masks: Iterable[int]) -> List[int]:
+    """The subset-minimal masks, each once, smallest first (in ``mask_key``,
+    that is ``instance_key``, order).
 
-    A proper subset is strictly smaller and its first atom occurs in the
-    candidate, so each candidate is only compared against the smaller kept
-    images anchored at one of its atoms.
+    A mask is minimal iff every smaller kept mask has a bit outside it.
+    ``holders[i]`` is the set of kept masks with bit i, as an int with one
+    bit per kept mask.  Each size class reads the kept masks of the smaller
+    ones through one table per hex digit of bit positions, which maps a
+    digit of a mask's complement to the kept masks with a bit there.
     """
-    distinct = set(images)
-    atom_keys: Dict[Atom, tuple] = {}
-    for img in distinct:
-        for a in img.atoms:
-            if a not in atom_keys:
-                atom_keys[a] = atom_key(a)
-    keyed = sorted(
-        ((len(img), tuple(sorted(atom_keys[a] for a in img.atoms))), img)
-        for img in distinct
-    )
-    if keyed and not keyed[0][1].atoms:
-        return [keyed[0][1]]  # the empty instance is anchored nowhere
-    atom_of = {k: a for a, k in atom_keys.items()}
-    kept: List[Instance] = []
-    by_anchor: Dict[Atom, List[FrozenSet[Atom]]] = {}
-    for _, same_size in itertools.groupby(keyed, key=lambda pair: pair[0][0]):
-        new = []
-        for (_, keys), img in same_size:
-            contains = img.atoms.issuperset
-            if not any(any(map(contains, by_anchor.get(a, ()))) for a in img.atoms):
-                new.append((keys[0], img))
-        for first, img in new:
-            by_anchor.setdefault(atom_of[first], []).append(img.atoms)
-            kept.append(img)
+    ordered = sorted(set(masks), key=mask_key)
+    width = -(-max(ordered, default=0).bit_length() // 4) * 4  # whole hex digits
+    binary, hexes, full = f"0{width}b", f"0{width // 4}x", (1 << width) - 1
+    holders = [0] * width
+    kept: List[int] = []
+    for _, same_size in itertools.groupby(ordered, key=int.bit_count):
+        new = list(same_size)
+        if kept:
+            every = (1 << len(kept)) - 1
+            tables = [_digit_table(holders[i - 4 : i]) for i in range(width, 0, -4)]
+            new = [
+                w for w in new
+                if functools.reduce(operator.or_, map(
+                    operator.getitem, tables, format(full ^ w, hexes)
+                ), 0) == every
+            ]
+        # digit k of a mask is bit width-1-k; the new masks take the low bits
+        for i, column in zip(range(width - 1, -1, -1), zip(*[format(w, binary) for w in new])):
+            holders[i] = holders[i] << len(new) | int("".join(column), 2)
+        kept += new
     return kept
+
+
+def _digit_table(holders: Sequence[int]) -> Dict[str, int]:
+    """The union of ``holders[k]`` over the bits k of each hex digit."""
+    table = [0] * 16
+    for v in range(1, 16):
+        low = v & -v
+        table[v] = table[v ^ low] | holders[low.bit_length() - 1]
+    return dict(zip("0123456789abcdef", table))
 
 
 def legal_images(
     instance: Instance,
     constants: Iterable[Const],
     product_cap: int = ENUM_PRODUCT_CAP,
-) -> Set[Instance]:
+) -> Tuple[AtomMasks, Set[int]]:
     """The images f(T), over the legal maps f that send each null of T into
-    dom(T) + constants and fix its constants, that can be subset-minimal.
+    dom(T) + constants and fix its constants, that can be subset-minimal, as
+    masks over the atoms of the block images.
 
     Atom blocks share no nulls, so f(T) is the union of one image per block,
     and it contains the union of minimal block images below those.  Hence
@@ -106,18 +119,21 @@ def legal_images(
             f"legal-map enumeration exceeded its cap of {product_cap} maps"
             f" ({len(pool)}^{len(nulls)} needed)"
         )
-    per_block: List[List[FrozenSet[Atom]]] = []
+    per_block: List[Set[FrozenSet[Atom]]] = []
     for block in atom_blocks(instance).blocks:
         block_nulls = sorted(block.nulls(), key=value_key)
+        f: Dict[Value, Value] = {c: c for c in block.consts()}
         images = set()
         for choice in itertools.product(pool, repeat=len(block_nulls)):
-            f: Dict[Value, Value] = {c: c for c in block.consts()}
             f.update(zip(block_nulls, choice))
-            images.add(apply_map(f, block))
-        per_block.append([img.atoms for img in _minimal_images(images)])
-    return {
-        Instance(frozenset().union(*parts)) for parts in itertools.product(*per_block)
-    }
+            images.add(frozenset([Atom(a.rel, tuple([f[v] for v in a.args])) for a in block.atoms]))
+        per_block.append(images)
+    codec = AtomMasks(a for images in per_block for img in images for a in img)
+    unions = {0}
+    for images in per_block:
+        minimal = _minimal_images(map(codec.encode, images))
+        unions = {u | m for u in unions for m in minimal}
+    return codec, unions
 
 
 def enum_min_c(
@@ -127,8 +143,9 @@ def enum_min_c(
 ) -> MinRepSet:
     """All subset-minimal images f(T) over legal maps f: dom(T) -> dom(T)+C."""
     constants = tuple(sorted(set(constants), key=value_key))
-    images = legal_images(instance, constants, product_cap)
-    return MinRepSet(instance, constants, tuple(_minimal_images(images)), "whole")
+    codec, images = legal_images(instance, constants, product_cap)
+    reps = tuple(map(codec.decode, _minimal_images(images)))
+    return MinRepSet(instance, constants, reps, "whole")
 
 
 class BlockRep(Image):
@@ -200,7 +217,8 @@ def _block_reps(
     # compare as their fresh-atom sets do; equal sizes make all minimal
     minimal = set(fresh_sets)
     if len({len(s) for s in minimal}) > 1:
-        minimal = {img.atoms for img in _minimal_images(Instance(s) for s in minimal)}
+        codec = AtomMasks(a for s in minimal for a in s)
+        minimal = {codec.decode(w).atoms for w in _minimal_images(map(codec.encode, minimal))}
     reps: List[BlockRep] = []
     for fresh in dict.fromkeys(fresh_sets):
         if fresh not in minimal:

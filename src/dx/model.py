@@ -116,6 +116,40 @@ def instance_key(instance: "Instance"):
     return (len(instance), tuple(atom_key(a) for a in instance.sorted_atoms()))
 
 
+def mask_key(w: int):
+    """``instance_key`` order on the masks of one ``AtomMasks``."""
+    return w.bit_count(), -w
+
+
+class AtomMasks:
+    """Sets of atoms as int masks: bit n-1-i stands for the i-th of the n
+    atoms in ``atom_key`` order.  ``m`` is inside ``u`` iff ``u | m == u``,
+    the binary digits list the atoms in order, and of two masks of one size
+    the larger comes first, so ``mask_key`` sorts as ``instance_key`` does."""
+
+    def __init__(self, atoms: Iterable[Atom]):
+        self.atoms = tuple(sorted(set(atoms), key=atom_key))
+        n = len(self.atoms)
+        self.bit = {a: 1 << (n - 1 - i) for i, a in enumerate(self.atoms)}
+        # a union of one-atom sets reuses the atoms' stored hashes
+        self._singletons = [frozenset([a]) for a in self.atoms]
+        self._digits = f"0{n}b"  # n = 0 still formats one digit, "0"
+
+    def encode(self, atoms: Iterable[Atom]) -> int:
+        """The mask of a set of the numbered atoms."""
+        return sum(map(self.bit.__getitem__, atoms))
+
+    def decode(self, w: int) -> "Instance":
+        digits = format(w, self._digits)
+        return Instance(frozenset().union(*[s for s, d in zip(self._singletons, digits) if d == "1"]))
+
+    def holders(self, masks: Sequence[int]) -> Dict[Atom, int]:
+        """Each atom's holders among ``masks`` as an int, whose bit
+        len(masks)-1-j stands for masks[j]."""
+        columns = zip(*[format(w, self._digits) for w in masks])
+        return {a: int("".join(col), 2) for a, col in zip(self.atoms, columns)}
+
+
 def atoms_isomorphic(a1: Atom, a2: Atom) -> bool:
     """True iff the one-atom instances {a1} and {a2} are isomorphic."""
     return instances_isomorphic(Instance([a1]), Instance([a2]))

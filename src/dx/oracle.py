@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, UnsupportedSemantics
 from . import chase
@@ -41,6 +41,7 @@ from .logic import (
 from .minrep import enum_min_c
 from .model import (
     Atom,
+    AtomMasks,
     Const,
     Instance,
     SchemaMapping,
@@ -50,6 +51,7 @@ from .model import (
     apply_map,
     atom_key,
     instance_key,
+    mask_key,
     match_conjunction,
     value_key,
 )
@@ -406,20 +408,12 @@ def _union_masks(
     Each round joins every union the last round found (at first, the
     distinct members within ``max_atoms``, in ``instance_key`` order) with
     every such member; ``work`` counts the joins.  More than 40 × ``cap``
-    joins or ``cap`` unions raise ``BudgetExceeded``.  A union is an int
-    whose bit n-1-i stands for the i-th of the n atoms in ``atom_key``
-    order: ``m`` is inside ``u`` iff ``u | m == u``, the binary digits list
-    the atoms in order, and of two masks of one size the larger comes first.
+    joins or ``cap`` unions raise ``BudgetExceeded``.  The masks number
+    the atoms as ``AtomMasks`` does.
     """
     kept = {m.atoms for m in members if len(m) <= max_atoms}
-    atoms = tuple(sorted({a for m in kept for a in m}, key=atom_key))
-    n = len(atoms)
-    bit = {a: 1 << (n - 1 - i) for i, a in enumerate(atoms)}
-
-    def order(w: int) -> Tuple[int, int]:
-        return w.bit_count(), -w
-
-    base = sorted((sum(bit[a] for a in m) for m in kept), key=order)
+    codec = AtomMasks(a for m in kept for a in m)
+    base = sorted(map(codec.encode, kept), key=mask_key)
     seen = set(base)
     frontier = base
     work_cap = 40 * cap
@@ -440,20 +434,7 @@ def _union_masks(
             if len(joins) < len(base):
                 raise BudgetExceeded(f"union closure exceeded its work cap of {work_cap} steps")
         frontier = nxt
-    return atoms, sorted(seen, key=order)
-
-
-def _decoder(atoms: Sequence[Atom]) -> Callable[[int], Instance]:
-    """The instance of a mask over ``atoms`` (bit n-1-i is atom i)."""
-    # a union of one-atom sets reuses the atoms' stored hashes
-    singletons = [frozenset([a]) for a in atoms]
-    empty: FrozenSet[Atom] = frozenset()
-    digits = f"0{len(atoms)}b"
-
-    def decode(w: int) -> Instance:
-        return Instance(empty.union(*[s for s, d in zip(singletons, format(w, digits)) if d == "1"]))
-
-    return decode
+    return codec.atoms, sorted(seen, key=mask_key)
 
 
 def _union_closure(
@@ -461,7 +442,7 @@ def _union_closure(
 ) -> List[Instance]:
     """The unions of ``_union_masks`` as instances, in the same order."""
     atoms, masks = _union_masks(members, max_atoms, cap)
-    return list(map(_decoder(atoms), masks))
+    return list(map(AtomMasks(atoms).decode, masks))
 
 
 def _is_union_of(instance: Instance, members: Sequence[Instance]) -> bool:
@@ -547,7 +528,7 @@ def _gcwa_star_masks(
     fix = tstar_fixpoint(mapping, source, budget, extra_constants)
     atoms, masks = _union_masks(list(fix.family.instances), budget.max_atoms)
     if not mapping.is_st_only():  # st-tgds survive unions, other constraints need not
-        decode = _decoder(atoms)
+        decode = AtomMasks(atoms).decode
         masks = [w for w in masks if chase.is_solution(mapping, source, decode(w))]
     return fix, atoms, masks
 
@@ -563,7 +544,7 @@ def gcwa_star_solutions(
     meta = dict(fix.family.meta)
     meta["tstar_size"] = len(fix.family)
     meta["converged"] = fix.converged
-    return SolutionFamily(tuple(map(_decoder(atoms), masks)), "gcwa_star", meta)
+    return SolutionFamily(tuple(map(AtomMasks(atoms).decode, masks)), "gcwa_star", meta)
 
 
 def is_gcwa_star_solution(
@@ -600,22 +581,21 @@ def _query_views(q: FOQuery, atoms: Sequence[Atom], masks: Iterable[int]) -> Ite
     only on the atoms of the relations q names and on dom(I) + dom(q), so the
     view is the mask of those atoms and the values the union touches."""
     rels = {g.rel for g in subformulas(q.body) if isinstance(g, RelAtom)}
+    codec = AtomMasks(atoms)
     seen_bits = 0
     value_bits: Dict[Value, int] = {}
-    for i, a in enumerate(atoms):
-        bit = 1 << (len(atoms) - 1 - i)
+    for a, bit in codec.bit.items():
         if a.rel in rels:
             seen_bits |= bit
         for v in a.args:
             value_bits[v] = value_bits.get(v, 0) | bit
     values = list(value_bits.values())
-    decode = _decoder(atoms)
     views: Set[Tuple[int, Tuple[bool, ...]]] = set()
     for w in masks:
         view = (w & seen_bits, tuple(w & b != 0 for b in values))
         if view not in views:
             views.add(view)
-            yield decode(w)
+            yield codec.decode(w)
 
 
 def _intersect(

@@ -93,6 +93,20 @@ TRIAL141_MAP = (
 TRIAL141_SRC = "P(a).\nP(b).\nR(a,c).\nR(c,b).\n"
 TRIAL141_QUERY = "q(x1) := forall u1: E(b,x1).\n"
 
+# the agree_random benchmark's slowest triple for the general evaluator
+# (corpus seed 2, triple 59 counted from 0, constants not renamed): a packed
+# core of four nulls in three blocks, whose minimal images over the pool the
+# general evaluator uses number 1 771
+AGREE59_MAP = (
+    "source P/1, R/2.\n"
+    "target E/2, F/2, U/1.\n"
+    "tgd R(x,y) -> exists z1, z2: E(x,z1), F(z1,z2), U(z1).\n"
+    "tgd R(x,y) -> exists z1: E(x,z1), E(z1,y).\n"
+)
+AGREE59_SRC = "P(a).\nR(a,a).\nR(a,b).\n"
+AGREE59_QUERY = "q() := forall u1: E(u1,u1) /\\ E(u1,u1).\n"
+AGREE59_CORE = "E(a,_2). E(a,_4). E(a,_5). E(_4,a). E(_5,b). F(_2,_3). U(_2)."
+
 E_SCHEMA = Schema.of({"E": 2})
 
 

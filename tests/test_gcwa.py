@@ -13,13 +13,16 @@ from dx import (
     answers_owa_homclosed,
     answers_semantics,
     core_solution,
+    enum_min_c,
     eval_gcwa_star_universal,
     eval_gcwa_star_universal_general,
+    instances_isomorphic,
     normalize_negation,
     parse_query,
     specialize,
 )
 from dx.errors import (
+    BudgetExceeded,
     NotHomomorphismClosed,
     NotUniversal,
     PreconditionViolated,
@@ -48,6 +51,10 @@ from dx.randgen import (
 from dx.textio import SourceText
 
 from fixtures import (
+    AGREE59_CORE,
+    AGREE59_MAP,
+    AGREE59_QUERY,
+    AGREE59_SRC,
     CLQ_MAP,
     CLQ_QUERY,
     COPY_MAP,
@@ -63,6 +70,7 @@ from fixtures import (
     LEQ_QUERY,
     LEQ_SRC,
     NAF_INSTANCE,
+    PE_MAP,
     E_SCHEMA,
     clique_source,
     instance,
@@ -526,6 +534,71 @@ def test_general_rejects_target_constraints():
     q = parse_query(SourceText("q() := forall z: E(z,z) -> z = a."), m.target)
     with pytest.raises(PreconditionViolated):
         eval_gcwa_star_universal_general(m, s, q, ())
+
+
+def _general_and_fast(mapping_text, source_text, query_text):
+    """The general evaluator's answers, checked against the fast path's."""
+    m = mapping(mapping_text)
+    s = instance(source_text, m.source)
+    q = query(query_text, m.target)
+    general = answers_gcwa_star_universal_general(m, s, q)
+    assert answers_gcwa_star_universal(core_solution(m, s), q) == general, query_text
+    return general
+
+
+def test_general_on_a_core_with_no_atoms():
+    m = mapping(PE_MAP)
+    assert len(core_solution(m, instance("", m.source))) == 0
+    assert _general_and_fast(PE_MAP, "", "q() := forall u: ~E(u,u).") == {()}
+    assert _general_and_fast(PE_MAP, "", "q() := forall u: E(u,u).") == {()}
+    assert _general_and_fast(PE_MAP, "", "q() := forall u: E(u,a).") == set()
+
+
+def test_general_on_a_ground_core():
+    copy, src = COPY_MAP, "R(a,b). R(b,b)."
+    assert core_solution(mapping(copy), instance(src, mapping(copy).source)).is_ground
+    assert _general_and_fast(copy, src, "q(x) := forall y: ~Rp(y,x) \\/ Rp(x,x).") == {(a,), (b,)}
+    assert _general_and_fast(copy, src, "q(x) := forall y: Rp(x,y).") == set()
+    assert _general_and_fast(
+        copy, src, "q(x,y) := forall z: Rp(x,y) /\\ (Rp(x,z) -> z = y)."
+    ) == {(a, b), (b, b)}
+
+
+def test_general_conjunct_with_only_negated_atoms():
+    # the negated query is one conjunct with no positive literal: a witness
+    # union needs a member avoiding the negated facts and nothing else
+    copy, src = COPY_MAP, "R(a,b). R(b,b)."
+    for text in ("q() := forall u: Rp(u,u).", "q() := Rp(a,b)."):
+        (template,) = normalize_negation(query(text, mapping(copy).target))
+        assert template.negatives and not template.positives
+    assert _general_and_fast(copy, src, "q() := forall u: Rp(u,u).") == set()  # Rp(a,a) avoidable
+    assert _general_and_fast(copy, src, "q() := Rp(a,b).") == {()}  # every member holds it
+    # with no atoms, the fresh witness value is in no member
+    assert _general_and_fast(PE_MAP, "", "q() := forall u: forall v: E(u,v).") == {()}
+
+
+def test_general_cap_message_is_unchanged():
+    # three two-null blocks: 9 core values and one fresh constant, 10^6 maps
+    m = mapping("source P/1. target E/2. tgd P(x) -> exists z1, z2: E(x,z1), E(z1,z2).")
+    s = instance("P(a). P(b). P(c).", m.source)
+    q = query("q() := forall u: ~E(u,u).", m.target)
+    with pytest.raises(BudgetExceeded) as exc:
+        answers_gcwa_star_universal_general(m, s, q)
+    assert str(exc.value) == (
+        "legal-map enumeration exceeded its cap of 400000 maps (10^6 needed)"
+    )
+
+
+def test_general_matches_fast_on_the_slowest_agree_random_core():
+    m = mapping(AGREE59_MAP)
+    s = instance(AGREE59_SRC, m.source)
+    core = core_solution(m, s)
+    assert instances_isomorphic(core, instance(AGREE59_CORE, m.target))
+    assert _general_and_fast(AGREE59_MAP, AGREE59_SRC, AGREE59_QUERY) == set()
+    # the minimal images over the core's constants, and with the one fresh
+    # constant the general evaluator adds for the query's variable
+    assert len(enum_min_c(core, {a, b}).representatives) == 906
+    assert len(enum_min_c(core, {a, b, Const("#b1")}).representatives) == 1771
 
 
 def test_logical_equivalence_invariance():

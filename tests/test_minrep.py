@@ -23,8 +23,8 @@ from dx import (
 from dx.corelib import core_retract_fixing
 from dx.errors import BudgetExceeded, PreconditionViolated
 from dx.logic import fresh_constants
-from dx.minrep import BlockRep, all_block_reps, block_reps
-from dx.model import instance_key, value_key
+from dx.minrep import BlockRep, _minimal_images, all_block_reps, block_reps
+from dx.model import AtomMasks, instance_key, mask_key, value_key
 from dx.randgen import gen_packed_mapping, gen_source
 
 from fixtures import (
@@ -394,3 +394,58 @@ def test_enum_min_c_matches_reference():
                 with pytest.raises(BudgetExceeded):
                     enum_min_c(inst, constants, product_cap=maps - 1)
     assert compared >= 60
+
+
+# ------------------------------------------------------------- mask filter reference
+
+
+def _random_atoms(rng, count):
+    values = [a, b, c] + [Null("m", i) for i in range(4)]
+    atoms = set()
+    while len(atoms) < count:
+        rel = rng.choice("EFU")
+        arity = 1 if rel == "U" else 2
+        atoms.add(Atom(rel, tuple(rng.choice(values) for _ in range(arity))))
+    return AtomMasks(atoms)
+
+
+def test_minimal_images_matches_pairwise_reference():
+    # families over 0 to 40 atoms (up to ten hex-digit tables), with duplicates
+    # and the empty mask: the kept masks are the pairwise-minimal ones, in
+    # instance_key order
+    rng = random.Random(20261019)
+    assert _minimal_images([]) == []
+    assert _minimal_images([0, 0]) == [0]
+    for trial in range(400):
+        codec = _random_atoms(rng, rng.randint(0, 40))
+        n = len(codec.atoms)
+        family = [
+            codec.encode(rng.sample(codec.atoms, rng.randint(1 if n else 0, min(n, 7))))
+            for _ in range(rng.randint(0, 60))
+        ]
+        family += rng.sample(family, len(family) // 3)  # duplicates
+        if trial % 5 == 0:
+            family.append(0)
+        rng.shuffle(family)
+        distinct = set(family)
+        minimal = {w for w in distinct if not any(m != w and m | w == w for m in distinct)}
+        got = _minimal_images(iter(family))
+        assert set(got) == minimal and len(got) == len(minimal)
+        assert got == sorted(minimal, key=mask_key)
+        instances = [codec.decode(w) for w in got]
+        assert instances == sorted(instances, key=instance_key)
+        assert all(codec.encode(inst.atoms) == w for inst, w in zip(instances, got))
+
+
+def test_atom_masks_holders():
+    codec = AtomMasks([Atom("E", (b, a)), Atom("E", (a, a)), Atom("F", (a, b))])
+    assert codec.atoms == (Atom("E", (a, a)), Atom("E", (b, a)), Atom("F", (a, b)))
+    masks = [0b110, 0b011, 0b100]
+    # bit len(masks)-1-j stands for masks[j]
+    assert codec.holders(masks) == {
+        Atom("E", (a, a)): 0b101, Atom("E", (b, a)): 0b110, Atom("F", (a, b)): 0b010
+    }
+    empty = AtomMasks([])
+    assert empty.decode(0) == Instance()
+    assert empty.holders([0, 0]) == {}
+    assert _minimal_images([empty.encode([])]) == [0]
