@@ -49,8 +49,6 @@ from .logic import (
     Not,
     Or,
     RelAtom,
-    certain_answers,
-    cert_poss,
     eval_fo,
     is_cq_neg,
     is_existential,
@@ -87,6 +85,8 @@ from .oracle import (
     SemanticsAnswer,
     SolutionFamily,
     answers_semantics,
+    cert_poss,
+    certain_answers,
     gcwa_star_solutions,
     is_gcwa_star_solution,
     minimal_ground_solutions,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .logic import eval_fo
+from .logic import query_answers
 from .model import (
     Atom,
     Const,
@@ -108,6 +108,6 @@ def is_solution(mapping: SchemaMapping, source: Instance, target: Instance) -> b
     if mapping.general_constraints:
         combined = source.union(target)
         for sentence in mapping.general_constraints:
-            if not eval_fo(sentence.body, combined):
+            if not query_answers(sentence, combined):
                 return False
     return True

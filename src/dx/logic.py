@@ -3,8 +3,12 @@
 Evaluation answers positive-existential bodies by index join, its
 relational atoms matched by ``model.match_conjunction``.  Other
 formulas are compiled once into closures that test each literal by one
-position-index probe and range a guarded quantifier block over the index
-matches of its guard atom instead of the whole domain.  Either way nulls
+position-index probe.  Each quantifier block is miniscoped: the parts of
+its matrix that name none of its variables are tested once, outside it,
+and the rest split into groups sharing no variable, each quantified on its
+own, so a block of k unguarded variables costs k sweeps of the domain
+rather than one of adom^k when its parts allow.  A group ranges over the
+index matches of its guard atom instead of the whole domain.  Either way nulls
 inside an instance are treated as if they were ordinary constants, equality
 compares values by identity, and quantifiers range over dom(I) together with
 the constants of the formula being evaluated.
@@ -16,13 +20,11 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple, Union)
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set,
+                    Tuple, Union)
 
-from .errors import BudgetExceeded, DxError, UnboundVariable
-from .model import Atom, Const, Instance, Term, Value, Var, match_conjunction, value_key
-
-ORACLE_NULL_CAP = 8
+from .errors import DxError, UnboundVariable
+from .model import Const, Instance, Term, Value, Var, match_conjunction
 
 
 # ---------------------------------------------------------------- formula AST
@@ -157,10 +159,21 @@ class Compiled(NamedTuple):
 def compile_formula(formula: Formula, free_vars: Sequence[Var] = ()) -> Compiled:
     """Compile with negation pushed to the literals (a negated count is
     decided by ``not``), one slot per bound variable and ``free_vars`` first
-    (any other free variable raises UnboundVariable).  A universal block
-    whose matrix has a disjunct not-R(...) naming some of its variables
-    ranges those over the index matches of R(...), the only ones that can
-    falsify it, and the rest over the domain; dually for existential ones."""
+    (any other free variable raises UnboundVariable).
+
+    Each block of like quantifiers is miniscoped.  Its matrix is split into
+    the parts of its disjunction (of its conjunction, for an existential
+    block).  The parts that name none of the block's variables are tested
+    once, outside the block.  The others form groups that share no block
+    variable, and each group is quantified on its own: a universal group
+    with a disjunct not-R(...) naming some of its variables ranges those
+    over the index matches of R(...), the only ones that can falsify it,
+    else its first variable over the domain; dually for existential ones.
+    The group's other variables then form a block of their own over its
+    other parts.  A block variable that no part names still makes the block
+    vacuous, so the block is decided without its body on an empty domain.
+    Each step is an active-domain equivalence, such as forall y (A or B(y))
+    = A or forall y B(y), that holds on the empty domain as well."""
     template: List[Optional[Value]] = [None] * len(free_vars)
     consts: Dict[Const, int] = {}
 
@@ -199,15 +212,49 @@ def compile_formula(formula: Formula, free_vars: Sequence[Var] = ()) -> Compiled
             block.append(len(template))
             template.append(None)
             f = f.sub
-        parts = flat_parts(f, neg, universal)
-        named = [len({inner.get(t) for t in p.terms} & set(block))
-                 if isinstance(p, RelAtom) and n == universal else 0 for p, n in parts]
+        parts = [(p, n, {inner.get(v) for v in formula_free_vars(p)} & set(block))
+                 for p, n in flat_parts(f, neg, universal)]
+        run = quantify(universal, block, parts, inner)
+        if set(block) - set().union(*(names for _, _, names in parts)):
+            # a variable no part names still makes the block vacuous on an empty domain
+            return lambda m, adom, env: run(m, adom, env) if adom else universal
+        return run
+
+    def quantify(universal: bool, block: List[int], parts: List[Tuple[Formula, bool, Set[int]]],
+                 inner: Dict[Var, int]) -> Callable[..., bool]:
+        """The block slots quantified over the parts (each with the slots it
+        names) joined by the block's connective, miniscoped: the parts that
+        name none of the slots are tested first, once, and the rest split
+        into groups that share no slot, each quantified on its own."""
+        runs: List[Callable[..., bool]] = []
+        groups: List[Tuple[Set[int], List[int]]] = []
+        for i, (p, n, names) in enumerate(parts):
+            names = names & set(block)
+            if not names:
+                runs.append(comp(p, n, inner))
+                continue
+            joined = [g for g in groups if g[0] & names]
+            groups = [g for g in groups if not g[0] & names]
+            groups.append((names.union(*(g[0] for g in joined)), sorted(j for g in joined for j in g[1]) + [i]))
+        for slots, members in groups:
+            group = [(parts[i][0], parts[i][1], parts[i][2] & slots) for i in members]
+            runs.append(quantify_group(universal, [s for s in block if s in slots], group, inner))
+        return _connect(runs, universal)
+
+    def quantify_group(universal: bool, block: List[int], parts: List[Tuple[Formula, bool, Set[int]]],
+                       inner: Dict[Var, int]) -> Callable[..., bool]:
+        """A group whose every slot some part names.  A disjunct not-R(...)
+        naming some of them ranges those over the index matches of R(...),
+        the only ones that can falsify it (dually a conjunct R(...) of an
+        existential group), else the first slot ranges over the domain; the
+        other slots are then quantified over the other parts as a block."""
+        named = [len(names) if isinstance(p, RelAtom) and n == universal else 0 for p, n, names in parts]
         if not any(named):
-            return _sweep(universal, block, comp(f, neg, inner))
+            return _sweep(universal, block[0], quantify(universal, block[1:], parts, inner))
         best = named.index(max(named))
-        rest = _connect([comp(p, n, inner) for i, (p, n) in enumerate(parts) if i != best], universal)
-        guard = parts[best][0]
-        return _guarded(universal, guard.rel, [slot(t, inner) for t in guard.terms], block, rest)
+        guard, bound = parts[best][0], parts[best][2]
+        rest = quantify(universal, [s for s in block if s not in bound], parts[:best] + parts[best + 1:], inner)
+        return _guarded(universal, guard.rel, [slot(t, inner) for t in guard.terms], bound, rest)
 
     run = comp(formula, False, {v: i for i, v in enumerate(free_vars)})
     return Compiled(run, tuple(template), frozenset(consts))
@@ -228,38 +275,39 @@ def _getter(slots: List[int]) -> Callable[[List[Optional[Value]]], Tuple[Optiona
 
 
 def _connect(parts: List[Callable[..., bool]], disj: bool) -> Callable[..., bool]:
+    if len(parts) == 1:
+        return parts[0]
     if disj:
         return lambda m, adom, env: any(p(m, adom, env) for p in parts)
     return lambda m, adom, env: all(p(m, adom, env) for p in parts)
 
 
-def _sweep(universal: bool, slots: List[int], sub: Callable[..., bool]) -> Callable[..., bool]:
-    """``sub`` quantified over the domain in each of ``slots``."""
-    for s in reversed(slots):
-        def sub(m, adom, env, s=s, inner=sub):
-            for env[s] in adom:
-                if inner(m, adom, env) is not universal:
-                    return not universal
-            return universal
-    return sub
+def _sweep(universal: bool, s: int, sub: Callable[..., bool]) -> Callable[..., bool]:
+    """``sub`` quantified over the domain in slot ``s``."""
+    def run(m, adom, env):
+        for env[s] in adom:
+            if sub(m, adom, env) is not universal:
+                return not universal
+        return universal
+
+    return run
 
 
-def _guarded(universal: bool, rel: str, slots: List[int], block: List[int],
+def _guarded(universal: bool, rel: str, slots: List[int], bound: AbstractSet[int],
              rest: Callable[..., bool]) -> Callable[..., bool]:
-    """The block over the index matches of rel(slots), which bind the block
-    slots named there (a repeated one must agree), then over the domain in
-    the others; ``rest`` is the matrix without its guard."""
-    n, at = len(slots), tuple(i for i, s in enumerate(slots) if s not in block)
-    key, pairs = _getter([slots[i] for i in at]), [(i, s) for i, s in enumerate(slots) if s in block]
+    """The ``bound`` block slots over the index matches of rel(slots),
+    which bind them (a repeated one must agree); ``rest`` is the matrix
+    without its guard, quantified over the block's other slots."""
+    n, at = len(slots), tuple(i for i, s in enumerate(slots) if s not in bound)
+    key, pairs = _getter([slots[i] for i in at]), [(i, s) for i, s in enumerate(slots) if s in bound]
     repeats = len({s for _, s in pairs}) < len(pairs)
-    sub = _sweep(universal, [s for s in block if s not in slots], rest)
 
     def run(m, adom, env):
         for atom in m(rel, n, at, key(env)):
             for i, s in pairs:
                 env[s] = atom.args[i]
             agree = not repeats or all(env[s] == atom.args[i] for i, s in pairs)
-            if agree and sub(m, adom, env) is not universal:
+            if agree and rest(m, adom, env) is not universal:
                 return not universal
         return universal
 
@@ -340,76 +388,16 @@ def _join(f: Formula, instance: Instance, adom: Tuple[Value, ...],
         yield bnd
 
 
-# ---------------------------------------------------------------- certain answers
+# ---------------------------------------------------------------- constants
 
 
 def all_constants(tup: Tuple[Value, ...]) -> bool:
     return all(isinstance(v, Const) for v in tup)
 
 
-def certain_answers(
-    q: FOQuery,
-    instances: Iterable[Instance],
-    empty_policy: str = "none",
-    universe: Optional[Sequence[Const]] = None,
-) -> Set[Tuple[Const, ...]]:
-    """Intersection of query answers over the family, constants only.
-
-    An empty family yields the empty set under the default policy; the
-    alternative ``empty_policy="all"`` returns every constant tuple over the
-    supplied universe (the set-theoretic reading of an empty intersection).
-    """
-    instances = list(instances)
-    if not instances:
-        if empty_policy == "all":
-            if universe is None:
-                raise DxError("empty_policy='all' needs an explicit universe")
-            return set(itertools.product(tuple(universe), repeat=q.width))
-        return set()
-    common: Optional[Set[Tuple[Value, ...]]] = None
-    for inst in instances:
-        common = query_answers(q, inst, common)
-        if not common:
-            return set()
-    return {t for t in common if all_constants(t)}
-
-
 def fresh_constants(n: int, tag: str = "f") -> Tuple[Const, ...]:
     """Reserved-name constants that no parser can produce ('#' starts comments)."""
     return tuple(Const(f"#{tag}{i + 1}") for i in range(n))
-
-
-def cert_poss(
-    q: FOQuery,
-    instance: Instance,
-    null_cap: int = ORACLE_NULL_CAP,
-    extra_fresh: int = 0,
-) -> Set[Tuple[Const, ...]]:
-    """Certain answers of q over all valuations of the instance.
-
-    The infinite family poss(T) is enumerated finitely: valuation images only
-    matter up to the equality pattern among null images and collisions with
-    const(T) and dom(q), so a pool with |nulls(T)| fresh constants suffices.
-    ``extra_fresh`` widens the pool (used by the genericity self-check).
-    """
-    nulls = sorted(instance.nulls(), key=value_key)
-    if len(nulls) > null_cap:
-        raise BudgetExceeded(
-            f"valuation enumeration exceeded its cap of {null_cap} nulls"
-            f" ({len(nulls)} in the instance)"
-        )
-    pool: List[Const] = sorted(
-        set(instance.consts()) | set(q.consts()), key=value_key
-    )
-    pool += list(fresh_constants(len(nulls) + extra_fresh))
-    family = set()
-    for images in itertools.product(pool, repeat=len(nulls)):
-        v: Dict[Value, Value] = {c: c for c in instance.consts()}
-        v.update(zip(nulls, images))
-        family.add(
-            Instance(Atom(a.rel, tuple(v[x] for x in a.args)) for a in instance.atoms)
-        )
-    return certain_answers(q, family)
 
 
 # ---------------------------------------------------------------- classification

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .errors import BudgetExceeded, UnsupportedSemantics
+from .errors import BudgetExceeded, DxError, UnsupportedSemantics
 from . import chase
 from .corelib import core_of
 from .logic import (
@@ -29,8 +29,6 @@ from .logic import (
     Formula,
     RelAtom,
     Eq,
-    cert_poss,
-    eval_fo,
     fresh_constants,
     is_ucq,
     query_answers,
@@ -58,6 +56,7 @@ from .model import (
 
 SEMANTICS = ("owa", "cwa", "rcwa", "gcwa", "egcwa", "pws", "gcwa-star")
 
+ORACLE_NULL_CAP = 8
 UNION_CLOSURE_CAP = 60_000
 SUBSET_SEARCH_CAP = 300_000
 EXTENSION_NODE_CAP = 200_000
@@ -245,7 +244,7 @@ class _ConstraintEngine:
         if not self.residue:
             return True
         combined = source.union(target)
-        return all(eval_fo(s.body, combined) for s in self.residue)
+        return all(query_answers(s, combined) for s in self.residue)
 
     def residue_hopeless(self, source: Instance, target: Instance) -> bool:
         """True when some violated residue constraint can never be repaired
@@ -407,9 +406,10 @@ def _union_masks(
 
     Each round joins every union the last round found (at first, the
     distinct members within ``max_atoms``, in ``instance_key`` order) with
-    every such member; ``work`` counts the joins.  More than 40 × ``cap``
-    joins or ``cap`` unions raise ``BudgetExceeded``.  The masks number
-    the atoms as ``AtomMasks`` does.
+    every such member; ``work`` counts the joins, also those it skips for a
+    union of ``max_atoms`` atoms, which can only join to itself or past the
+    bound.  More than 40 × ``cap`` joins or ``cap`` unions raise
+    ``BudgetExceeded``.  The masks number the atoms as ``AtomMasks`` does.
     """
     kept = {m.atoms for m in members if len(m) <= max_atoms}
     codec = AtomMasks(a for m in kept for a in m)
@@ -424,7 +424,7 @@ def _union_masks(
             # the joins left before the work cap, which raises after them
             joins = base if work + len(base) <= work_cap else base[: work_cap - work]
             work += len(joins)
-            for m in joins:
+            for m in joins if u.bit_count() < max_atoms else ():
                 w = u | m
                 if w != u and w.bit_count() <= max_atoms and w not in seen:
                     if len(seen) >= cap:
@@ -618,6 +618,61 @@ def _const_answers(common: Optional[Set[Tuple[Value, ...]]]) -> FrozenSet[Tuple[
     if not common:
         return frozenset()
     return frozenset(t for t in common if all_constants(t))
+
+
+def certain_answers(
+    q: FOQuery,
+    instances: Iterable[Instance],
+    empty_policy: str = "none",
+    universe: Optional[Sequence[Const]] = None,
+) -> Set[Tuple[Const, ...]]:
+    """Intersection of query answers over the family, constants only.
+
+    An empty family yields the empty set under the default policy; the
+    alternative ``empty_policy="all"`` returns every constant tuple over the
+    supplied universe (the set-theoretic reading of an empty intersection).
+    """
+    common, count = _intersect(q, instances)
+    if not count:
+        if empty_policy == "all":
+            if universe is None:
+                raise DxError("empty_policy='all' needs an explicit universe")
+            return set(itertools.product(tuple(universe), repeat=q.width))
+        return set()
+    return set(_const_answers(common))
+
+
+def cert_poss(
+    q: FOQuery,
+    instance: Instance,
+    null_cap: int = ORACLE_NULL_CAP,
+    extra_fresh: int = 0,
+) -> Set[Tuple[Const, ...]]:
+    """Certain answers of q over all valuations of the instance.
+
+    The infinite family poss(T) is enumerated finitely: valuation images only
+    matter up to the equality pattern among null images and collisions with
+    const(T) and dom(q), so a pool with |nulls(T)| fresh constants suffices.
+    ``extra_fresh`` widens the pool (used by the genericity self-check).
+    """
+    nulls = sorted(instance.nulls(), key=value_key)
+    if len(nulls) > null_cap:
+        raise BudgetExceeded(
+            f"valuation enumeration exceeded its cap of {null_cap} nulls"
+            f" ({len(nulls)} in the instance)"
+        )
+    pool: List[Const] = sorted(
+        set(instance.consts()) | set(q.consts()), key=value_key
+    )
+    pool += list(fresh_constants(len(nulls) + extra_fresh))
+    family = set()
+    for images in itertools.product(pool, repeat=len(nulls)):
+        v: Dict[Value, Value] = {c: c for c in instance.consts()}
+        v.update(zip(nulls, images))
+        family.add(
+            Instance(Atom(a.rel, tuple(v[x] for x in a.args)) for a in instance.atoms)
+        )
+    return certain_answers(q, family)
 
 
 def _solution_subsets(

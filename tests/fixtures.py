@@ -107,6 +107,22 @@ AGREE59_SRC = "P(a).\nR(a,a).\nR(a,b).\n"
 AGREE59_QUERY = "q() := forall u1: E(u1,u1) /\\ E(u1,u1).\n"
 AGREE59_CORE = "E(a,_2). E(a,_4). E(a,_5). E(_4,a). E(_5,b). F(_2,_3). U(_2)."
 
+# the agree_random benchmark's two slowest triples for the gcwa-star oracle
+# (corpus seed 2, triples 13 and 14 counted from 0, constants not renamed):
+# two-variable universal queries whose disjuncts share no variable, each
+# read on all 2 516 unions of the oracle's family (every one a distinct view)
+AGREE13_MAP = (
+    "source P/1, R/2.\n"
+    "target E/2, F/2, U/1.\n"
+    "tgd R(x,y) -> exists z1, z2: E(z1,z2), F(z2,z1).\n"
+)
+AGREE13_SRC = "P(a).\nR(b,a).\nR(b,b).\n"
+AGREE13_QUERY = "q() := forall u1: forall u2: F(u2,u2) \\/ F(u1,u1) \\/ ~U(a).\n"
+
+AGREE14_MAP = AGREE13_MAP
+AGREE14_SRC = "R(a,a).\nR(b,b).\n"
+AGREE14_QUERY = "q() := forall u1: forall u2: ~(F(u2,u2)) \\/ ~U(u1).\n"
+
 E_SCHEMA = Schema.of({"E": 2})
 
 

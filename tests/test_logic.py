@@ -439,6 +439,86 @@ def test_eval_matches_ground_expansion_on_random_corpus():
             assert query_answers(q, inst, among) == expected & among, (q, inst, among)
 
 
+def _random_block(rng, depth, scope, constants):
+    """A block of one to three like quantifiers, their variables possibly
+    repeated (an inner one shadows an outer one of the same name), over
+    parts that often share no block variable, name none of them, or leave a
+    block variable unnamed; parts may be guards, counting quantifiers
+    binding a block variable's name again, or nested blocks.  The block is
+    sometimes negated, so that its dual is compiled."""
+    names = [x, z1, z2, Var("z3")]
+    block = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+    inner = scope + block
+    pool = (constants or []) + scope
+
+    def atom(vars_):
+        terms = vars_ + pool or block[:1]
+        if rng.random() < 0.35:
+            return RelAtom("U", (rng.choice(terms),))
+        return RelAtom(rng.choice("EF"), (rng.choice(terms), rng.choice(terms)))
+
+    def part():
+        roll = rng.random()
+        if roll < 0.35:  # names at most one block variable, or none
+            return atom(rng.sample(block, 1) if rng.random() < 0.7 else [])
+        if roll < 0.5:
+            return Not(atom(block))
+        if roll < 0.6:
+            return Eq(rng.choice(block), rng.choice(inner + (constants or [])))
+        if roll < 0.75 and depth > 0:
+            var, lo = rng.choice(block), rng.randint(0, 2)
+            count = CountExists(lo, lo + rng.randint(0, 2), var,
+                                _random_block(rng, depth - 1, inner + [var], constants))
+            return Not(count) if rng.random() < 0.3 else count
+        if depth > 0:
+            return _random_block(rng, depth - 1, inner, constants)
+        return atom(inner)
+
+    universal = rng.random() < 0.6
+    body = (Or if universal else And)(tuple(part() for _ in range(rng.randint(1, 4))))
+    for var in reversed(block):
+        body = (Forall if universal else Exists)(var, body)
+    return Not(body) if rng.random() < 0.25 else body
+
+
+def test_miniscoped_blocks_match_ground_expansion():
+    rng = random.Random(29)
+    values = [a, b, c, Null("t", 1)]
+    empty_domains = 0
+    for _ in range(1500):
+        free = [x, y][: rng.randint(0, 2)]
+        constants = [a, b] if rng.random() < 0.6 else None
+        body = _random_block(rng, 1, free, constants)
+        inst = _random_target(rng, values) if rng.random() < 0.8 else Instance([])
+        assignment = {v: rng.choice(values) for v in free}
+        adom = _adom(inst, body)
+        empty_domains += not adom
+        expected = _ground_expand(body, inst, adom, assignment)
+        assert eval_fo(body, inst, assignment) == expected, (body, inst, assignment)
+    assert empty_domains > 100
+
+
+def test_unguarded_block_split_sweeps_the_domain_once_per_variable():
+    # forall u1, u2 (F(u1,u1) or F(u2,u2)) is forall u1 F(u1,u1) or
+    # forall u2 F(u2,u2): where every F(v,v) holds, the first alone decides
+    u1, u2 = Var("u1"), Var("u2")
+    body = Forall(u1, Forall(u2, Or((RelAtom("F", (u1, u1)), RelAtom("F", (u2, u2))))))
+    compiled = dx.logic.compile_formula(body)
+    probes = []
+    for n in (4, 8, 16):
+        inst = Instance(Atom("F", (Const(f"v{i}"),) * 2) for i in range(n))
+        count = 0
+
+        def matcher(*args):
+            nonlocal count
+            count += 1
+            return inst.atoms_matching(*args)
+
+        assert compiled.run(matcher, tuple(inst.dom()), list(compiled.template))
+        probes.append(count)
+    assert all(later <= 2.5 * earlier for earlier, later in zip(probes, probes[1:])), probes
+
+
 def test_prenex_preserves_meaning_on_nonempty_domains():
     rng = random.Random(23)
     checked = 0

@@ -42,6 +42,12 @@ from dx.randgen import (
 from dx.textio import SourceText, serialize_instance, serialize_mapping, serialize_query
 
 from fixtures import (
+    AGREE13_MAP,
+    AGREE13_QUERY,
+    AGREE13_SRC,
+    AGREE14_MAP,
+    AGREE14_QUERY,
+    AGREE14_SRC,
     C23_MAP,
     C23_QUERY,
     COPY_MAP,
@@ -676,7 +682,6 @@ def test_repeated_views_are_evaluated_once(monkeypatch):
         return run
 
     monkeypatch.setattr(dx.oracle, "query_answers", counting(dx.oracle.query_answers))
-    monkeypatch.setattr(dx.oracle, "eval_fo", counting(dx.oracle.eval_fo))
     answers, meta = _gcwa_star_answers(m, s, q, budget)
     assert (answers, meta) == expected
     assert answers == {(a,)}
@@ -748,6 +753,32 @@ def test_criterion_8_trial_141_is_skipped_by_the_oracle():
         "oracle",
         "fresh-value universe exceeded its cap of 2 values (5 needed)",
     )
+
+
+# ------------------------------------------------------------- agree_random's slowest oracle triples
+
+
+def _agree_random_triple(number):
+    """Triple ``number`` (counted from 0) of the agree_random corpus, seed 2,
+    with its constants not renamed, as text."""
+    m, s, q = next(itertools.islice(random_triples(random.Random(2), max_atoms=5), number, None))
+    return serialize_mapping(m), serialize_instance(s), serialize_query(q)
+
+
+def _frozen_triple_answers(map_text, src_text, q_text, number):
+    assert _agree_random_triple(number) == (map_text, src_text, q_text)
+    m = mapping(map_text)
+    result = three_way(m, instance(src_text, m.source), query(q_text, m.target), Budget(2, 8, 2))
+    assert result.skipped is None
+    return result.fast, result.general, result.oracle
+
+
+def test_agree_random_triple_13_agrees():
+    assert _frozen_triple_answers(AGREE13_MAP, AGREE13_SRC, AGREE13_QUERY, 13) == ({()},) * 3
+
+
+def test_agree_random_triple_14_agrees():
+    assert _frozen_triple_answers(AGREE14_MAP, AGREE14_SRC, AGREE14_QUERY, 14) == ({()},) * 3
 
 
 def test_constraint_split_and_overcount_check():
