@@ -6,11 +6,15 @@ the query, plus a pool of fresh constants).  Results are exact relative to
 those budgets; the test suite guards adequacy by checking that one extra
 fresh constant never changes an answer.
 
-Certain answers intersect the query's answers over a family, checking only
-the tuples that survive the members read so far.  The gcwa-star family is
-kept as int masks over the members' atoms: of the unions that show the
-query the same view (the atoms of its relations and the domain) only the
-first is built and read.
+Each semantics only picks its family of ground instances (``_family``);
+one driver (``_certain``) intersects the query's answers over it, checking
+only the tuples that survive the members read so far, applies the
+empty-family rule and keeps the all-constant tuples.  Families are read
+lazily: the subset searches and the ``cwa`` valuation images stop at the
+first member that leaves no common tuple.  The gcwa-star family is kept as
+int masks over the members' atoms: of the unions that show the query the
+same view (the atoms of its relations and the domain) only the first is
+built and read.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .logic import (
     flat_parts,
     subformulas,
 )
-from .minrep import enum_min_c
+from .minrep import _minimal_images, enum_min_c
 from .model import (
     Atom,
     AtomMasks,
@@ -55,11 +59,13 @@ from .model import (
 )
 
 SEMANTICS = ("owa", "cwa", "rcwa", "gcwa", "egcwa", "pws", "gcwa-star")
+EMPTY_POLICIES = ("none", "all")
 
 ORACLE_NULL_CAP = 8
 UNION_CLOSURE_CAP = 60_000
 SUBSET_SEARCH_CAP = 300_000
 EXTENSION_NODE_CAP = 200_000
+LEGAL_MAP_CAP = 60_000
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,14 @@ class SemanticsAnswer:
 
 def _sorted_family(instances: Iterable[Instance]) -> Tuple[Instance, ...]:
     return tuple(sorted(set(instances), key=instance_key))
+
+
+def _minimal(instances: Sequence[Instance]) -> List[Instance]:
+    """The subset-minimal instances, each once, in ``instance_key`` order."""
+    # a union of the atom sets reuses the atoms' stored hashes
+    codec = AtomMasks(frozenset().union(*(inst.atoms for inst in instances)))
+    by_mask = {codec.encode(inst.atoms): inst for inst in instances}
+    return [by_mask[w] for w in _minimal_images(by_mask)]
 
 
 # ---------------------------------------------------------------- universe
@@ -309,7 +323,7 @@ def _st_minimal_solutions(
     the st-tgds alone: injective fresh instantiations of the minimal
     representatives of the core of the chased source."""
     core, base_consts, available = fresh_values(mapping, source, universe)
-    reps = enum_min_c(core, base_consts, product_cap=60_000)
+    reps = enum_min_c(core, base_consts, product_cap=LEGAL_MAP_CAP)
     out: Set[Instance] = set()
     for rep in reps.representatives:
         nulls = sorted(rep.nulls(), key=value_key)
@@ -327,7 +341,6 @@ def _minimal_extensions(
     engine: _ConstraintEngine,
     pool: Sequence[Atom],
     max_atoms: int,
-    node_cap: int = EXTENSION_NODE_CAP,
 ) -> List[Instance]:
     """All minimal ground solutions that contain ``base``, within budget."""
     closed = engine.close(source, base)
@@ -344,8 +357,10 @@ def _minimal_extensions(
     for size in range(1, budget_left + 1):
         for extra in itertools.combinations(candidates, size):
             nodes += 1
-            if nodes > node_cap:
-                raise BudgetExceeded(f"extension search exceeded its node cap of {node_cap} nodes")
+            if nodes > EXTENSION_NODE_CAP:
+                raise BudgetExceeded(
+                    f"extension search exceeded its node cap of {EXTENSION_NODE_CAP} nodes"
+                )
             cand_base = Instance(closed.atoms | frozenset(extra))
             if any(f.subset_of(cand_base) for f in found):
                 continue
@@ -356,11 +371,7 @@ def _minimal_extensions(
                 continue
             if engine.residue_satisfied(source, cand):
                 found.append(cand)
-    minimal: List[Instance] = []
-    for inst in sorted(found, key=instance_key):
-        if not any(other.proper_subset_of(inst) for other in found):
-            minimal.append(inst)
-    return minimal
+    return _minimal(found)
 
 
 def minimal_ground_solutions(
@@ -374,21 +385,14 @@ def minimal_ground_solutions(
     engine = _ConstraintEngine(mapping)
     seeds = _st_minimal_solutions(mapping, source, universe)
     pool = target_atom_pool(mapping, universe)
-    collected: Set[Instance] = set()
-    for seed in seeds:
-        if len(seed) > budget.max_atoms:
-            continue
-        for inst in _minimal_extensions(
-            seed, mapping, source, engine, pool, budget.max_atoms
-        ):
-            collected.add(inst)
-    minimal = [
+    collected = [
         inst
-        for inst in collected
-        if not any(other.proper_subset_of(inst) for other in collected)
+        for seed in seeds
+        if len(seed) <= budget.max_atoms
+        for inst in _minimal_extensions(seed, mapping, source, engine, pool, budget.max_atoms)
     ]
     return SolutionFamily(
-        _sorted_family(minimal),
+        tuple(_minimal(collected)),
         "minimal",
         {"universe": [c.name for c in universe], "budget": budget.as_dict()},
     )
@@ -614,10 +618,24 @@ def _intersect(
     return common, count
 
 
-def _const_answers(common: Optional[Set[Tuple[Value, ...]]]) -> FrozenSet[Tuple[Const, ...]]:
-    if not common:
-        return frozenset()
-    return frozenset(t for t in common if all_constants(t))
+def _certain(
+    q: FOQuery,
+    family: Iterable[Instance],
+    empty_policy: str = "none",
+    universe: Optional[Sequence[Const]] = None,
+) -> Tuple[FrozenSet[Tuple[Const, ...]], int]:
+    """``certain_answers`` as a frozenset, and the count of members read:
+    ``_intersect`` stops at the first member that leaves no common tuple."""
+    if empty_policy not in EMPTY_POLICIES:
+        raise DxError(f"unknown empty_policy {empty_policy!r}: use 'none' or 'all'")
+    common, read = _intersect(q, family)
+    if read:
+        return frozenset(t for t in common if all_constants(t)), read
+    if empty_policy == "none":
+        return frozenset(), 0
+    if universe is None:
+        raise DxError("empty_policy='all' needs an explicit universe")
+    return frozenset(itertools.product(tuple(universe), repeat=q.width)), 0
 
 
 def certain_answers(
@@ -632,22 +650,31 @@ def certain_answers(
     alternative ``empty_policy="all"`` returns every constant tuple over the
     supplied universe (the set-theoretic reading of an empty intersection).
     """
-    common, count = _intersect(q, instances)
-    if not count:
-        if empty_policy == "all":
-            if universe is None:
-                raise DxError("empty_policy='all' needs an explicit universe")
-            return set(itertools.product(tuple(universe), repeat=q.width))
-        return set()
-    return set(_const_answers(common))
+    return set(_certain(q, instances, empty_policy, universe)[0])
 
 
-def cert_poss(
-    q: FOQuery,
-    instance: Instance,
-    null_cap: int = ORACLE_NULL_CAP,
-    extra_fresh: int = 0,
-) -> Set[Tuple[Const, ...]]:
+def _valuation_images(q: FOQuery, instance: Instance, extra_fresh: int = 0) -> Iterator[Instance]:
+    """The distinct images of the instance under the valuations of its nulls
+    into its constants, q's and |nulls| + ``extra_fresh`` fresh ones, each
+    yielded once, as they are found."""
+    nulls = sorted(instance.nulls(), key=value_key)
+    if len(nulls) > ORACLE_NULL_CAP:
+        raise BudgetExceeded(
+            f"valuation enumeration exceeded its cap of {ORACLE_NULL_CAP} nulls"
+            f" ({len(nulls)} in the instance)"
+        )
+    pool = sorted(set(instance.consts()) | set(q.consts()), key=value_key)
+    pool += fresh_constants(len(nulls) + extra_fresh)
+    fixed: Dict[Value, Value] = {c: c for c in instance.consts()}
+    seen: Set[Instance] = set()
+    for images in itertools.product(pool, repeat=len(nulls)):
+        image = apply_map({**fixed, **dict(zip(nulls, images))}, instance)
+        if image not in seen:
+            seen.add(image)
+            yield image
+
+
+def cert_poss(q: FOQuery, instance: Instance, extra_fresh: int = 0) -> Set[Tuple[Const, ...]]:
     """Certain answers of q over all valuations of the instance.
 
     The infinite family poss(T) is enumerated finitely: valuation images only
@@ -655,59 +682,104 @@ def cert_poss(
     const(T) and dom(q), so a pool with |nulls(T)| fresh constants suffices.
     ``extra_fresh`` widens the pool (used by the genericity self-check).
     """
-    nulls = sorted(instance.nulls(), key=value_key)
-    if len(nulls) > null_cap:
-        raise BudgetExceeded(
-            f"valuation enumeration exceeded its cap of {null_cap} nulls"
-            f" ({len(nulls)} in the instance)"
-        )
-    pool: List[Const] = sorted(
-        set(instance.consts()) | set(q.consts()), key=value_key
-    )
-    pool += list(fresh_constants(len(nulls) + extra_fresh))
-    family = set()
-    for images in itertools.product(pool, repeat=len(nulls)):
-        v: Dict[Value, Value] = {c: c for c in instance.consts()}
-        v.update(zip(nulls, images))
-        family.add(
-            Instance(Atom(a.rel, tuple(v[x] for x in a.args)) for a in instance.atoms)
-        )
-    return certain_answers(q, family)
+    return set(_certain(q, _valuation_images(q, instance, extra_fresh))[0])
 
 
 def _solution_subsets(
-    mapping: SchemaMapping,
-    source: Instance,
-    pool: Sequence[Atom],
-    max_atoms: int,
-    cap: int = SUBSET_SEARCH_CAP,
+    mapping: SchemaMapping, source: Instance, pool: Sequence[Atom], max_atoms: int
 ) -> Iterator[Instance]:
     """All ground solutions assembled from the atom pool, smallest first."""
     count = 0
     for size in range(0, min(len(pool), max_atoms) + 1):
         for combo in itertools.combinations(pool, size):
             count += 1
-            if count > cap:
-                raise BudgetExceeded(f"solution enumeration exceeded its cap of {cap} subsets")
+            if count > SUBSET_SEARCH_CAP:
+                raise BudgetExceeded(
+                    f"solution enumeration exceeded its cap of {SUBSET_SEARCH_CAP} subsets"
+                )
             inst = Instance(combo)
             if chase.is_solution(mapping, source, inst):
                 yield inst
 
 
-def _justified_atoms(
-    mapping: SchemaMapping, source: Instance, target: Instance
-) -> Set[Atom]:
-    """Atoms covered by some dependency firing whose whole head lies in the
-    target (the witness tuple ranges over the target's domain)."""
-    justified: Set[Atom] = set()
-    for tgd in mapping.st_tgds:
-        body_patterns = [(a.rel, a.terms) for a in tgd.body]
-        head_patterns = [(a.rel, a.terms) for a in tgd.head]
-        for bnd in match_conjunction(body_patterns, source):
-            seed = {v: bnd[v] for v in tgd.frontier_vars()}
-            for full in match_conjunction(head_patterns, target, seed):
-                justified.update(_ground(pa.rel, pa.terms, full) for pa in tgd.head)
-    return justified
+def _possible_worlds(
+    mapping: SchemaMapping, source: Instance, universe: Sequence[Const], max_atoms: int
+) -> Iterator[Instance]:
+    """The PWS-solutions: ground solutions made of the head atoms of the
+    dependency firings (existentials over the universe), each of whose atoms
+    is justified, that is, in the head of a firing that lies whole inside it."""
+    firings = [
+        (tgd, {v: bnd[v] for v in tgd.frontier_vars()})
+        for tgd in mapping.st_tgds
+        for bnd in match_conjunction([(a.rel, a.terms) for a in tgd.body], source)
+    ]
+    head_pool = {
+        _ground(pa.rel, pa.terms, {**frontier, **dict(zip(tgd.exists_vars, images))})
+        for tgd, frontier in firings
+        for images in itertools.product(universe, repeat=len(tgd.exists_vars))
+        for pa in tgd.head
+    }
+    for inst in _solution_subsets(mapping, source, sorted(head_pool, key=atom_key), max_atoms):
+        justified = {
+            _ground(pa.rel, pa.terms, full)
+            for tgd, frontier in firings
+            for full in match_conjunction([(a.rel, a.terms) for a in tgd.head], inst, frontier)
+            for pa in tgd.head
+        }
+        if inst.atoms <= justified:
+            yield inst
+
+
+def _family(
+    mapping: SchemaMapping,
+    source: Instance,
+    q: FOQuery,
+    semantics: str,
+    budget: Budget,
+    universe: Sequence[Const],
+    meta: Dict[str, object],
+) -> Tuple[Iterable[Instance], bool, Optional[str]]:
+    """The family of ground instances whose certain answers the semantics
+    takes, whether the members read are reported as ``solutions_checked``,
+    and the diagnostic for an empty family.  Notes the family's other meta."""
+    if semantics in ("cwa", "pws") and not mapping.is_st_only():
+        world = "closed-world" if semantics == "cwa" else "possible-worlds"
+        raise UnsupportedSemantics(f"the {world} semantics is defined for st-tgd mappings only")
+    if semantics == "cwa":
+        meta["path"] = "cansol-valuations"
+        return _valuation_images(q, chase.canonical_solution(mapping, source)), False, None
+    if semantics == "pws":
+        worlds = _possible_worlds(mapping, source, universe, budget.max_atoms)
+        return worlds, True, "no PWS-solution"
+    # a monotone query's answers on a universal solution, and on the minimal
+    # members of the unions, are its certain answers there
+    monotone = is_ucq(q) and mapping.is_st_only()
+    if semantics == "owa" and monotone:
+        meta["path"] = "universal-solution"
+        return [chase.canonical_solution(mapping, source)], False, None
+    if semantics == "owa":
+        pool = target_atom_pool(mapping, universe)
+        return _solution_subsets(mapping, source, pool, budget.max_atoms), True, None
+    if semantics == "gcwa-star" and not monotone:
+        fix, atoms, masks = _gcwa_star_masks(mapping, source, budget, q.consts())
+        meta["converged"] = fix.converged
+        meta["family_size"] = len(masks)
+        return _query_views(q, atoms, masks), False, "no gcwa-star solution within budget"
+    family = minimal_ground_solutions(mapping, source, budget, q.consts())
+    if semantics == "rcwa" and len(family) == 1:
+        meta["rcwa_solution"] = True
+        return family, False, None
+    if semantics == "rcwa":
+        meta["minimal_count"] = len(family)
+        return (), False, "no RCWA-solution"
+    meta["family_size"] = len(family)
+    if semantics == "gcwa-star":
+        meta["path"] = "oracle-minimal-members"
+        return family, False, "no gcwa-star solution within budget"
+    if semantics == "egcwa" or not len(family):
+        return family, False, "no minimal ground solution within budget"
+    covered = sorted({a for inst in family for a in inst.atoms}, key=atom_key)
+    return _solution_subsets(mapping, source, covered, budget.max_atoms), True, "no GCWA-solution"
 
 
 def answers_semantics(
@@ -718,131 +790,17 @@ def answers_semantics(
     budget: Budget = Budget(),
     empty_policy: str = "none",
 ) -> SemanticsAnswer:
-    """Evaluate the query under one of the seven supported semantics."""
+    """Evaluate the query under one of the seven supported semantics: its
+    certain answers over the family the semantics picks."""
     semantics = semantics.lower()
     if semantics not in SEMANTICS:
         raise UnsupportedSemantics(f"unknown semantics {semantics!r}")
     meta: Dict[str, object] = {"budget": budget.as_dict(), "path": "oracle"}
-    extra = tuple(q.consts())
-    universe = universe_of(mapping, source, budget, extra)
-
-    def finish(answers: FrozenSet[Tuple[Const, ...]]) -> SemanticsAnswer:
-        return SemanticsAnswer(answers, semantics, meta)
-
-    def empty_family_answers() -> FrozenSet[Tuple[Const, ...]]:
-        if empty_policy == "all":
-            return frozenset(itertools.product(universe, repeat=q.width))
-        return frozenset()
-
-    if semantics == "cwa":
-        if not mapping.is_st_only():
-            raise UnsupportedSemantics(
-                "the closed-world semantics is defined for st-tgd mappings only"
-            )
-        answers = cert_poss(q, chase.canonical_solution(mapping, source))
-        meta["path"] = "cansol-valuations"
-        return finish(frozenset(answers))
-
-    if semantics == "owa":
-        if is_ucq(q) and mapping.is_st_only():
-            meta["path"] = "universal-solution"
-            answers = {
-                t
-                for t in query_answers(q, chase.canonical_solution(mapping, source))
-                if all_constants(t)
-            }
-            return finish(frozenset(answers))
-        pool = target_atom_pool(mapping, universe)
-        common, seen = _intersect(
-            q, _solution_subsets(mapping, source, pool, budget.max_atoms)
-        )
-        meta["solutions_checked"] = seen
-        if seen == 0:
-            return finish(empty_family_answers())
-        return finish(_const_answers(common))
-
-    if semantics == "egcwa":
-        family = minimal_ground_solutions(mapping, source, budget, extra)
-        meta["family_size"] = len(family)
-        if not len(family):
-            meta["diagnostic"] = "no minimal ground solution within budget"
-            return finish(empty_family_answers())
-        common, _ = _intersect(q, family)
-        return finish(_const_answers(common))
-
-    if semantics == "rcwa":
-        family = minimal_ground_solutions(mapping, source, budget, extra)
-        if len(family) == 1:
-            meta["rcwa_solution"] = True
-            common, _ = _intersect(q, family)
-            return finish(_const_answers(common))
-        meta["diagnostic"] = "no RCWA-solution"
-        meta["minimal_count"] = len(family)
-        return finish(empty_family_answers())
-
-    if semantics == "gcwa":
-        family = minimal_ground_solutions(mapping, source, budget, extra)
-        meta["family_size"] = len(family)
-        if not len(family):
-            meta["diagnostic"] = "no minimal ground solution within budget"
-            return finish(empty_family_answers())
-        covered = sorted(
-            {a for inst in family for a in inst.atoms},
-            key=atom_key,
-        )
-        common, seen = _intersect(
-            q, _solution_subsets(mapping, source, covered, budget.max_atoms)
-        )
-        meta["solutions_checked"] = seen
-        if seen == 0:
-            meta["diagnostic"] = "no GCWA-solution"
-            return finish(empty_family_answers())
-        return finish(_const_answers(common))
-
-    if semantics == "pws":
-        if not mapping.is_st_only():
-            raise UnsupportedSemantics(
-                "the possible-worlds semantics is defined for st-tgd mappings only"
-            )
-        head_pool: Set[Atom] = set()
-        for tgd in mapping.st_tgds:
-            body_patterns = [(a.rel, a.terms) for a in tgd.body]
-            for bnd in match_conjunction(body_patterns, source):
-                frontier = {v: bnd[v] for v in tgd.frontier_vars()}
-                for images in itertools.product(universe, repeat=len(tgd.exists_vars)):
-                    assignment = dict(frontier)
-                    assignment.update(zip(tgd.exists_vars, images))
-                    head_pool.update(_ground(pa.rel, pa.terms, assignment) for pa in tgd.head)
-        pool = sorted(head_pool, key=atom_key)
-
-        def pws_family() -> Iterator[Instance]:
-            for inst in _solution_subsets(mapping, source, pool, budget.max_atoms):
-                if inst.atoms <= _justified_atoms(mapping, source, inst):
-                    yield inst
-
-        common, seen = _intersect(q, pws_family())
-        meta["solutions_checked"] = seen
-        if seen == 0:
-            meta["diagnostic"] = "no PWS-solution"
-            return finish(empty_family_answers())
-        return finish(_const_answers(common))
-
-    # gcwa-star
-    views: Iterable[Instance]
-    if is_ucq(q) and mapping.is_st_only():
-        # monotone query: certain answers over all unions coincide with the
-        # certain answers over the minimal members alone
-        family = minimal_ground_solutions(mapping, source, budget, extra)
-        meta["path"] = "oracle-minimal-members"
-        meta["family_size"] = len(family)
-        views = family
-    else:
-        fix, atoms, masks = _gcwa_star_masks(mapping, source, budget, extra)
-        meta["converged"] = fix.converged
-        meta["family_size"] = len(masks)
-        views = _query_views(q, atoms, masks)
-    if not meta["family_size"]:
-        meta["diagnostic"] = "no gcwa-star solution within budget"
-        return finish(empty_family_answers())
-    common, _ = _intersect(q, views)
-    return finish(_const_answers(common))
+    universe = universe_of(mapping, source, budget, q.consts())
+    family, counted, diagnostic = _family(mapping, source, q, semantics, budget, universe, meta)
+    answers, read = _certain(q, family, empty_policy, universe)
+    if counted:
+        meta["solutions_checked"] = read
+    if not read and diagnostic:
+        meta["diagnostic"] = diagnostic
+    return SemanticsAnswer(answers, semantics, meta)
