@@ -9,7 +9,9 @@ evaluator reads the masks directly.  The enumeration is exponential in the
 number of nulls of a block and is gated by a product cap on the number of
 maps of all nulls.  The per-block variant only remaps the nulls of one atom
 block and is polynomial for a fixed per-block null bound; it feeds the fast
-path, each representative a delta on the instance.
+path, each representative a delta on the instance.  On a core it retracts a
+block image only over the rest blocks that pass one arc-consistency check
+towards its fresh atoms.  ``_block_images`` maps a block's nulls for both.
 """
 
 from __future__ import annotations
@@ -119,15 +121,7 @@ def legal_images(
             f"legal-map enumeration exceeded its cap of {product_cap} maps"
             f" ({len(pool)}^{len(nulls)} needed)"
         )
-    per_block: List[Set[FrozenSet[Atom]]] = []
-    for block in atom_blocks(instance).blocks:
-        block_nulls = sorted(block.nulls(), key=value_key)
-        f: Dict[Value, Value] = {c: c for c in block.consts()}
-        images = set()
-        for choice in itertools.product(pool, repeat=len(block_nulls)):
-            f.update(zip(block_nulls, choice))
-            images.add(frozenset([Atom(a.rel, tuple([f[v] for v in a.args])) for a in block.atoms]))
-        per_block.append(images)
+    per_block = [set(map(frozenset, _block_images(block, pool))) for block in atom_blocks(instance).blocks]
     codec = AtomMasks(a for images in per_block for img in images for a in img)
     unions = {0}
     for images in per_block:
@@ -168,72 +162,97 @@ def _pool(instance: Instance, constants: Iterable[Const]) -> List[Value]:
     return sorted(set(instance.dom()) | set(constants), key=value_key)
 
 
-def _blocks_onto(instance: Instance, partition: BlockPartition) -> Callable[[Atom], Set[int]]:
-    """The blocks with an atom that maps onto a given atom.  Such an atom
-    holds the given atom's values at its own constant positions, so only the
-    position index tables of the constant patterns in use are probed."""
+def _block_images(block: Instance, pool: Sequence[Value]) -> Iterator[List[Atom]]:
+    """The atoms of a block (or of any instance) under each map of its nulls
+    into the pool that fixes its constants, in ``itertools.product`` order
+    over its nulls in canonical order."""
+    nulls = sorted(block.nulls(), key=value_key)
+    f: Dict[Value, Value] = {c: c for c in block.consts()}
+    for choice in itertools.product(pool, repeat=len(nulls)):
+        f.update(zip(nulls, choice))
+        yield [Atom(a.rel, tuple([f[v] for v in a.args])) for a in block.atoms]
+
+
+def _blocks_onto(
+    instance: Instance, partition: BlockPartition
+) -> Callable[[FrozenSet[Atom], int], List[Instance]]:
+    """The blocks but the given one, in canonical order, that a retraction of
+    a block image with the given fresh atoms may move: all on a non-core.  On
+    a core the rest is a core too, so a rest block can only shrink the image
+    by sending an atom b onto a fresh atom, and the image only loses atoms; a
+    block is kept if, under the map of some such b, each of its atoms still
+    matches one of the instance or the fresh atoms (one arc-consistency
+    pass).  Only the position tables of the constant patterns in use are
+    probed for b."""
+    if not is_core(instance):
+        return lambda fresh, exclude: [b for i, b in enumerate(partition.blocks) if i != exclude]
     block_of = dict(partition.atom_block)
-    patterns = {
-        (a.rel, len(a.args), tuple(i for i, v in enumerate(a.args) if isinstance(v, Const)))
-        for a in instance.atoms
-    }
-    return lambda atom: {
-        block_of[b]
-        for rel, arity, at in patterns if (rel, arity) == (atom.rel, len(atom.args))
-        for b in instance.atoms_matching(rel, arity, at, tuple(atom.args[i] for i in at))
-        if match_args(b.args, atom.args) is not None
-    }
+    patterns: Dict[Tuple[str, int], Set[Tuple[int, ...]]] = {}
+    for b in instance.atoms:
+        patterns.setdefault((b.rel, len(b.args)), set()).add(
+            tuple(i for i, v in enumerate(b.args) if isinstance(v, Const)))
+
+    def matched(c: Atom, h: Dict[Value, Value], added: Instance) -> bool:
+        at = tuple(i for i, v in enumerate(c.args) if isinstance(v, Const) or v in h)
+        values = tuple(h.get(c.args[i], c.args[i]) for i in at)
+        return any(part.atoms_matching(c.rel, len(c.args), at, values) for part in (instance, added))
+
+    def onto(fresh: FrozenSet[Atom], exclude: int) -> List[Instance]:
+        found, added = {exclude}, Instance(fresh)
+        for a in fresh:
+            for at in patterns.get((a.rel, len(a.args)), ()):
+                for b in instance.atoms_matching(a.rel, len(a.args), at, tuple(a.args[i] for i in at)):
+                    i = block_of[b]
+                    h = None if i in found else match_args(b.args, a.args)
+                    if h is not None and all(
+                        c is b or matched(c, h, added) for c in partition.blocks[i].atoms
+                    ):
+                        found.add(i)
+        return [partition.blocks[i] for i in sorted(found - {exclude})]
+
+    return onto
 
 
-def _block_reps(
+def _each_block_reps(
     instance: Instance,
-    partition: BlockPartition,
-    block_index: int,
-    pool: Sequence[Value],
-    max_block_nulls: Optional[int],
-    blocks_onto: Optional[Callable[[Atom], Set[int]]],
-) -> Tuple[BlockRep, ...]:
-    block = partition.blocks[block_index]
-    block_nulls = sorted(block.nulls(), key=value_key)
-    if max_block_nulls is not None and len(block_nulls) > max_block_nulls:
-        raise BlockTooLarge(
-            f"block has {len(block_nulls)} nulls, cap is {max_block_nulls}"
-        )
-    block_null_set = set(block_nulls)
+    constants: Iterable[Const],
+    max_block_nulls: Optional[int] = None,
+    indices: Optional[Iterable[int]] = None,
+) -> Iterator[Tuple[BlockRep, ...]]:
+    """``block_reps`` of the given blocks (by default all) in turn, sharing
+    one partition, pool and core test."""
+    partition = atom_blocks(instance)
+    pool = _pool(instance, constants)
+    blocks_onto = _blocks_onto(instance, partition)
+    for block_index in range(len(partition.blocks)) if indices is None else indices:
+        block = partition.blocks[block_index]
+        block_nulls = block.nulls()
+        if max_block_nulls is not None and len(block_nulls) > max_block_nulls:
+            raise BlockTooLarge(
+                f"block has {len(block_nulls)} nulls, cap is {max_block_nulls}"
+            )
 
-    fresh_sets: List[FrozenSet[Atom]] = []
-    f: Dict[Value, Value] = {v: v for v in block.dom()}
-    for choice in itertools.product(pool, repeat=len(block_nulls)):
-        f.update(zip(block_nulls, choice))
-        # the mapped block atoms outside the rest of the instance
-        fresh = frozenset(
-            a for a in (Atom(b.rel, tuple([f[v] for v in b.args])) for b in block.atoms)
-            if a in block.atoms or a not in instance.atoms
-        )
-        if all(v in block_null_set for a in fresh for v in a.args if isinstance(v, Null)):
-            fresh_sets.append(fresh)
+        fresh_sets: List[FrozenSet[Atom]] = []
+        for mapped in _block_images(block, pool):
+            # the mapped block atoms outside the rest of the instance
+            fresh = frozenset(a for a in mapped if a in block.atoms or a not in instance.atoms)
+            if all(v in block_nulls for a in fresh for v in a.args if isinstance(v, Null)):
+                fresh_sets.append(fresh)
 
-    # an image is fresh | rest with fresh disjoint from rest, so images
-    # compare as their fresh-atom sets do; equal sizes make all minimal
-    minimal = set(fresh_sets)
-    if len({len(s) for s in minimal}) > 1:
-        codec = AtomMasks(a for s in minimal for a in s)
-        minimal = {codec.decode(w).atoms for w in _minimal_images(map(codec.encode, minimal))}
-    reps: List[BlockRep] = []
-    for fresh in dict.fromkeys(fresh_sets):
-        if fresh not in minimal:
-            continue
-        if blocks_onto is None:
-            movable = [b for i, b in enumerate(partition.blocks) if i != block_index]
-        else:
-            # rest is a union of blocks of a core, hence a core: a rest
-            # block can only shrink the image by mapping onto a fresh atom
-            onto = set().union(*map(blocks_onto, fresh)) - {block_index}
-            movable = [partition.blocks[i] for i in sorted(onto)]
-        anchor_nulls = {v for a in fresh for v in a.args if isinstance(v, Null)}
-        image = BlockRep(instance, fresh, block.atoms - fresh)
-        reps.append(core_retract_fixing(image, anchor_nulls, movable))
-    return tuple(reps)
+        # an image is fresh | rest with fresh disjoint from rest, so images
+        # compare as their fresh-atom sets do; equal sizes make all minimal
+        minimal = set(fresh_sets)
+        if len({len(s) for s in minimal}) > 1:
+            codec = AtomMasks(a for s in minimal for a in s)
+            minimal = {codec.decode(w).atoms for w in _minimal_images(map(codec.encode, minimal))}
+        reps: List[BlockRep] = []
+        for fresh in dict.fromkeys(fresh_sets):
+            if fresh not in minimal:
+                continue
+            anchor_nulls = {v for a in fresh for v in a.args if isinstance(v, Null)}
+            image = BlockRep(instance, fresh, block.atoms - fresh)
+            reps.append(core_retract_fixing(image, anchor_nulls, blocks_onto(fresh, block_index)))
+        yield tuple(reps)
 
 
 def block_reps(
@@ -264,21 +283,6 @@ def enum_min_c_block(
     return MinRepSet(instance, tuple(sorted(set(constants), key=value_key)), distinct, block_index)
 
 
-def _each_block_reps(
-    instance: Instance,
-    constants: Iterable[Const],
-    max_block_nulls: Optional[int] = None,
-    indices: Optional[Iterable[int]] = None,
-) -> Iterator[Tuple[BlockRep, ...]]:
-    """``block_reps`` of the given blocks (by default all) in turn, sharing
-    one partition, pool and core test."""
-    partition = atom_blocks(instance)
-    pool = _pool(instance, constants)
-    blocks_onto = _blocks_onto(instance, partition) if is_core(instance) else None
-    for idx in range(len(partition.blocks)) if indices is None else indices:
-        yield _block_reps(instance, partition, idx, pool, max_block_nulls, blocks_onto)
-
-
 def all_block_reps(
     instance: Instance,
     constants: Iterable[Const],
@@ -286,14 +290,8 @@ def all_block_reps(
 ) -> Tuple[BlockRep, ...]:
     """Per-block representatives over every atom block, deduplicated.  Two
     representatives are equal iff their instances and anchors are."""
-    out: List[BlockRep] = []
-    seen = set()
-    for reps in _each_block_reps(instance, constants, max_block_nulls):
-        for rep in reps:
-            if rep not in seen:
-                seen.add(rep)
-                out.append(rep)
-    return tuple(out)
+    each = _each_block_reps(instance, constants, max_block_nulls)
+    return tuple(dict.fromkeys(rep for reps in each for rep in reps))
 
 
 def atom_in_some_minimal(instance: Instance, atom: Atom) -> bool:

@@ -40,7 +40,7 @@ from .logic import (
     flat_parts,
     subformulas,
 )
-from .minrep import _minimal_images, enum_min_c
+from .minrep import _block_images, _minimal_images, enum_min_c
 from .model import (
     Atom,
     AtomMasks,
@@ -665,10 +665,8 @@ def _valuation_images(q: FOQuery, instance: Instance, extra_fresh: int = 0) -> I
         )
     pool = sorted(set(instance.consts()) | set(q.consts()), key=value_key)
     pool += fresh_constants(len(nulls) + extra_fresh)
-    fixed: Dict[Value, Value] = {c: c for c in instance.consts()}
     seen: Set[Instance] = set()
-    for images in itertools.product(pool, repeat=len(nulls)):
-        image = apply_map({**fixed, **dict(zip(nulls, images))}, instance)
+    for image in map(Instance, _block_images(instance, pool)):
         if image not in seen:
             seen.add(image)
             yield image

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dx import Schema, parse_instance, parse_mapping, parse_query
+from dx import Schema, core_solution, parse_instance, parse_mapping, parse_query
 from dx.textio import SourceText
 
 # mapping/instance/query sources, one block per scenario
@@ -26,6 +26,11 @@ PE_QUERY = "q(x) := exists z: E(x,z)."
 
 EF_MAP = "source R/2. target E/2, F/2. tgd R(x,y) -> exists z: E(x,z), F(z,y)."
 EF_SRC = "R(a,b)."
+# two nulls per block; U(z) maps onto every fresh U atom
+TWO_NULL_MAP = (
+    "source R/2. target E/2, F/2, U/1. "
+    "tgd R(x,y) -> exists z, w: E(x,z), F(z,w), U(z)."
+)
 EF_Q2 = (
     "q() := forall z1: forall z2: forall z3: "
     "(E(a,z1) /\\ E(a,z2) /\\ E(a,z3)) -> z1 = z2 \\/ z1 = z3 \\/ z2 = z3."
@@ -136,6 +141,21 @@ def instance(text, schema):
 
 def query(text, schema):
     return parse_query(SourceText(text, "fixture.q"), schema)
+
+
+def ef_chain(n):
+    """An R-path of n - 2 edges plus edges into b from its first and its
+    middle node: n source atoms."""
+    nodes = [f"v{i:02d}" for i in range(n - 1)]
+    edges = [(nodes[i], nodes[i + 1]) for i in range(n - 2)]
+    return edges + [(nodes[0], "b"), (nodes[(n - 1) // 2], "b")]
+
+
+def chain_core(mapping_text, edges):
+    """The mapping, the R-edges as source, and its core solution."""
+    m = mapping(mapping_text)
+    source = instance("".join(f"R({x},{y})." for x, y in edges), m.source)
+    return m, source, core_solution(m, source)
 
 
 def clique_source(edges, k=3):

@@ -72,7 +72,10 @@ from fixtures import (
     NAF_INSTANCE,
     PE_MAP,
     E_SCHEMA,
+    TWO_NULL_MAP,
+    chain_core,
     clique_source,
+    ef_chain,
     instance,
     mapping,
     query,
@@ -306,7 +309,7 @@ def _packed_cores():
     m = mapping(CLQ_MAP)
     for edges in ([(1, 2), (1, 3), (2, 3)], [(1, 2), (2, 3)]):
         yield core_solution(m, instance(clique_source(edges), m.source))
-    yield _ef_chain_core(_ef_chain(8))[0]
+    yield _ef_chain_core(ef_chain(8))[0]
     rng = random.Random(2024)
     made = 0
     while made < 30:
@@ -383,14 +386,6 @@ def test_owa_homclosed():
         answers_owa_homclosed(core, query(EF_Q3, m.target))
 
 
-def _ef_chain(n):
-    """An R-path of n - 2 edges plus edges into b from its first and its
-    middle node: n source atoms."""
-    nodes = [f"v{i:02d}" for i in range(n - 1)]
-    edges = [(nodes[i], nodes[i + 1]) for i in range(n - 2)]
-    return edges + [(nodes[0], "b"), (nodes[(n - 1) // 2], "b")]
-
-
 def _ef_chain_answers(edges):
     """Certain answers of ``forall z, y: E(x,z) & F(z,y) -> y = b`` read off
     the source.  Two minimal worlds can put the midpoints of x->y and of an
@@ -404,12 +399,28 @@ def _ef_chain_answers(edges):
     return {(Const(v),) for v in consts if v not in has_out}
 
 
+CHAIN_QUERY = "q(x) := forall z: forall y: E(x,z) /\\ F(z,y) -> y = b."
+
+
 def _ef_chain_core(edges):
-    m = mapping(EF_MAP)
-    src = "".join(f"R({x},{y})." for x, y in edges)
-    return core_solution(m, instance(src, m.source)), query(
-        "q(x) := forall z: forall y: E(x,z) /\\ F(z,y) -> y = b.", m.target
-    )
+    m, _, core = chain_core(EF_MAP, edges)
+    return core, query(CHAIN_QUERY, m.target)
+
+
+def _two_null_chain(edges):
+    """Mapping, source, core and the EF chain's query for the two-null chain."""
+    m, source, core = chain_core(TWO_NULL_MAP, edges)
+    return m, source, core, query(CHAIN_QUERY, m.target)
+
+
+def _two_null_answers(edges):
+    """Certain answers of the EF chain's query under ``TWO_NULL_MAP``, read
+    off the source.  The core holds E(x,z), F(z,w), U(z) for each x with an
+    edge, and no y.  In a minimal world whose z are all distinct, the w of
+    each x can be any constant, so such an x is never certain; b, only a
+    query constant, holds vacuously."""
+    has_out = {x for x, _ in edges}  # the core's constants
+    return set() if "b" in has_out else {(Const("b"),)}
 
 
 @pytest.fixture
@@ -426,7 +437,7 @@ def block_reps_calls(monkeypatch):
 
 
 def test_block_reps_are_computed_once_per_pool(block_reps_calls):
-    edges = _ef_chain(10)
+    edges = ef_chain(10)
     core, q = _ef_chain_core(edges)
     assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
     assert len(block_reps_calls) == 1
@@ -446,21 +457,21 @@ def test_block_reps_are_computed_once_per_pool(block_reps_calls):
 
 def test_ef_chain_fast_path_at_twenty_source_atoms(block_reps_calls):
     # the whole evaluation shares one set of block representatives
-    edges = _ef_chain(20)
+    edges = ef_chain(20)
     core, q = _ef_chain_core(edges)
     assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
     assert len(block_reps_calls) == 1
 
 
 def test_ef_chain_fast_path_at_forty_source_atoms(block_reps_calls):
-    edges = _ef_chain(40)
+    edges = ef_chain(40)
     core, q = _ef_chain_core(edges)
     assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
     assert len(block_reps_calls) == 1
 
 
 def test_ef_chain_fast_path_at_eighty_source_atoms(block_reps_calls):
-    edges = _ef_chain(80)
+    edges = ef_chain(80)
     core, q = _ef_chain_core(edges)
     assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
     assert len(block_reps_calls) == 1
@@ -473,10 +484,54 @@ def test_ef_chain_rep_storage_grows_polynomially():
     # about 8 times
     stored = []
     for n in (10, 20, 40):
-        core, q = _ef_chain_core(_ef_chain(n))
+        core, q = _ef_chain_core(ef_chain(n))
         reps = CoreEvaluator(core).reps_for(q.consts())
         stored.append(sum(len(rep.extra) + len(rep.gone) for rep in reps))
     assert all(big <= 2 ** 2.5 * small for small, big in zip(stored, stored[1:])), stored
+
+
+@pytest.fixture
+def rep_shrinks(monkeypatch):
+    """The ``corelib._shrink`` calls made under each ``all_block_reps`` call
+    of the fast path, one count per call."""
+    shrinks, counts = [], []
+    shrink, block_reps = dx.corelib._shrink, dx.gcwa.all_block_reps
+
+    def counting_shrink(*args):
+        shrinks.append(args)
+        return shrink(*args)
+
+    def counting_reps(*args, **kwargs):
+        before = len(shrinks)
+        reps = block_reps(*args, **kwargs)
+        counts.append(len(shrinks) - before)
+        return reps
+
+    monkeypatch.setattr(dx.corelib, "_shrink", counting_shrink)
+    monkeypatch.setattr(dx.gcwa, "all_block_reps", counting_reps)
+    return counts
+
+
+def test_ef_chain_reps_retract_nothing(rep_shrinks):
+    # work without a clock: every rest block fails the arc-consistency pass
+    # towards a representative's fresh atoms, so none is retracted
+    for n in (10, 20, 40):
+        core, q = _ef_chain_core(ef_chain(n))
+        CoreEvaluator(core).reps_for(q.consts())
+    assert rep_shrinks == [0, 0, 0]
+
+
+def test_two_null_chain_answers(rep_shrinks):
+    # the general evaluator exceeds its valuation cap from n = 5 on, so it
+    # checks the smallest chain; the arc-consistency pass leaves no rest
+    # block to retract here either
+    m, source, core, q = _two_null_chain(ef_chain(4))
+    assert answers_gcwa_star_universal(core, q) == answers_gcwa_star_universal_general(m, source, q)
+    for n in (5, 10, 20):
+        edges = ef_chain(n)
+        _, _, core, q = _two_null_chain(edges)
+        assert answers_gcwa_star_universal(core, q) == _two_null_answers(edges)
+    assert rep_shrinks == [0, 0, 0, 0]
 
 
 def test_fast_path_runs_the_core_search_once(monkeypatch):
@@ -488,7 +543,7 @@ def test_fast_path_runs_the_core_search_once(monkeypatch):
         return original(inst)
 
     monkeypatch.setattr(dx.corelib, "core_of", counting)
-    edges = _ef_chain(10)
+    edges = ef_chain(10)
     core, q = _ef_chain_core(edges)  # the one search, in core_solution
     assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
     assert len(calls) == 1

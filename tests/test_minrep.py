@@ -33,6 +33,9 @@ from fixtures import (
     EF_SRC,
     NAF_INSTANCE,
     E_SCHEMA,
+    TWO_NULL_MAP,
+    chain_core,
+    ef_chain,
     instance,
     mapping,
 )
@@ -299,6 +302,11 @@ def _random_packed_cores(count, seed=20261018):
     return cores
 
 
+def _chain_cores():
+    # the arc-consistency pass prunes most rest blocks of these
+    return [chain_core(EF_MAP, ef_chain(6))[2], chain_core(TWO_NULL_MAP, ef_chain(5))[2]]
+
+
 def test_block_reps_match_reference():
     n1, n2, n3 = Null("t", 1), Null("t", 2), Null("t", 3)
     non_cores = [
@@ -306,7 +314,7 @@ def test_block_reps_match_reference():
         Instance([Atom("E", (a, n1)), Atom("E", (n1, n2)), Atom("E", (a, n3))]),
     ]
     assert not any(is_core(inst) for inst in non_cores)
-    for inst in _small_fixtures() + non_cores + _random_packed_cores(30):
+    for inst in _small_fixtures() + non_cores + _chain_cores() + _random_packed_cores(30):
         for constants in (set(), {a}, {c, Const("zz")}):
             expected_all = []
             for idx in range(len(atom_blocks(inst).blocks)):
@@ -330,7 +338,7 @@ def test_local_retraction_matches_whole_instance_retraction():
         Instance([Atom("E", (a, n1)), Atom("E", (n1, n2)), Atom("E", (a, n3))]),
     ]
     retracted = 0
-    for inst in _small_fixtures() + non_cores + _random_packed_cores(30):
+    for inst in _small_fixtures() + non_cores + _chain_cores() + _random_packed_cores(30):
         partition = atom_blocks(inst)
         for constants in (set(), {a}, {c, Const("zz")}):
             for idx, block in enumerate(partition.blocks):
