@@ -97,10 +97,14 @@ class Image:
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.extra or (atom in self.base.atoms and atom not in self.gone)
 
+    def __iter__(self) -> Iterator[Atom]:
+        """Its atoms, unordered; an atom both kept and in ``extra`` twice."""
+        return itertools.chain((a for a in self.base.atoms if a not in self.gone), self.extra)
+
     def whole(self) -> Instance:
         return Instance((self.base.atoms - self.gone) | self.extra)
 
-    def matching(self, rel: str, arity: int, at, values) -> Iterator[Atom]:
+    def atoms_matching(self, rel: str, arity: int, at, values) -> Iterator[Atom]:
         """Its atoms of ``rel`` and ``arity`` with ``values`` at positions ``at``."""
         for a in itertools.chain(self.base.atoms_matching(rel, arity, at, values), self.extra):
             if a in self and a.rel == rel and len(a.args) == arity and all(
@@ -145,8 +149,8 @@ def _shrink(image: Image, atoms: Sequence[Atom], fixed: FrozenSet[Value]) -> Opt
         atom = max(holders[null], key=lambda a: len(bound(a, null)))
         at = tuple(bound(atom, null))
         first, *others = [i for i, v in enumerate(atom.args) if v == null]
-        found = image.matching(atom.rel, len(atom.args), at,
-                               tuple(assignment.get(atom.args[i], atom.args[i]) for i in at))
+        found = image.atoms_matching(atom.rel, len(atom.args), at,
+                                     tuple(assignment.get(atom.args[i], atom.args[i]) for i in at))
         return sorted({b.args[first] for b in found
                        if all(b.args[i] == b.args[first] for i in others)}, key=value_key)
 

@@ -7,9 +7,11 @@ representatives can be joined compatibly into a witness instance padded with
 disjoint copies of the core.  The places of each positive literal come from
 an index of the representatives' anchors, built once per set of
 representatives and matched without renaming; the candidate lists are
-memoised per literal, and a representative is renamed whole only when a
-search leaf glues it.  The general evaluator realizes the same test by
-bounded brute force (no packedness needed) and is exponential.
+memoised per literal.  No witness is built: a search leaf reads it through
+the core's position index and the chosen representatives' deltas
+(``_Witness``), so a leaf costs what its probes touch, not |core|.  The
+general evaluator realizes the same test by bounded brute force (no
+packedness needed) and is exponential.
 
 Both paths share one driver: a candidate tuple is specialized into every
 conjunct of the negated query, and the tuple is a certain answer iff the
@@ -19,13 +21,11 @@ the fast backend and ``_GeneralEvaluator`` the general one.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .corelib import blocks_packed, core_solution, is_core
 from .errors import NotHomomorphismClosed, NotUniversal, PreconditionViolated
@@ -52,7 +52,6 @@ from .model import (
     Term,
     Value,
     Var,
-    apply_map,
     match_args,
     match_conjunction,
     value_key,
@@ -271,7 +270,7 @@ def specialize(
 
 
 def satisfies_conjunct(
-    instance: Instance,
+    instance: Union[Instance, "_Witness"],
     conjunct: ExistentialConjunct,
     context: Iterable[Const] = (),
 ) -> bool:
@@ -280,40 +279,28 @@ def satisfies_conjunct(
 
     ``context`` carries the constants of the whole query the conjunct came
     from: splitting a query into disjuncts must not shrink the domain its
-    quantifiers range over.
+    quantifiers range over.  The instance is read through
+    ``atoms_matching`` and ``in``, and through ``dom()`` only when a
+    variable occurs in no positive literal or the conjunct is empty.
     """
     named = set(conjunct.consts()) | set(context)
-    if conjunct.quantified and not (named or instance.dom()):
-        return False  # an existential prefix needs a nonempty active domain
     if conjunct.is_empty:
-        return True
-    positive_vars: Set[Var] = set()
-    for _, terms in conjunct.positives:
-        positive_vars.update(t for t in terms if isinstance(t, Var))
+        # an existential prefix needs a nonempty active domain; a nonempty
+        # conjunct without one has no witness anyway
+        return not conjunct.quantified or bool(named or instance.dom())
+    positive_vars = {t for _, terms in conjunct.positives for t in terms if isinstance(t, Var)}
     loose = [v for v in conjunct.variables() if v not in positive_vars]
     adom = sorted(set(instance.dom()) | named, key=value_key) if loose else []
 
     def check(bnd: Dict[Var, Value]) -> bool:
         for rel, terms in conjunct.negatives:
-            args = tuple(t if isinstance(t, Const) else bnd[t] for t in terms)
-            if Atom(rel, args) in instance:
+            if Atom(rel, tuple([bnd.get(t, t) for t in terms])) in instance:
                 return False
-        for l, r in conjunct.disequalities:
-            lv = l if isinstance(l, Const) else bnd[l]
-            rv = r if isinstance(r, Const) else bnd[r]
-            if lv == rv:
-                return False
-        return True
+        return all(bnd.get(l, l) != bnd.get(r, r) for l, r in conjunct.disequalities)
 
     for bnd in match_conjunction(conjunct.positives, instance):
-        if not loose:
-            if check(bnd):
-                return True
-            continue
         for extra in itertools.product(adom, repeat=len(loose)):
-            full = dict(bnd)
-            full.update(zip(loose, extra))
-            if check(full):
+            if check({**bnd, **dict(zip(loose, extra))}):
                 return True
     return False
 
@@ -323,19 +310,14 @@ def satisfies_conjunct(
 
 @dataclass(frozen=True)
 class CandidatePair:
-    """A block representative together with an assignment that places one
-    positive literal inside its renamed copy.  ``join_pairs`` needs the
-    renamed copy; ``CoreEvaluator``'s candidate lists hold the ``BlockRep``
-    until a search leaf glues the pair."""
+    """A block representative together with an assignment, in variable-name
+    order, that places one positive literal inside its copy."""
 
-    instance: Union[Instance, BlockRep]
+    rep: BlockRep
     assignment: Tuple[Tuple[Var, Value], ...]
 
     def values(self) -> Tuple[Value, ...]:
         return tuple(v for _, v in self.assignment)
-
-    def as_dict(self) -> Dict[Var, Value]:
-        return dict(self.assignment)
 
 
 def compatible_and_relation(
@@ -365,7 +347,7 @@ def compatible_and_relation(
             parent[hi] = lo
 
     for p1, p2 in itertools.combinations(pairs, 2):
-        d1, d2 = p1.as_dict(), p2.as_dict()
+        d1, d2 = dict(p1.assignment), dict(p2.assignment)
         for var in set(d1) & set(d2):
             union(d1[var], d2[var])
 
@@ -386,51 +368,72 @@ def compatible_and_relation(
     return {v: frozenset(classes[find(v)]) for v in domain}
 
 
-def join_pairs(
-    pairs: Sequence[CandidatePair],
-    relation: Dict[Value, FrozenSet[Value]],
-) -> Tuple[Instance, Dict[Var, Value]]:
-    """Glue compatible pairs into one instance and one assignment.
-
-    Every equivalence class is collapsed onto its first-seen member (pairs in
-    order, variables per pair in name order), which fixes the linear order the
-    construction needs.
-    """
-    order: List[Value] = []
-    seen: Set[Value] = set()
-    for p in pairs:
-        for var, val in sorted(p.assignment, key=lambda it: it[0].name):
-            if val not in seen:
-                seen.add(val)
-                order.append(val)
-    rank = {v: i for i, v in enumerate(order)}
-
-    def representative(v: Value) -> Value:
-        return min(relation[v], key=lambda u: rank[u])
-
-    glued_atoms: Set[Atom] = set()
-    assignment: Dict[Var, Value] = {}
-    for p in pairs:
-        image_of = {val: representative(val) for val in p.values()}
-        remap = {v: image_of.get(v, v) for v in p.instance.dom()}
-        glued_atoms.update(apply_map(remap, p.instance).atoms)
-        for var, val in p.assignment:
-            assignment[var] = image_of[val]
-    return Instance(glued_atoms), assignment
-
-
 # ---------------------------------------------------------------- core evaluation
 
 
-def _renamed(instance: Instance, tag: str) -> Instance:
-    """The instance with its nulls renamed, in canonical order, into
-    ``Null(tag, 0)``, ``Null(tag, 1)``, ..."""
-    names = {n: Null(tag, j) for j, n in enumerate(sorted(instance.nulls(), key=value_key))}
-    return Instance(Atom(a.rel, tuple([names.get(v, v) for v in a.args])) for a in instance.atoms)
+class _Witness:
+    """The witness of one search leaf, read without building it: copies
+    ``cp1``..``cpk`` of the chosen representatives, glued along the
+    compatibility relation, and padding copies ``cp<k+1>``..``cp<s>`` of
+    the core.  Copy j names core null n ``Null(cp<j>, rank of n in the
+    core)``, and a glued value reads as the first-seen member of its class
+    (pairs in order, variables by name).  A probe maps its values back into
+    each copy that holds them all, probes that copy's position index (the
+    core's, less the representative's ``gone`` atoms plus its anchors) and
+    maps the hits forward.  A ground core atom is in every copy (no
+    representative drops one), so only the first copy probed reports it."""
+
+    def __init__(self, evaluator: "CoreEvaluator", chosen: Sequence[CandidatePair],
+                 relation: Dict[Value, FrozenSet[Value]], copies: int):
+        self.images = [p.rep for p in chosen] + [evaluator.core] * (copies - len(chosen))
+        self.tags = [f"cp{i + 1}" for i in range(copies)]
+        self.copy_of = {tag: i for i, tag in enumerate(self.tags)}
+        self.rank, self.nulls, self.ground = evaluator._rank, evaluator._nulls, evaluator._ground
+        first: Dict[Value, int] = {}
+        for p in chosen:
+            for _, v in p.assignment:
+                first.setdefault(v, len(first))
+        self.glue = {v: min(relation[v], key=first.__getitem__) for v in first}
+        # each glued null's members by copy; a merged-away one has none
+        self.members: Dict[Value, Dict[int, Null]] = {v: {} for v in first if isinstance(v, Null)}
+        for v in self.members:
+            self.members[self.glue[v]][self.copy_of[v.scope]] = self.nulls[v.nid]
+
+    def _forward(self, i: int, v: Value) -> Value:
+        if isinstance(v, Const):
+            return v
+        v = Null(self.tags[i], self.rank[v])
+        return self.glue.get(v, v)
+
+    def _back(self, values: Sequence[Value]) -> Iterator[Tuple[int, Tuple[Value, ...]]]:
+        """Each copy holding all the values, with their core values there; a
+        constant is held by every copy as itself, a null by its members'."""
+        places = [None if isinstance(v, Const) else self.members[v] if v in self.members
+                  else {self.copy_of[v.scope]: self.nulls[v.nid]} for v in values]
+        for i in range(len(self.images)):
+            if all(m is None or i in m for m in places):
+                yield i, tuple(v if m is None else m[i] for v, m in zip(values, places))
+
+    def atoms_matching(self, rel: str, arity: int, positions: Tuple[int, ...],
+                       values: Tuple[Value, ...]) -> List[Atom]:
+        out: List[Atom] = []
+        for n, (i, key) in enumerate(self._back(values)):
+            for a in self.images[i].atoms_matching(rel, arity, positions, key):
+                if a not in self.ground:
+                    out.append(Atom(rel, tuple([self._forward(i, v) for v in a.args])))
+                elif n == 0:
+                    out.append(a)
+        return out
+
+    def __contains__(self, atom: Atom) -> bool:
+        return any(Atom(atom.rel, key) in self.images[i] for i, key in self._back(atom.args))
+
+    def dom(self) -> FrozenSet[Value]:
+        return frozenset(self._forward(i, v) for i, img in enumerate(self.images) for a in img for v in a.args)
 
 
-# (relation, arity) -> [(representative, anchor, ranks of its anchor nulls)]
-AnchorIndex = Dict[Tuple[str, int], List[Tuple[BlockRep, Atom, Dict[Null, int]]]]
+# (relation, arity) -> [(representative, anchor)]
+AnchorIndex = Dict[Tuple[str, int], List[Tuple[BlockRep, Atom]]]
 
 
 class CoreEvaluator:
@@ -439,14 +442,15 @@ class CoreEvaluator:
 
     Block representatives, deltas on the core, are cached by the context
     constants outside dom(core), the only ones that change the pool.  The
-    i-th positive literal of a conjunct is placed in a copy of one whose
-    nulls are renamed, in canonical order, into the tag ``cp<i>``.  Once per
-    cache key the anchors are indexed by (relation, arity), representatives
-    in order and each one's anchors in ``repr`` order, with their nulls'
-    ranks in the representative.  A literal is matched against the
-    unrenamed anchor (the renaming is injective and a null never equals a
-    constant).  Candidate pairs are memoised per (cache key, literal, tag)
-    and carry the representative; a leaf renames only those it glues.
+    i-th positive literal of a conjunct is placed in copy ``cp<i>`` of one,
+    which names each core null ``Null(cp<i>, its rank in the core)``.  Once
+    per cache key the anchors are indexed by (relation, arity),
+    representatives in order and each one's anchors in ``repr`` order.  A
+    literal is matched against the unrenamed anchor (the renaming is
+    injective and a null never equals a constant).  Candidate pairs are
+    memoised per (cache key, literal, tag).  Each search leaf, the pairs
+    chosen for all positive literals, is checked by ``_leaf`` on a
+    ``_Witness`` view over the core's index.
     """
 
     def __init__(self, core: Instance, block_bound: Optional[int] = None):
@@ -461,9 +465,9 @@ class CoreEvaluator:
         self._anchors: Dict[FrozenSet[Const], AnchorIndex] = {}
         self._candidates: Dict[tuple, Tuple[CandidatePair, ...]] = {}
         self._groups: Dict[tuple, Dict[tuple, list]] = {}
-        self._paddings: Dict[Tuple[int, int], Instance] = {}
-        self._rank = {n: j for j, n in enumerate(sorted(core.nulls(), key=value_key))}
-        self._uses = Counter(v for a in core.atoms for v in a.args if isinstance(v, Null))
+        self._nulls = sorted(core.nulls(), key=value_key)
+        self._rank = {n: j for j, n in enumerate(self._nulls)}
+        self._ground = frozenset(a for a in core.atoms if a.is_ground)
 
     def _reps_key(self, constants: Iterable[Const]) -> FrozenSet[Const]:
         return frozenset(constants) - self.core.dom()
@@ -474,25 +478,6 @@ class CoreEvaluator:
             self._reps[key] = all_block_reps(self.core, key, self.block_bound)
         return self._reps[key]
 
-    def _padding(self, start: int, stop: int) -> Instance:
-        """The union of the core's copies ``cp<start + 1>`` to ``cp<stop>``."""
-        key = (start, stop)
-        if key not in self._paddings:
-            self._paddings[key] = Instance(
-                a for i in range(start, stop) for a in _renamed(self.core, f"cp{i + 1}").atoms
-            )
-        return self._paddings[key]
-
-    def _anchor_rank(self, rep: BlockRep) -> Dict[Null, int]:
-        """The anchor nulls' canonical ranks in the representative: their
-        core ranks less the lacking core nulls below, those only gone atoms
-        use (a representative's nulls are all core nulls)."""
-        kept = {v: self._rank[v] for a in rep.anchors for v in a.args if isinstance(v, Null)}
-        gone = Counter(v for a in rep.gone for v in a.args if isinstance(v, Null))
-        lacking = sorted(self._rank[v] for v, k in gone.items()
-                         if k == self._uses[v] and v not in kept)
-        return {v: r - bisect.bisect_left(lacking, r) for v, r in kept.items()}
-
     def _anchor_index(
         self, context: Iterable[Const]
     ) -> Tuple[FrozenSet[Const], AnchorIndex]:
@@ -502,11 +487,8 @@ class CoreEvaluator:
         if key not in self._anchors:
             index: AnchorIndex = {}
             for rep in reps:
-                rank = self._anchor_rank(rep)
                 for anchor in sorted(rep.anchors, key=repr):
-                    index.setdefault((anchor.rel, len(anchor.args)), []).append(
-                        (rep, anchor, rank)
-                    )
+                    index.setdefault((anchor.rel, len(anchor.args)), []).append((rep, anchor))
             self._anchors[key] = index
         return key, self._anchors[key]
 
@@ -531,11 +513,11 @@ class CoreEvaluator:
                 for entry in index.get((rel, len(terms)), ()):
                     groups.setdefault(tuple(entry[1].args[i] for i in consts), []).append(entry)
             pairs: List[CandidatePair] = []
-            for rep, anchor, rank in groups.get(tuple(terms[i] for i in consts), ()):
+            for rep, anchor in groups.get(tuple(terms[i] for i in consts), ()):
                 alpha = match_args(terms, anchor.args)
                 if alpha is not None:
                     pairs.append(CandidatePair(rep, tuple(
-                        (var, Null(tag, rank[v]) if isinstance(v, Null) else v)
+                        (var, Null(tag, self._rank[v]) if isinstance(v, Null) else v)
                         for var, v in sorted(alpha.items(), key=lambda it: it[0].name)
                     )))
             self._candidates[memo_key] = tuple(pairs)
@@ -551,9 +533,8 @@ class CoreEvaluator:
             # any nonempty union works; its active domain must be nonempty
             # when the (dropped) existential prefix still quantifies
             return not conjunct.quantified or bool(context) or len(self.core) > 0
-        s = conjunct.copy_count
         if conjunct.k == 0:
-            return satisfies_conjunct(self._padding(0, s), conjunct, context)
+            return self._leaf((), {}, conjunct, context)
 
         key, index = self._anchor_index(context)
         candidate_sets: List[Tuple[CandidatePair, ...]] = []
@@ -563,16 +544,11 @@ class CoreEvaluator:
                 return False  # a positive literal has no witness anywhere
             candidate_sets.append(pairs)
 
-        padding = self._padding(conjunct.k, s)
         chosen: List[CandidatePair] = []
 
         def search(i: int, relation: Optional[Dict[Value, FrozenSet[Value]]]) -> bool:
             if i == len(candidate_sets):
-                glued, _ = join_pairs([
-                    CandidatePair(_renamed(p.instance.instance, f"cp{j + 1}"), p.assignment)
-                    for j, p in enumerate(chosen)
-                ], relation)
-                return satisfies_conjunct(glued.union(padding), conjunct, context)
+                return self._leaf(chosen, relation, conjunct, context)
             for pair in candidate_sets[i]:
                 chosen.append(pair)
                 relation = compatible_and_relation(chosen)
@@ -582,6 +558,13 @@ class CoreEvaluator:
             return False
 
         return search(0, None)
+
+    def _leaf(self, chosen: Sequence[CandidatePair], relation: Dict[Value, FrozenSet[Value]],
+              conjunct: ExistentialConjunct, context: FrozenSet[Const]) -> bool:
+        """Does the leaf's witness, the chosen pairs glued along their
+        compatibility relation and padded to ``copy_count`` copies, satisfy
+        the conjunct?"""
+        return satisfies_conjunct(_Witness(self, chosen, relation, conjunct.copy_count), conjunct, context)
 
 
 # ---------------------------------------------------------------- fast path

@@ -146,16 +146,12 @@ class BlockRep(Image):
     """One per-block representative: the core of a minimal block image, and
     its anchors, the freshly mapped block atoms guaranteed to survive in it.
     An ``Image`` on the instance: the anchors are ``extra``, the block's
-    other atoms and the rest atoms its retraction removed are ``gone``.
-    ``instance`` rebuilds it whole on each read."""
+    other atoms and the rest atoms its retraction removed are ``gone``;
+    ``whole()`` builds it."""
 
     @property
     def anchors(self) -> FrozenSet[Atom]:
         return self.extra
-
-    @property
-    def instance(self) -> Instance:
-        return self.whole()
 
 
 def _pool(instance: Instance, constants: Iterable[Const]) -> List[Value]:
@@ -279,7 +275,7 @@ def enum_min_c_block(
     max_block_nulls: Optional[int] = None,
 ) -> MinRepSet:
     reps = block_reps(instance, block_index, constants, max_block_nulls)
-    distinct = tuple(sorted({r.instance for r in reps}, key=instance_key))
+    distinct = tuple(sorted({r.whole() for r in reps}, key=instance_key))
     return MinRepSet(instance, tuple(sorted(set(constants), key=value_key)), distinct, block_index)
 
 

@@ -26,11 +26,21 @@ from .errors import DxError, NotGround, UndefinedValue
 # ---------------------------------------------------------------- values
 
 
+def _stored_hash(self) -> int:
+    return self._hash
+
+
 @dataclass(frozen=True)
 class Const:
-    """A constant, interpreted by itself."""
+    """A constant, interpreted by itself.  Values and atoms hash once, at
+    construction, to the hash their dataclass fields give."""
 
     name: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    __hash__ = _stored_hash
 
     def __repr__(self):
         return self.name
@@ -42,6 +52,11 @@ class Null:
 
     scope: str
     nid: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.scope, self.nid)))
+
+    __hash__ = _stored_hash
 
     def __repr__(self):
         return f"_{self.scope}{self.nid}"
@@ -95,6 +110,11 @@ class Atom:
 
     rel: str
     args: Tuple[Value, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.rel, self.args)))
+
+    __hash__ = _stored_hash
 
     @property
     def is_ground(self) -> bool:
@@ -165,13 +185,12 @@ class Instance:
     so later core tests on it need no search.
     """
 
-    __slots__ = ("atoms", "_dom", "_tables", "_hash", "_sorted", "_core")
+    __slots__ = ("atoms", "_dom", "_tables", "_sorted", "_core")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         object.__setattr__(self, "atoms", frozenset(atoms))
         object.__setattr__(self, "_dom", None)
         object.__setattr__(self, "_tables", None)
-        object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_core", False)
 
@@ -190,11 +209,7 @@ class Instance:
         return isinstance(other, Instance) and self.atoms == other.atoms
 
     def __hash__(self) -> int:
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
-            h = hash(self.atoms)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(self.atoms)  # a frozenset stores its hash
 
     def __repr__(self):
         return "{" + ", ".join(map(repr, self.sorted_atoms())) + "}"

@@ -246,7 +246,7 @@ def test_criterion_07_representative_properties():
                 for world in whole:
                     for atom in world.atoms:
                         assert any(
-                            any(atoms_isomorphic(cand, atom) for cand in rep.instance.atoms)
+                            any(atoms_isomorphic(cand, atom) for cand in rep.whole().atoms)
                             for rep in block_reps
                         ), (world, atom)
 

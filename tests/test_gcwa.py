@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dx import (
     Atom,
@@ -30,9 +32,9 @@ from dx.errors import (
 from dx.gcwa import (
     CandidatePair,
     CoreEvaluator,
+    ExistentialConjunct,
     Unsatisfiable,
     compatible_and_relation,
-    join_pairs,
     satisfies_conjunct,
 )
 import dx.corelib
@@ -167,6 +169,131 @@ def test_specialize_resolves_equalities():
     assert isinstance(clash, Unsatisfiable)
 
 
+# ------------------------------------------------------------- materializing reference
+#
+# The search leaf as a whole instance: each chosen representative rebuilt,
+# renamed into its copy's tag and glued along the compatibility relation,
+# then unioned with padding copies of the core.  ``CoreEvaluator._leaf``
+# reads the same witness through the core's index; the replay tests below
+# hold the two to the same boolean on every leaf.
+
+
+def _core_rank(core):
+    return {n: j for j, n in enumerate(sorted(core.nulls(), key=value_key))}
+
+
+def _renamed(inst, tag, rank):
+    """The instance with each null n renamed ``Null(tag, rank[n])``."""
+    return Instance(
+        Atom(at.rel, tuple(Null(tag, rank[v]) if isinstance(v, Null) else v for v in at.args))
+        for at in inst.atoms
+    )
+
+
+def join_pairs(pairs, relation):
+    """Glue compatible pairs, each holding a renamed copy as its ``rep``,
+    into one instance and one assignment.  Every equivalence class is
+    collapsed onto its first-seen member (pairs in order, variables per
+    pair in name order)."""
+    order, seen = [], set()
+    for p in pairs:
+        for var, val in sorted(p.assignment, key=lambda it: it[0].name):
+            if val not in seen:
+                seen.add(val)
+                order.append(val)
+    rank = {v: i for i, v in enumerate(order)}
+
+    def representative(v):
+        return min(relation[v], key=lambda u: rank[u])
+
+    glued_atoms, assignment = set(), {}
+    for p in pairs:
+        image_of = {val: representative(val) for val in p.values()}
+        remap = {v: image_of.get(v, v) for v in p.rep.dom()}
+        glued_atoms.update(apply_map(remap, p.rep).atoms)
+        for var, val in p.assignment:
+            assignment[var] = image_of[val]
+    return Instance(glued_atoms), assignment
+
+
+def _materialized_leaf(core, chosen, relation, conjunct, context):
+    rank = _core_rank(core)
+    glued, _ = join_pairs([
+        CandidatePair(_renamed(p.rep.whole(), f"cp{j + 1}", rank), p.assignment)
+        for j, p in enumerate(chosen)
+    ], relation)
+    padding = Instance(
+        at for i in range(len(chosen), conjunct.copy_count)
+        for at in _renamed(core, f"cp{i + 1}", rank).atoms
+    )
+    return satisfies_conjunct(glued.union(padding), conjunct, context)
+
+
+def _reference_search(evaluator, conjunct, context):
+    """``conjunct_satisfiable`` over the materializing leaf: its result and
+    the leaves it visits, each as (chosen pairs, result)."""
+    context = frozenset(context) | frozenset(conjunct.consts())
+    leaves = []
+
+    def leaf(chosen, relation):
+        result = _materialized_leaf(evaluator.core, chosen, relation, conjunct, context)
+        leaves.append((tuple(chosen), result))
+        return result
+
+    if conjunct.is_empty:
+        return not conjunct.quantified or bool(context) or len(evaluator.core) > 0, leaves
+    if conjunct.k == 0:
+        return leaf((), {}), leaves
+    key, index = evaluator._anchor_index(context)
+    candidate_sets = [
+        evaluator._candidate_pairs(key, index, literal, f"cp{i + 1}")
+        for i, literal in enumerate(conjunct.positives)
+    ]
+    if not all(candidate_sets):
+        return False, leaves
+    chosen = []
+
+    def search(i):
+        if i == len(candidate_sets):
+            return leaf(chosen, compatible_and_relation(chosen))
+        for pair in candidate_sets[i]:
+            chosen.append(pair)
+            if compatible_and_relation(chosen) is not None and search(i + 1):
+                return True
+            chosen.pop()
+        return False
+
+    return search(0), leaves
+
+
+@pytest.fixture
+def leaf_replay(monkeypatch):
+    """Replays every search leaf of ``CoreEvaluator`` on the materializing
+    reference, and every ``conjunct_satisfiable`` call on the reference
+    search; returns the number of leaves checked."""
+    checked = []
+    leaf, satisfiable = CoreEvaluator._leaf, CoreEvaluator.conjunct_satisfiable
+    visited = []
+
+    def replayed_leaf(self, chosen, relation, conjunct, context):
+        result = leaf(self, chosen, relation, conjunct, context)
+        assert result == _materialized_leaf(self.core, chosen, relation, conjunct, context)
+        visited.append((tuple(chosen), result))
+        return result
+
+    def replayed(self, conjunct, context=()):
+        del visited[:]
+        result = satisfiable(self, conjunct, context)
+        expected, leaves = _reference_search(self, conjunct, context)
+        assert (result, visited) == (expected, leaves), conjunct
+        checked.append(len(leaves))
+        return result
+
+    monkeypatch.setattr(CoreEvaluator, "_leaf", replayed_leaf)
+    monkeypatch.setattr(CoreEvaluator, "conjunct_satisfiable", replayed)
+    return checked
+
+
 # ------------------------------------------------------------- compatibility
 
 
@@ -211,7 +338,7 @@ def test_join_single_pair_is_identity():
     p1 = _pair([Atom("E", (a, na))], {x: na})
     rel = compatible_and_relation([p1])
     glued, assignment = join_pairs([p1], rel)
-    assert glued == p1.instance and assignment[x] == na
+    assert glued == p1.rep and assignment[x] == na
 
 
 # ------------------------------------------------------------- core evaluation
@@ -257,18 +384,21 @@ def test_core_eval_rejects_non_core():
         CoreEvaluator(Instance([Atom("E", (a, n1)), Atom("E", (a, n2))]))
 
 
-def _reference_pairs(reps, literal, tag):
+def _reference_pairs(core, reps, literal, tag):
     """Candidate pairs the way the renaming-first construction builds them:
-    rename every representative whole into ``tag``, match the literal on
-    each renamed anchor (representatives in order, anchors in ``repr``
-    order) and keep the first of equal (instance, assignment) pairs."""
+    rename every representative whole into ``tag`` (each null by its rank
+    in the core), match the literal on each renamed anchor (representatives
+    in order, anchors in ``repr`` order) and keep the first of equal
+    (instance, assignment) pairs."""
     rel, terms = literal
+    rank = _core_rank(core)
     out = []
     for rep in reps:
-        remap = {c: c for c in rep.instance.consts()}
-        for j, n in enumerate(sorted(rep.instance.nulls(), key=value_key)):
-            remap[n] = Null(tag, j)
-        renamed = apply_map(remap, rep.instance)
+        whole = rep.whole()
+        remap = {c: c for c in whole.consts()}
+        for n in whole.nulls():
+            remap[n] = Null(tag, rank[n])
+        renamed = apply_map(remap, whole)
         for anchor in sorted(rep.anchors, key=repr):
             args = tuple(remap[v] for v in anchor.args)
             if anchor.rel != rel or len(args) != len(terms):
@@ -324,6 +454,7 @@ def test_candidate_pairs_match_renaming_first_reference():
     checked = 0
     for core in _packed_cores():
         evaluator = CoreEvaluator(core)
+        rank = _core_rank(core)
         outside = Const("zz")
         for context in (frozenset(), frozenset([outside])):
             key, index = evaluator._anchor_index(context)
@@ -332,12 +463,58 @@ def test_candidate_pairs_match_renaming_first_reference():
                 for tag in ("cp1", "cp2"):
                     got = []
                     for p in evaluator._candidate_pairs(key, index, literal, tag):
-                        pair = (dx.gcwa._renamed(p.instance.instance, tag), p.assignment)
+                        pair = (_renamed(p.rep.whole(), tag, rank), p.assignment)
                         if pair not in got:  # reps equal after renaming
                             got.append(pair)
-                    assert got == _reference_pairs(reps, literal, tag), (core, literal, tag)
+                    assert got == _reference_pairs(core, reps, literal, tag), (core, literal, tag)
                     checked += len(got)
     assert checked > 1000
+
+
+def _random_conjuncts(rng, core, count):
+    """Conjuncts over the core's relations: up to two positive and one
+    negated literal and one disequality, over three variables and constants
+    of the core and outside it, so that some variables are loose."""
+    shapes = sorted({(at.rel, len(at.args)) for at in core.atoms})
+    terms = [Var("u1"), Var("u2"), Var("u3")] + sorted(core.consts(), key=value_key)[:2] + [Const("zz")]
+
+    def term():
+        return rng.choice(terms[:3]) if rng.random() < 0.75 else rng.choice(terms[3:])
+
+    def literal():
+        rel, arity = rng.choice(shapes)
+        return rel, tuple(term() for _ in range(arity))
+
+    for _ in range(count):
+        positives = tuple(dict.fromkeys(literal() for _ in range(rng.randint(0, 2))))
+        negatives = tuple(lit for lit in [literal()][: rng.randint(0, 1)] if lit not in positives)
+        pairs = [(term(), term())][: rng.randint(0, 1)]
+        disequalities = tuple((l, r) for l, r in pairs if l != r)
+        yield ExistentialConjunct(positives, negatives, disequalities, rng.random() < 0.5)
+
+
+def test_leaves_match_materializing_reference_on_packed_cores(leaf_replay):
+    rng = random.Random(17)
+    for core in _packed_cores():
+        evaluator = CoreEvaluator(core)
+        for conjunct in _random_conjuncts(rng, core, 25):
+            for context in (frozenset(), frozenset([Const("zz")])):
+                evaluator.conjunct_satisfiable(conjunct, context)
+    assert len(leaf_replay) > 1500 and sum(leaf_replay) > 1500, (len(leaf_replay), sum(leaf_replay))
+
+
+def test_leaves_match_materializing_reference_on_criterion_8_triples(leaf_replay):
+    # criterion 8 draws 221 triples from its seed to agree on 200
+    for m, s, q in itertools.islice(random_triples(random.Random(20260808), max_atoms=5), 221):
+        answers_gcwa_star_universal(core_solution(m, s), q)
+    assert len(leaf_replay) > 200 and sum(leaf_replay) > 150, (len(leaf_replay), sum(leaf_replay))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_leaves_match_materializing_reference_on_random_triples(leaf_replay, seed):
+    m, s, q = next(random_triples(random.Random(seed), max_atoms=5))
+    answers_gcwa_star_universal(core_solution(m, s), q)
 
 
 # ------------------------------------------------------------- fast path
@@ -532,6 +709,38 @@ def test_two_null_chain_answers(rep_shrinks):
         _, _, core, q = _two_null_chain(edges)
         assert answers_gcwa_star_universal(core, q) == _two_null_answers(edges)
     assert rep_shrinks == [0, 0, 0, 0]
+
+
+def test_leaves_read_the_core_index_without_rebuilding_instances(monkeypatch):
+    # work without a clock: no leaf rebuilds a representative whole or
+    # builds an instance as large as the core, at any chain length
+    cases = [(_ef_chain_core(ef_chain(n)), _ef_chain_answers(ef_chain(n))) for n in (10, 20, 40)]
+    _, _, core, q = _two_null_chain(ef_chain(10))
+    cases.append(((core, q), _two_null_answers(ef_chain(10))))
+    wholes, big, leaves, size = [], [], [], [0]
+    whole, init, leaf = dx.corelib.Image.whole, Instance.__init__, CoreEvaluator._leaf
+
+    def counting_whole(self):
+        wholes.append(self)
+        return whole(self)
+
+    def counting_init(self, atoms=()):
+        init(self, atoms)
+        if len(self.atoms) >= size[0]:
+            big.append(len(self.atoms))
+
+    def counting_leaf(self, *args):
+        leaves.append(args)
+        return leaf(self, *args)
+
+    monkeypatch.setattr(dx.corelib.Image, "whole", counting_whole)
+    monkeypatch.setattr(Instance, "__init__", counting_init)
+    monkeypatch.setattr(CoreEvaluator, "_leaf", counting_leaf)
+    for (core, q), expected in cases:
+        size[0], big[:], leaves[:] = len(core), [], []
+        assert answers_gcwa_star_universal(core, q) == expected
+        assert leaves and not big, (len(core), len(leaves), big)
+    assert not wholes
 
 
 def test_fast_path_runs_the_core_search_once(monkeypatch):

@@ -245,13 +245,13 @@ def test_atom_provenance_on_packed_cores():
             for atom in world.atoms:
                 witnesses = []
                 for rep in reps:
-                    for cand in rep.instance.atoms:
+                    for cand in rep.whole().atoms:
                         if not atoms_isomorphic(cand, atom):
                             continue
-                        h = find_homomorphism(rep.instance, world)
+                        h = find_homomorphism(rep.whole(), world)
                         if h is None:
                             continue
-                        if apply_map(h, rep.instance) != world:
+                        if apply_map(h, rep.whole()) != world:
                             continue
                         if Atom(cand.rel, tuple(h[v] for v in cand.args)) == atom:
                             witnesses.append((rep, cand))
@@ -325,7 +325,7 @@ def test_block_reps_match_reference():
 
 
 def _whole(reps):
-    return [(rep.instance, rep.anchors) for rep in reps]
+    return [(rep.whole(), rep.anchors) for rep in reps]
 
 
 def test_local_retraction_matches_whole_instance_retraction():
@@ -348,7 +348,7 @@ def test_local_retraction_matches_whole_instance_retraction():
                     anchor_nulls = {v for atom in rep.anchors for v in atom.nulls()}
                     image = Instance(rep.anchors | rest)
                     expected = core_retract_fixing(image, anchor_nulls)
-                    assert rep.instance == expected, (inst, idx, rep.anchors)
+                    assert rep.whole() == expected, (inst, idx, rep.anchors)
                     retracted += len(expected) < len(image)
     assert retracted > 100
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -21,6 +22,23 @@ from fixtures import BLK_INSTANCE, E_SCHEMA, NAF_INSTANCE, instance
 
 a, b, c = Const("a"), Const("b"), Const("c")
 n1, n2, n3 = Null("t", 1), Null("t", 2), Null("t", 3)
+
+
+def test_values_and_atoms_hash_as_their_fields_do():
+    # the stored hash is the frozen dataclass's, so set order is unchanged
+    atom = Atom("E", (a, n1))
+    assert hash(a) == hash(("a",))
+    assert hash(n1) == hash(("t", 1))
+    assert hash(atom) == hash(("E", (a, n1)))
+    assert a == Const("a") != b and n1 == Null("t", 1) != Null("s", 1)
+    assert atom == Atom("E", (a, n1)) != Atom("E", (n1, a))
+    moved = dataclasses.replace(atom, args=(b, n2))
+    assert moved == Atom("E", (b, n2)) and hash(moved) == hash(("E", (b, n2)))
+    renamed = dataclasses.replace(n1, nid=2)
+    assert renamed == n2 and hash(renamed) == hash(("t", 2))
+    assert dataclasses.replace(a, name="b") == b and hash(dataclasses.replace(a, name="b")) == hash(b)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.name = "c"
 
 
 def test_apply_map_identity():
