@@ -183,9 +183,8 @@ def _cmd_blocks(args) -> int:
 def _cmd_minrep(args) -> int:
     mapping = _load_mapping(args.mapping)
     inst = _load_instance(args.instance, mapping, "combined")
-    constants = tuple(
-        Const(name) for name in args.constants.split(",") if name.strip()
-    )
+    names = (name.strip() for name in args.constants.split(","))
+    constants = tuple(Const(name) for name in names if name)
     chunks = []
     if args.whole:
         reps = enum_min_c(inst, constants)

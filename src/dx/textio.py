@@ -2,7 +2,12 @@
 
 File syntax
 -----------
-Mapping files hold period-terminated statements; ``#`` starts a comment::
+All three file kinds are UTF-8 and share one lexical syntax.  ``#`` starts a
+comment that runs to the end of the line.  Identifiers are letters, digits,
+``_`` and ``'``, and cannot start with ``'``.  A quoted constant ``"..."``
+stays on one line.  Numbers (arities, counting bounds) are ASCII digits.
+
+Mapping files hold period-terminated statements::
 
     source R/2, P/1.
     target E/2, F/2.
@@ -33,8 +38,10 @@ the right as possible.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Set, Tuple, TypeVar
 
 from .errors import ArityMismatch, ParseError, SchemaViolation, UnknownRelation
 from .logic import (
@@ -64,6 +71,8 @@ from .model import (
     Var,
 )
 
+T = TypeVar("T")
+
 
 @dataclass
 class SourceText:
@@ -74,32 +83,39 @@ class SourceText:
 
     @staticmethod
     def from_file(path) -> "SourceText":
-        with open(path, "r", encoding="utf-8") as fh:
-            return SourceText(fh.read(), str(path))
+        with open(path, "rb") as fh:
+            # universal newlines, as text mode reads them; CR and LF never
+            # occur inside a multi-byte UTF-8 sequence
+            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            return SourceText(data.decode("utf-8"), str(path))
+        except UnicodeDecodeError as exc:
+            line_start = data.rfind(b"\n", 0, exc.start) + 1
+            raise ParseError(
+                f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                str(path),
+                data.count(b"\n", 0, exc.start) + 1,
+                len(data[line_start : exc.start].decode("utf-8")) + 1,
+            )
 
 
 # ---------------------------------------------------------------- tokenizer
 
-_PUNCT = [
-    (":=", "ASSIGN"),
-    ("->", "ARROW"),
-    ("/\\", "AND"),
-    ("\\/", "OR"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("[", "LBRACKET"),
-    ("]", "RBRACKET"),
-    (",", "COMMA"),
-    (".", "PERIOD"),
-    ("/", "SLASH"),
-    ("~", "NOT"),
-    ("=", "EQ"),
-    (":", "COLON"),
-]
+# One alternative per token kind, tried in order; spaces and comments match
+# no named group.  ``\w`` is exactly ``str.isalnum()`` plus ``_``.
+_TOKEN_RE = re.compile(
+    r"""(?P<NEWLINE>\n)|[ \t\r]+|\#[^\n]*
+    |"(?P<STRING>[^"\n]*)"
+    |(?P<NULLID>_[\w']*)|(?P<IDENT>\w[\w']*)
+    |(?P<ASSIGN>:=)|(?P<ARROW>->)|(?P<AND>/\\)|(?P<OR>\\/)
+    |(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACKET>\[)|(?P<RBRACKET>\])
+    |(?P<COMMA>,)|(?P<PERIOD>\.)|(?P<SLASH>/)|(?P<NOT>~)|(?P<EQ>=)|(?P<COLON>:)
+    |(?P<BAD>.)""",
+    re.VERBOSE,
+)
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -108,63 +124,37 @@ class Token:
 
 def _tokenize(src: SourceText) -> List[Token]:
     out: List[Token] = []
-    line, col, i = 1, 1, 0
-    text = src.text
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN_RE.finditer(src.text):
+        kind = m.lastgroup
+        if kind is None:
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", src.name, line, col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", src.name, line, col)
-            out.append(Token("STRING", text[i + 1 : j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch.isalnum() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = "NULLID" if word.startswith("_") else "IDENT"
-            out.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym, kind in _PUNCT:
-            if text.startswith(sym, i):
-                out.append(Token(kind, sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", src.name, line, col)
-    out.append(Token("EOF", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "BAD":
+            ch = m.group()
+            message = "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+            raise ParseError(message, src.name, line, col)
+        out.append(Token(kind, m.group(kind), line, col))
+    # a trailing comment does not advance the column
+    end = m.start() if m and m.group().startswith("#") else len(src.text)
+    out.append(Token("EOF", "", line, end - line_start + 1))
     return out
 
 
 class _Cursor:
-    def __init__(self, src: SourceText):
+    """Tokens of one text, plus the schema and counting switch of formulas."""
+
+    def __init__(self, src: SourceText, schema: Optional[Schema] = None):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.schema = schema
+        self.allow_counting = False
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
@@ -178,18 +168,62 @@ class _Cursor:
     def expect(self, kind: str, what: str = "") -> Token:
         tok = self.next()
         if tok.kind != kind:
-            expected = what or kind
-            raise ParseError(
-                f"expected {expected}, found {tok.text!r}", self.src.name, tok.line, tok.col
-            )
+            self.error(f"expected {what or kind}, found {tok.text!r}", tok)
         return tok
 
-    def error(self, message: str, tok: Optional[Token] = None):
+    def error(self, message: str, tok: Optional[Token] = None, error=ParseError) -> NoReturn:
         tok = tok or self.peek()
-        raise ParseError(message, self.src.name, tok.line, tok.col)
+        raise error(message, self.src.name, tok.line, tok.col)
 
     def at_end(self) -> bool:
         return self.peek().kind == "EOF"
+
+
+# ---------------------------------------------------------------- shared readers
+
+
+def _items(cur: _Cursor, item: Callable[[_Cursor], T], sep: str = "COMMA") -> List[T]:
+    """``item (sep item)*``: one or more items read by ``item``."""
+    out = [item(cur)]
+    while cur.peek().kind == sep:
+        cur.next()
+        out.append(item(cur))
+    return out
+
+
+def _rel_atom(
+    cur: _Cursor,
+    arity_of: Callable[[_Cursor, Token], int],
+    term: Callable[[_Cursor], T],
+    unit: str = "",
+) -> Tuple[str, Tuple[T, ...]]:
+    """``rel(t1,...,tn)``: ``arity_of`` rejects unknown names, ``term`` reads each ti."""
+    name = cur.expect("IDENT", "a relation name")
+    arity = arity_of(cur, name)
+    cur.expect("LPAREN")
+    terms = tuple(_items(cur, term))
+    cur.expect("RPAREN")
+    if len(terms) != arity:
+        cur.error(f"{name.text} has arity {arity}, got {len(terms)}{unit}", name, ArityMismatch)
+    return name.text, terms
+
+
+def _schema_arity(cur: _Cursor, name: Token) -> int:
+    arity = cur.schema.arity(name.text)
+    if arity is None:
+        cur.error(f"unknown relation {name.text}", name, UnknownRelation)
+    return arity
+
+
+def _parse_number(cur: _Cursor) -> int:
+    tok = cur.expect("IDENT", "a number")
+    if not (tok.text.isascii() and tok.text.isdigit()):
+        cur.error("expected a number", tok)
+    return int(tok.text)
+
+
+def _variable(cur: _Cursor) -> Var:
+    return Var(cur.expect("IDENT", "a variable name").text)
 
 
 # ---------------------------------------------------------------- formula parsing
@@ -197,51 +231,36 @@ class _Cursor:
 _QUANTIFIERS = {"forall", "exists"}
 
 
-def _parse_formula(
-    cur: _Cursor,
-    schema: Schema,
-    bound: Set[str],
-    allow_counting: bool,
-) -> Formula:
-    return _parse_impl(cur, schema, bound, allow_counting)
-
-
-def _parse_impl(cur, schema, bound, allow_counting) -> Formula:
-    left = _parse_or(cur, schema, bound, allow_counting)
+def _parse_impl(cur: _Cursor, bound: Set[str]) -> Formula:
+    left = _parse_or(cur, bound)
     if cur.peek().kind == "ARROW":
         cur.next()
-        right = _parse_impl(cur, schema, bound, allow_counting)
+        right = _parse_impl(cur, bound)
         return Or((Not(left), right))
     return left
 
 
-def _parse_or(cur, schema, bound, allow_counting) -> Formula:
-    parts = [_parse_and(cur, schema, bound, allow_counting)]
-    while cur.peek().kind == "OR":
-        cur.next()
-        parts.append(_parse_and(cur, schema, bound, allow_counting))
+def _parse_or(cur: _Cursor, bound: Set[str]) -> Formula:
+    parts = _items(cur, lambda cur: _parse_and(cur, bound), "OR")
     return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
 
-def _parse_and(cur, schema, bound, allow_counting) -> Formula:
-    parts = [_parse_unary(cur, schema, bound, allow_counting)]
-    while cur.peek().kind == "AND":
-        cur.next()
-        parts.append(_parse_unary(cur, schema, bound, allow_counting))
+def _parse_and(cur: _Cursor, bound: Set[str]) -> Formula:
+    parts = _items(cur, lambda cur: _parse_unary(cur, bound), "AND")
     return parts[0] if len(parts) == 1 else And(tuple(parts))
 
 
-def _parse_unary(cur, schema, bound, allow_counting) -> Formula:
+def _parse_unary(cur: _Cursor, bound: Set[str]) -> Formula:
     tok = cur.peek()
     if tok.kind == "NOT":
         cur.next()
-        return Not(_parse_unary(cur, schema, bound, allow_counting))
+        return Not(_parse_unary(cur, bound))
     if tok.kind == "IDENT" and tok.text in _QUANTIFIERS:
-        return _parse_quantifier(cur, schema, bound, allow_counting)
-    return _parse_primary(cur, schema, bound, allow_counting)
+        return _parse_quantifier(cur, bound)
+    return _parse_primary(cur, bound)
 
 
-def _parse_quantifier(cur, schema, bound, allow_counting) -> Formula:
+def _parse_quantifier(cur: _Cursor, bound: Set[str]) -> Formula:
     tok = cur.next()
     lo = hi = None
     if tok.text == "exists" and cur.peek().kind == "LBRACKET":
@@ -250,7 +269,7 @@ def _parse_quantifier(cur, schema, bound, allow_counting) -> Formula:
         cur.expect("COMMA")
         hi = _parse_number(cur)
         cur.expect("RBRACKET")
-        if not allow_counting:
+        if not cur.allow_counting:
             cur.error("counting quantifiers are only allowed in constraints", tok)
         if lo > hi or lo < 0:
             cur.error(f"bad counting range [{lo},{hi}]", tok)
@@ -258,64 +277,34 @@ def _parse_quantifier(cur, schema, bound, allow_counting) -> Formula:
     if var_tok.text in _QUANTIFIERS:
         cur.error("quantifier keyword used as a variable", var_tok)
     cur.expect("COLON")
-    inner_bound = bound | {var_tok.text}
-    body = _parse_impl(cur, schema, inner_bound, allow_counting)
+    body = _parse_impl(cur, bound | {var_tok.text})
     var = Var(var_tok.text)
     if lo is not None:
         return CountExists(lo, hi, var, body)
     return Exists(var, body) if tok.text == "exists" else Forall(var, body)
 
 
-def _parse_number(cur) -> int:
-    tok = cur.expect("IDENT", "a number")
-    if not tok.text.isdigit():
-        cur.error("expected a number", tok)
-    return int(tok.text)
-
-
-def _parse_primary(cur, schema, bound, allow_counting) -> Formula:
+def _parse_primary(cur: _Cursor, bound: Set[str]) -> Formula:
     tok = cur.peek()
     if tok.kind == "LPAREN":
         cur.next()
-        inner = _parse_impl(cur, schema, bound, allow_counting)
+        inner = _parse_impl(cur, bound)
         cur.expect("RPAREN")
         return inner
     if tok.kind == "NULLID":
         cur.error("nulls are not allowed in formulas", tok)
     if tok.kind in ("IDENT", "STRING"):
+        term = partial(_formula_term, bound=bound)
         if tok.kind == "IDENT" and cur.peek(1).kind == "LPAREN":
-            return _parse_rel_atom(cur, schema, bound)
-        left = _parse_term(cur, bound)
+            return RelAtom(*_rel_atom(cur, _schema_arity, term, " arguments"))
+        left = term(cur)
         cur.expect("EQ", "'='")
-        right = _parse_term(cur, bound)
-        return Eq(left, right)
+        return Eq(left, term(cur))
     cur.error(f"unexpected token {tok.text!r}")
 
 
-def _parse_rel_atom(cur, schema: Schema, bound: Set[str]) -> RelAtom:
-    name_tok = cur.next()
-    arity = schema.arity(name_tok.text)
-    if arity is None:
-        raise UnknownRelation(
-            f"unknown relation {name_tok.text}", cur.src.name, name_tok.line, name_tok.col
-        )
-    cur.expect("LPAREN")
-    terms = [_parse_term(cur, bound)]
-    while cur.peek().kind == "COMMA":
-        cur.next()
-        terms.append(_parse_term(cur, bound))
-    cur.expect("RPAREN")
-    if len(terms) != arity:
-        raise ArityMismatch(
-            f"{name_tok.text} has arity {arity}, got {len(terms)} arguments",
-            cur.src.name,
-            name_tok.line,
-            name_tok.col,
-        )
-    return RelAtom(name_tok.text, tuple(terms))
-
-
-def _parse_term(cur, bound: Set[str]) -> Term:
+def _formula_term(cur: _Cursor, bound: Set[str]) -> Term:
+    """Bound identifiers are variables, other identifiers constants."""
     tok = cur.next()
     if tok.kind == "STRING":
         return Const(tok.text)
@@ -340,175 +329,113 @@ def parse_mapping(src: SourceText) -> SchemaMapping:
     constraints: List[FOQuery] = []
     saw_constraint = False
 
+    def declare(cur: _Cursor) -> None:
+        name = cur.expect("IDENT", "a relation name")
+        cur.expect("SLASH", "'/'")
+        arity = _parse_number(cur)
+        if arity < 1:
+            cur.error("arity must be positive", name)
+        if name.text in source or name.text in target:
+            cur.error(f"relation {name.text} declared twice", name, SchemaViolation)
+        decls[name.text] = arity
+
     while not cur.at_end():
         head = cur.expect("IDENT", "a statement keyword")
         if head.text in ("source", "target"):
             if saw_constraint:
-                raise SchemaViolation(
-                    "schema declarations must precede constraints",
-                    src.name,
-                    head.line,
-                    head.col,
-                )
+                cur.error("schema declarations must precede constraints", head, SchemaViolation)
             decls = source if head.text == "source" else target
-            while True:
-                name = cur.expect("IDENT", "a relation name")
-                cur.expect("SLASH", "'/'")
-                arity = _parse_number(cur)
-                if arity < 1:
-                    cur.error("arity must be positive", name)
-                if name.text in source or name.text in target:
-                    raise SchemaViolation(
-                        f"relation {name.text} declared twice", src.name, name.line, name.col
-                    )
-                decls[name.text] = arity
-                if cur.peek().kind != "COMMA":
-                    break
-                cur.next()
+            _items(cur, declare)
             cur.expect("PERIOD", "'.'")
         elif head.text == "tgd":
             saw_constraint = True
-            tgds.append(_parse_tgd(cur, source, target, head))
+            body = _pattern_atoms(cur, source, "source")
+            cur.expect("ARROW", "'->'")
+            exists_vars: List[Var] = []
+            if cur.peek().kind == "IDENT" and cur.peek().text == "exists":
+                cur.next()
+                exists_vars = _items(cur, _variable)
+                cur.expect("COLON")
+            atoms = _pattern_atoms(cur, target, "target")
+            cur.expect("PERIOD", "'.'")
+            tgds.append(_checked(cur, head, StTgd, body, atoms, tuple(exists_vars)))
         elif head.text == "egd":
             saw_constraint = True
-            egds.append(_parse_egd(cur, target, head))
+            body = _pattern_atoms(cur, target, "target")
+            cur.expect("ARROW", "'->'")
+            left = _variable(cur)
+            cur.expect("EQ", "'='")
+            right = _variable(cur)
+            cur.expect("PERIOD", "'.'")
+            egds.append(_checked(cur, head, Egd, body, (left, right)))
         elif head.text == "constraint":
             saw_constraint = True
-            combined = Schema.of({**source, **target})
-            body = _parse_formula(cur, combined, set(), allow_counting=True)
+            cur.schema = Schema.of({**source, **target})
+            cur.allow_counting = True
+            body = _parse_impl(cur, set())
             cur.expect("PERIOD", "'.'")
             constraints.append(FOQuery("constraint", (), body))
         else:
             cur.error(f"unknown statement {head.text!r}", head)
 
+    # every check SchemaMapping makes has been made per statement above
+    return SchemaMapping(
+        Schema.of(source), Schema.of(target), tuple(tgds), tuple(egds), tuple(constraints)
+    )
+
+
+def _checked(cur: _Cursor, keyword: Token, make, *parts):
+    """``make(*parts)``, its complaints reported at the statement's keyword."""
     try:
-        return SchemaMapping(
-            Schema.of(source),
-            Schema.of(target),
-            tuple(tgds),
-            tuple(egds),
-            tuple(constraints),
-        )
+        return make(*parts)
     except DxError as exc:
-        raise SchemaViolation(str(exc), src.name, 1, 1)
+        cur.error(str(exc), keyword, SchemaViolation)
 
 
-def _parse_pattern_atoms(cur, schema: Dict[str, int], what: str) -> List[PatternAtom]:
-    atoms = [_parse_pattern_atom(cur, schema, what)]
-    while cur.peek().kind == "COMMA":
-        cur.next()
-        atoms.append(_parse_pattern_atom(cur, schema, what))
-    return atoms
+def _pattern_atoms(cur: _Cursor, decls: Dict[str, int], what: str) -> Tuple[PatternAtom, ...]:
+    def arity_of(cur: _Cursor, name: Token) -> int:
+        if name.text not in decls:
+            cur.error(f"{name.text} is not a {what} relation", name, SchemaViolation)
+        return decls[name.text]
+
+    return tuple(_items(cur, lambda cur: PatternAtom(*_rel_atom(cur, arity_of, _pattern_term))))
 
 
-def _parse_pattern_atom(cur, schema: Dict[str, int], what: str) -> PatternAtom:
-    name = cur.expect("IDENT", "a relation name")
-    if name.text not in schema:
-        raise SchemaViolation(
-            f"{name.text} is not a {what} relation", cur.src.name, name.line, name.col
-        )
-    cur.expect("LPAREN")
-    terms: List[Term] = []
-    while True:
-        tok = cur.next()
-        if tok.kind == "STRING":
-            terms.append(Const(tok.text))
-        elif tok.kind == "IDENT":
-            terms.append(Var(tok.text))
-        elif tok.kind == "NULLID":
-            cur.error("nulls are not allowed in mapping files", tok)
-        else:
-            cur.error(f"expected a term, found {tok.text!r}", tok)
-        if cur.peek().kind != "COMMA":
-            break
-        cur.next()
-    cur.expect("RPAREN")
-    if len(terms) != schema[name.text]:
-        raise ArityMismatch(
-            f"{name.text} has arity {schema[name.text]}, got {len(terms)}",
-            cur.src.name,
-            name.line,
-            name.col,
-        )
-    return PatternAtom(name.text, tuple(terms))
-
-
-def _parse_tgd(cur, source: Dict[str, int], target: Dict[str, int], head_tok) -> StTgd:
-    body = _parse_pattern_atoms(cur, source, "source")
-    cur.expect("ARROW", "'->'")
-    exists_vars: List[Var] = []
-    if cur.peek().kind == "IDENT" and cur.peek().text == "exists":
-        cur.next()
-        while True:
-            v = cur.expect("IDENT", "a variable name")
-            exists_vars.append(Var(v.text))
-            if cur.peek().kind != "COMMA":
-                break
-            cur.next()
-        cur.expect("COLON")
-    head = _parse_pattern_atoms(cur, target, "target")
-    cur.expect("PERIOD", "'.'")
-    try:
-        return StTgd(tuple(body), tuple(head), tuple(exists_vars))
-    except DxError as exc:
-        raise SchemaViolation(str(exc), cur.src.name, head_tok.line, head_tok.col)
-
-
-def _parse_egd(cur, target: Dict[str, int], head_tok) -> Egd:
-    body = _parse_pattern_atoms(cur, target, "target")
-    cur.expect("ARROW", "'->'")
-    left = cur.expect("IDENT", "a variable name")
-    cur.expect("EQ", "'='")
-    right = cur.expect("IDENT", "a variable name")
-    cur.expect("PERIOD", "'.'")
-    try:
-        return Egd(tuple(body), (Var(left.text), Var(right.text)))
-    except DxError as exc:
-        raise SchemaViolation(str(exc), cur.src.name, head_tok.line, head_tok.col)
+def _pattern_term(cur: _Cursor) -> Term:
+    """Bare identifiers are variables, quoted ones constants."""
+    tok = cur.next()
+    if tok.kind == "STRING":
+        return Const(tok.text)
+    if tok.kind == "IDENT":
+        return Var(tok.text)
+    if tok.kind == "NULLID":
+        cur.error("nulls are not allowed in mapping files", tok)
+    cur.error(f"expected a term, found {tok.text!r}", tok)
 
 
 # ---------------------------------------------------------------- instance files
 
 
 def parse_instance(src: SourceText, schema: Schema) -> Instance:
-    cur = _Cursor(src)
+    cur = _Cursor(src, schema)
     nulls: Dict[str, Null] = {}
     scope = src.name if src.name != "<string>" else "i"
+
+    def value(cur: _Cursor):
+        """Identifiers and quoted tokens are constants, ``_x`` a null."""
+        tok = cur.next()
+        if tok.kind in ("IDENT", "STRING"):
+            return Const(tok.text)
+        if tok.kind == "NULLID":
+            if tok.text not in nulls:
+                nulls[tok.text] = Null(scope, len(nulls))
+            return nulls[tok.text]
+        cur.error(f"expected a value, found {tok.text!r}", tok)
+
     atoms: List[Atom] = []
     while not cur.at_end():
-        name = cur.expect("IDENT", "a relation name")
-        arity = schema.arity(name.text)
-        if arity is None:
-            raise UnknownRelation(
-                f"unknown relation {name.text}", src.name, name.line, name.col
-            )
-        cur.expect("LPAREN")
-        args: List = []
-        while True:
-            tok = cur.next()
-            if tok.kind == "IDENT":
-                args.append(Const(tok.text))
-            elif tok.kind == "STRING":
-                args.append(Const(tok.text))
-            elif tok.kind == "NULLID":
-                if tok.text not in nulls:
-                    nulls[tok.text] = Null(scope, len(nulls))
-                args.append(nulls[tok.text])
-            else:
-                cur.error(f"expected a value, found {tok.text!r}", tok)
-            if cur.peek().kind != "COMMA":
-                break
-            cur.next()
-        cur.expect("RPAREN")
+        atoms.append(Atom(*_rel_atom(cur, _schema_arity, value)))
         cur.expect("PERIOD", "'.'")
-        if len(args) != arity:
-            raise ArityMismatch(
-                f"{name.text} has arity {arity}, got {len(args)}",
-                src.name,
-                name.line,
-                name.col,
-            )
-        atoms.append(Atom(name.text, tuple(args)))
     return Instance(atoms)
 
 
@@ -516,22 +443,22 @@ def parse_instance(src: SourceText, schema: Schema) -> Instance:
 
 
 def parse_query(src: SourceText, schema: Schema) -> FOQuery:
-    cur = _Cursor(src)
+    cur = _Cursor(src, schema)
     name = cur.expect("IDENT", "a query name")
     cur.expect("LPAREN")
     free: List[Var] = []
+
+    def free_var(cur: _Cursor) -> None:
+        v = cur.expect("IDENT", "a variable name")
+        if Var(v.text) in free:
+            cur.error(f"duplicate free variable {v.text}", v)
+        free.append(Var(v.text))
+
     if cur.peek().kind != "RPAREN":
-        while True:
-            v = cur.expect("IDENT", "a variable name")
-            if Var(v.text) in free:
-                cur.error(f"duplicate free variable {v.text}", v)
-            free.append(Var(v.text))
-            if cur.peek().kind != "COMMA":
-                break
-            cur.next()
+        _items(cur, free_var)
     cur.expect("RPAREN")
     cur.expect("ASSIGN", "':='")
-    body = _parse_formula(cur, schema, {v.name for v in free}, allow_counting=False)
+    body = _parse_impl(cur, {v.name for v in free})
     cur.expect("PERIOD", "'.'")
     if not cur.at_end():
         cur.error("trailing input after the query")
@@ -541,20 +468,20 @@ def parse_query(src: SourceText, schema: Schema) -> FOQuery:
 # ---------------------------------------------------------------- serializers
 
 
-def _term_text(t: Term) -> str:
-    return t.name
-
-
 def _pattern_term_text(t: Term) -> str:
     # mapping-file convention: bare identifiers are variables
     return t.name if isinstance(t, Var) else f'"{t.name}"'
 
 
+def _pattern_atoms_text(atoms) -> str:
+    return ", ".join(f"{a.rel}({','.join(map(_pattern_term_text, a.terms))})" for a in atoms)
+
+
 def serialize_formula(f: Formula, parent_prec: int = 0) -> str:
     if isinstance(f, RelAtom):
-        return f"{f.rel}({','.join(_term_text(t) for t in f.terms)})"
+        return f"{f.rel}({','.join(t.name for t in f.terms)})"
     if isinstance(f, Eq):
-        s = f"{_term_text(f.left)} = {_term_text(f.right)}"
+        s = f"{f.left.name} = {f.right.name}"
         return f"({s})" if parent_prec >= 4 else s
     if isinstance(f, Not):
         return f"~{serialize_formula(f.sub, 4)}"
@@ -565,14 +492,12 @@ def serialize_formula(f: Formula, parent_prec: int = 0) -> str:
         # implication sugar is not reconstructed; Or is emitted directly
         s = " \\/ ".join(serialize_formula(p, 2) for p in f.parts)
         return f"({s})" if parent_prec >= 2 else s
-    if isinstance(f, Exists):
-        s = f"exists {f.var.name}: {serialize_formula(f.sub, 0)}"
-        return f"({s})" if parent_prec > 0 else s
-    if isinstance(f, Forall):
-        s = f"forall {f.var.name}: {serialize_formula(f.sub, 0)}"
-        return f"({s})" if parent_prec > 0 else s
-    if isinstance(f, CountExists):
-        s = f"exists[{f.lo},{f.hi}] {f.var.name}: {serialize_formula(f.sub, 0)}"
+    if isinstance(f, (Exists, Forall, CountExists)):
+        if isinstance(f, CountExists):
+            keyword = f"exists[{f.lo},{f.hi}]"
+        else:
+            keyword = "exists" if isinstance(f, Exists) else "forall"
+        s = f"{keyword} {f.var.name}: {serialize_formula(f.sub, 0)}"
         return f"({s})" if parent_prec > 0 else s
     raise DxError(f"unknown formula node {f!r}")
 
@@ -584,27 +509,17 @@ def serialize_query(q: FOQuery) -> str:
 
 def serialize_mapping(m: SchemaMapping) -> str:
     lines = []
-    if m.source.relations:
-        lines.append("source " + ", ".join(f"{n}/{a}" for n, a in m.source.relations) + ".")
-    if m.target.relations:
-        lines.append("target " + ", ".join(f"{n}/{a}" for n, a in m.target.relations) + ".")
+    for keyword, schema in (("source", m.source), ("target", m.target)):
+        if schema.relations:
+            lines.append(f"{keyword} " + ", ".join(f"{n}/{a}" for n, a in schema.relations) + ".")
     for tgd in m.st_tgds:
-        body = ", ".join(
-            f"{a.rel}({','.join(_pattern_term_text(t) for t in a.terms)})" for a in tgd.body
+        ez = f"exists {', '.join(v.name for v in tgd.exists_vars)}: " if tgd.exists_vars else ""
+        lines.append(
+            f"tgd {_pattern_atoms_text(tgd.body)} -> {ez}{_pattern_atoms_text(tgd.head)}."
         )
-        head = ", ".join(
-            f"{a.rel}({','.join(_pattern_term_text(t) for t in a.terms)})" for a in tgd.head
-        )
-        if tgd.exists_vars:
-            ez = ", ".join(v.name for v in tgd.exists_vars)
-            lines.append(f"tgd {body} -> exists {ez}: {head}.")
-        else:
-            lines.append(f"tgd {body} -> {head}.")
     for egd in m.egds:
-        body = ", ".join(
-            f"{a.rel}({','.join(_pattern_term_text(t) for t in a.terms)})" for a in egd.body
-        )
-        lines.append(f"egd {body} -> {egd.equated[0].name} = {egd.equated[1].name}.")
+        left, right = egd.equated
+        lines.append(f"egd {_pattern_atoms_text(egd.body)} -> {left.name} = {right.name}.")
     for c in m.general_constraints:
         lines.append(f"constraint {serialize_formula(c.body)}.")
     return "\n".join(lines) + "\n"

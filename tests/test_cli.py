@@ -256,3 +256,27 @@ def test_compare_over_budget_exits_3(capsys):
     )
     assert code == 3 and out == ""
     assert err == "error: budget exceeded: fresh-value universe exceeded its cap of 0 values (1 needed)\n"
+
+
+def test_minrep_strips_spaces_in_constants(files, capsys):
+    write, _ = files
+    argv = ["minrep", "-m", write("m.dx", EF_MAP), "-i", write("t.inst", "E(a,_n1). F(_n1,b).")]
+    code, spaced, _ = run(argv + ["--constants", " c, d "], capsys)
+    assert code == 0 and "E(a,d)." in spaced and " d" not in spaced
+    assert run(argv + ["--constants", "c,d"], capsys)[1] == spaced
+
+
+def test_non_utf8_file_is_a_parse_error(files, capsys):
+    write, tmp_path = files
+    bad = tmp_path / "s.inst"
+    bad.write_bytes(b"R(a,b).\nR(c,\xff).\n")
+    code, out, err = run(["chase", "-m", write("m.dx", COPY_MAP), "-s", str(bad)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}:2:5: invalid UTF-8 byte 0xff\n"
+
+
+def test_non_ascii_digits_are_not_a_number(files, capsys):
+    write, _ = files
+    mapping = write("m.dx", "source R/².\ntarget E/2.")
+    code, _, err = run(["chase", "-m", mapping, "-s", write("s.inst", "")], capsys)
+    assert code == 1 and err == f"error: {mapping}:1:10: expected a number\n"

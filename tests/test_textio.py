@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dx import (
@@ -9,14 +11,19 @@ from dx import (
 )
 from dx.errors import (
     ArityMismatch,
+    DxError,
     ParseError,
     SchemaViolation,
     UnknownRelation,
 )
 from dx.logic import CountExists, Forall, Or
+from dx.model import Schema
 from dx.textio import (
     SourceText,
+    Token,
+    _tokenize,
     answers_json,
+    serialize_formula,
     serialize_instance,
     serialize_mapping,
     serialize_query,
@@ -165,3 +172,192 @@ def test_answers_json_shape():
     doc = answers_json("q", "gcwa-star", {(Const("b"), Const("a")), (Const("a"), Const("b"))}, {"path": "fast"})
     assert '"answers": [\n    [\n      "a",\n      "b"\n    ],' in doc
     assert '"query": "q"' in doc and '"semantics": "gcwa-star"' in doc
+
+
+
+def test_numbers_are_ascii_digits():
+    with pytest.raises(ParseError, match="1:43: expected a number"):
+        parse_mapping(SourceText("source P/1. target E/2. constraint exists[²,3] z: E(z,z)."))
+    m = parse_mapping(SourceText("source P/1. target E/2. constraint exists[2,13] z: E(z,z)."))
+    assert m.general_constraints[0].body.hi == 13
+
+
+def test_comments_in_every_file_kind():
+    inst = parse_instance(SourceText("# facts\nE(a,b). # one\nE(b,c).# two"), E_SCHEMA)
+    assert len(inst) == 2
+    q = parse_query(SourceText("q(x) := # head done\n E(x,b)."), E_SCHEMA)
+    assert [v.name for v in q.free_vars] == ["x"]
+
+# ---------------------------------------------------------------- the lexer
+
+
+def _reference_tokenize(src):
+    """The character-loop lexer the regex lexer replaced, kept as its oracle."""
+    punct = [
+        (":=", "ASSIGN"), ("->", "ARROW"), ("/\\", "AND"), ("\\/", "OR"),
+        ("(", "LPAREN"), (")", "RPAREN"), ("[", "LBRACKET"), ("]", "RBRACKET"),
+        (",", "COMMA"), (".", "PERIOD"), ("/", "SLASH"), ("~", "NOT"),
+        ("=", "EQ"), (":", "COLON"),
+    ]
+    out = []
+    line, col, i = 1, 1, 0
+    text = src.text
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                if text[j] == "\n":
+                    raise ParseError("unterminated string", src.name, line, col)
+                j += 1
+            if j >= n:
+                raise ParseError("unterminated string", src.name, line, col)
+            out.append(Token("STRING", text[i + 1 : j], line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
+        if ch.isalnum() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            word = text[i:j]
+            out.append(Token("NULLID" if word.startswith("_") else "IDENT", word, line, col))
+            col += j - i
+            i = j
+            continue
+        for sym, kind in punct:
+            if text.startswith(sym, i):
+                out.append(Token(kind, sym, line, col))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise ParseError(f"unexpected character {ch!r}", src.name, line, col)
+    out.append(Token("EOF", "", line, col))
+    return out
+
+
+def _lex_outcome(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(SourceText(text))]
+    except ParseError as exc:
+        return str(exc)
+
+
+_LEX_ALPHABET = (
+    "abcxyzRE_019 \n():=->/\\[],.~" + "'\t\r\"#²é!"
+)
+
+
+def test_lexer_matches_reference_on_random_strings():
+    rng = random.Random(20261019)
+    for _ in range(12000):
+        text = "".join(rng.choice(_LEX_ALPHABET) for _ in range(rng.randint(0, 24)))
+        assert _lex_outcome(_tokenize, text) == _lex_outcome(_reference_tokenize, text), text
+
+
+def test_lexer_matches_reference_on_files():
+    for text in (COPY_MAP, EF_MAP, LEQ2_MAP, MOT_MAP, C23_MAP, CLQ_MAP, NAF_INSTANCE):
+        assert _lex_outcome(_tokenize, text) == _lex_outcome(_reference_tokenize, text)
+
+
+# ---------------------------------------------------------------- golden errors
+
+_GOLDEN_SCHEMA = Schema.of({"E": 2, "P": 1})
+_M = "source R/1. target E/1. "
+
+# One malformed input per raise site of the reader and the serializer: the
+# call, the input, the error class and its exact text.  ``<file>`` stands for
+# the path of the file that ``SourceText.from_file`` reads.
+GOLDEN_ERRORS = [
+    ("string_newline", "instance", 'E("a\n,b).', ParseError, "<string>:1:3: unterminated string"),
+    ("string_eof", "instance", 'E(a,"b', ParseError, "<string>:1:5: unterminated string"),
+    ("bad_char", "instance", "E(a,b)!", ParseError, "<string>:1:7: unexpected character '!'"),
+    ("expect_named", "mapping", "source R 2.", ParseError, "<string>:1:10: expected '/', found '2'"),
+    ("expect_kind", "instance", "E a,b).", ParseError, "<string>:1:3: expected LPAREN, found 'a'"),
+    ("counting_in_query", "query", "q() := exists[1,2] z: E(z,z).", ParseError,
+     "<string>:1:8: counting quantifiers are only allowed in constraints"),
+    ("counting_range", "mapping", _M + "constraint exists[3,2] z: E(z).", ParseError,
+     "<string>:1:36: bad counting range [3,2]"),
+    ("quantifier_as_variable", "query", "q() := forall exists: E(a,a).", ParseError,
+     "<string>:1:15: quantifier keyword used as a variable"),
+    ("number_expect", "mapping", "source R/(.", ParseError, "<string>:1:10: expected a number, found '('"),
+    ("number_not_digits", "mapping", "source R/x.", ParseError, "<string>:1:10: expected a number"),
+    ("number_superscript", "mapping", "source R/².", ParseError, "<string>:1:10: expected a number"),
+    ("null_in_formula", "query", "q() := _n = a.", ParseError, "<string>:1:8: nulls are not allowed in formulas"),
+    ("unexpected_token", "query", "q() := ).", ParseError, "<string>:1:8: unexpected token ')'"),
+    ("formula_unknown_relation", "query", "q() := Z(a).", UnknownRelation, "<string>:1:8: unknown relation Z"),
+    ("formula_arity", "query", "q() := E(a).", ArityMismatch, "<string>:1:8: E has arity 2, got 1 arguments"),
+    ("formula_null_term", "query", "q() := E(a,_n).", ParseError, "<string>:1:12: nulls are not allowed here"),
+    ("formula_bad_term", "query", "q() := E(a,).", ParseError, "<string>:1:12: expected a term, found ')'"),
+    ("quantifier_as_term", "query", "q() := E(a,forall).", ParseError,
+     "<string>:1:12: quantifier keyword used as a term"),
+    ("declaration_after_constraint", "mapping", _M + "tgd R(x) -> E(x). source P/1.", SchemaViolation,
+     "<string>:1:43: schema declarations must precede constraints"),
+    ("arity_not_positive", "mapping", "source R/0.", ParseError, "<string>:1:8: arity must be positive"),
+    ("declared_twice", "mapping", "source R/1. target R/2.", SchemaViolation,
+     "<string>:1:20: relation R declared twice"),
+    ("unknown_statement", "mapping", "rule R(x).", ParseError, "<string>:1:1: unknown statement 'rule'"),
+    ("pattern_wrong_schema", "mapping", _M + "tgd E(x) -> E(x).", SchemaViolation,
+     "<string>:1:29: E is not a source relation"),
+    ("pattern_null", "mapping", _M + "tgd R(_n) -> E(x).", ParseError,
+     "<string>:1:31: nulls are not allowed in mapping files"),
+    ("pattern_bad_term", "mapping", _M + "tgd R(x) -> E(/).", ParseError,
+     "<string>:1:39: expected a term, found '/'"),
+    ("pattern_arity", "mapping", _M + "tgd R(x,y) -> E(x).", ArityMismatch, "<string>:1:29: R has arity 1, got 2"),
+    ("tgd_invalid", "mapping", _M + "tgd R(x) -> E(z).", SchemaViolation,
+     "<string>:1:25: head variable neither universal nor existential"),
+    ("egd_invalid", "mapping", _M + "egd E(x) -> x = z.", SchemaViolation,
+     "<string>:1:25: equated variable missing from the egd body"),
+    ("instance_unknown_relation", "instance", "Z(a).", UnknownRelation, "<string>:1:1: unknown relation Z"),
+    ("instance_bad_value", "instance", "E(a,->).", ParseError, "<string>:1:5: expected a value, found '->'"),
+    ("instance_arity", "instance", "E(a).", ArityMismatch, "<string>:1:1: E has arity 2, got 1"),
+    ("duplicate_free_variable", "query", "q(x,x) := E(x,x).", ParseError,
+     "<string>:1:5: duplicate free variable x"),
+    ("trailing_input", "query", "q() := E(a,a). junk", ParseError, "<string>:1:16: trailing input after the query"),
+    ("eof_after_comment", "instance", "E(a,b) # no period", ParseError, "<string>:1:8: expected '.', found ''"),
+    ("not_utf8", "file", b"E(a,b).\nE(c,\xff).", ParseError, "<file>:2:5: invalid UTF-8 byte 0xff"),
+    ("serialize_unknown_node", "serialize", "x", DxError, "unknown formula node 'x'"),
+]
+
+
+def _golden_call(kind, text, tmp_path):
+    if kind == "mapping":
+        return parse_mapping(SourceText(text))
+    if kind == "instance":
+        return parse_instance(SourceText(text), _GOLDEN_SCHEMA)
+    if kind == "query":
+        return parse_query(SourceText(text), _GOLDEN_SCHEMA)
+    if kind == "serialize":
+        return serialize_formula(text)
+    path = tmp_path / "bad.inst"
+    path.write_bytes(text)
+    try:
+        return SourceText.from_file(path)
+    except Exception as exc:
+        exc.args = (str(exc).replace(str(path), "<file>"),)
+        raise
+
+
+@pytest.mark.parametrize(
+    "name,kind,text,error,message", GOLDEN_ERRORS, ids=[row[0] for row in GOLDEN_ERRORS]
+)
+def test_golden_errors(name, kind, text, error, message, tmp_path):
+    with pytest.raises(Exception) as info:
+        _golden_call(kind, text, tmp_path)
+    assert type(info.value) is error
+    assert str(info.value) == message
