@@ -13,6 +13,7 @@ are only emitted with ``--timings``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -75,6 +76,7 @@ def _budget(args) -> oracle.Budget:
     )
 
 
+@functools.cache  # argparse takes about 1 ms to build it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dx", description="relational data-exchange engine"

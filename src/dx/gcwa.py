@@ -4,14 +4,13 @@ The fast path decides universal queries on a packed core: the negated query
 is split into existential conjuncts, and a conjunct is satisfiable over some
 finite union of minimal possible worlds iff the block-wise minimal
 representatives can be joined compatibly into a witness instance padded with
-disjoint copies of the core.  The places of each positive literal come from
-an index of the representatives' anchors, built once per set of
-representatives and matched without renaming; the candidate lists are
-memoised per literal.  No witness is built: a search leaf reads it through
-the core's position index and the chosen representatives' deltas
-(``_Witness``), so a leaf costs what its probes touch, not |core|.  The
-general evaluator realizes the same test by bounded brute force (no
-packedness needed) and is exponential.
+disjoint copies of the core.  The places of each positive literal are one
+cached stream over the blocks able to map onto it, whose representatives
+are retracted only when a search first reaches them.  No witness is built:
+a search leaf reads it through the core's position index and the chosen
+representatives' deltas (``_Witness``), so a leaf costs what its probes
+touch, not |core|.  The general evaluator realizes the same test by bounded
+brute force (no packedness needed) and is exponential.
 
 Both paths share one driver: a candidate tuple is specialized into every
 conjunct of the negated query, and the tuple is a certain answer iff the
@@ -27,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .corelib import blocks_packed, core_solution, is_core
+from .corelib import atom_blocks, blocks_packed, core_solution, is_core
 from .errors import NotHomomorphismClosed, NotUniversal, PreconditionViolated
 from .logic import (
     Eq,
@@ -42,7 +41,7 @@ from .logic import (
     query_answers,
     to_nnf,
 )
-from .minrep import BlockRep, _minimal_images, all_block_reps, legal_images
+from .minrep import BlockRep, BlockReps, Replay, _minimal_images, all_block_reps, legal_images
 from .model import (
     Atom,
     Const,
@@ -432,25 +431,21 @@ class _Witness:
         return frozenset(self._forward(i, v) for i, img in enumerate(self.images) for a in img for v in a.args)
 
 
-# (relation, arity) -> [(representative, anchor)]
-AnchorIndex = Dict[Tuple[str, int], List[Tuple[BlockRep, Atom]]]
-
-
 class CoreEvaluator:
     """Evaluates existential conjuncts over the minimal possible worlds of a
     fixed packed core.
 
-    Block representatives, deltas on the core, are cached by the context
-    constants outside dom(core), the only ones that change the pool.  The
-    i-th positive literal of a conjunct is placed in copy ``cp<i>`` of one,
-    which names each core null ``Null(cp<i>, its rank in the core)``.  Once
-    per cache key the anchors are indexed by (relation, arity),
-    representatives in order and each one's anchors in ``repr`` order.  A
-    literal is matched against the unrenamed anchor (the renaming is
-    injective and a null never equals a constant).  Candidate pairs are
-    memoised per (cache key, literal, tag).  Each search leaf, the pairs
-    chosen for all positive literals, is checked by ``_leaf`` on a
-    ``_Witness`` view over the core's index.
+    Block representatives, deltas on the core, are read on demand from one
+    ``BlockReps`` per pool key: the context constants outside dom(core), the
+    only ones that change the pool.  The i-th positive literal of a
+    conjunct is placed in copy ``cp<i>`` of a representative, which names
+    each core null ``Null(cp<i>, its rank in the core)``.  Its candidate
+    pairs are one cached stream per (pool key, literal, tag) that reads only
+    the blocks able to map onto the literal and matches it against the
+    unrenamed anchors (the renaming is injective and a null never equals a
+    constant).  Each search leaf, the pairs chosen for all positive
+    literals, is checked by ``_leaf`` on a ``_Witness`` view over the
+    core's index.
     """
 
     def __init__(self, core: Instance, block_bound: Optional[int] = None):
@@ -462,12 +457,14 @@ class CoreEvaluator:
         self.block_bound = block_bound
         self._queries: Dict[FOQuery, tuple] = {}
         self._reps: Dict[FrozenSet[Const], Tuple[BlockRep, ...]] = {}
-        self._anchors: Dict[FrozenSet[Const], AnchorIndex] = {}
-        self._candidates: Dict[tuple, Tuple[CandidatePair, ...]] = {}
-        self._groups: Dict[tuple, Dict[tuple, list]] = {}
+        self._blocks: Dict[FrozenSet[Const], BlockReps] = {}
+        self._pairs: Dict[tuple, Replay] = {}
         self._nulls = sorted(core.nulls(), key=value_key)
         self._rank = {n: j for j, n in enumerate(self._nulls)}
         self._ground = frozenset(a for a in core.atoms if a.is_ground)
+        self._shapes: Dict[Tuple[str, int], List[Tuple[Tuple[Value, ...], int]]] = {}
+        for a, i in atom_blocks(core).atom_block:
+            self._shapes.setdefault((a.rel, len(a.args)), []).append((a.args, i))
 
     def _reps_key(self, constants: Iterable[Const]) -> FrozenSet[Const]:
         return frozenset(constants) - self.core.dom()
@@ -478,50 +475,41 @@ class CoreEvaluator:
             self._reps[key] = all_block_reps(self.core, key, self.block_bound)
         return self._reps[key]
 
-    def _anchor_index(
-        self, context: Iterable[Const]
-    ) -> Tuple[FrozenSet[Const], AnchorIndex]:
-        """The cache key of the context and its representatives' anchors."""
-        reps = self.reps_for(context)
-        key = self._reps_key(context)
-        if key not in self._anchors:
-            index: AnchorIndex = {}
-            for rep in reps:
-                for anchor in sorted(rep.anchors, key=repr):
-                    index.setdefault((anchor.rel, len(anchor.args)), []).append((rep, anchor))
-            self._anchors[key] = index
-        return key, self._anchors[key]
-
     def _candidate_pairs(
-        self,
-        key: FrozenSet[Const],
-        index: AnchorIndex,
-        literal: Tuple[str, Tuple[Term, ...]],
-        tag: str,
-    ) -> Tuple[CandidatePair, ...]:
-        """The places of one positive literal among the indexed anchors,
-        holding its constants (anchors are grouped, in index order, by their
-        values at those positions), assignments renamed into ``tag``.  An
-        assignment fixes its anchor, so no pair repeats."""
-        memo_key = (key, literal, tag)
-        if memo_key not in self._candidates:
-            rel, terms = literal
-            consts = tuple(i for i, t in enumerate(terms) if isinstance(t, Const))
-            groups = self._groups.get((key, rel, len(terms), consts))
-            if groups is None:
-                groups = self._groups[key, rel, len(terms), consts] = {}
-                for entry in index.get((rel, len(terms)), ()):
-                    groups.setdefault(tuple(entry[1].args[i] for i in consts), []).append(entry)
-            pairs: List[CandidatePair] = []
-            for rep, anchor in groups.get(tuple(terms[i] for i in consts), ()):
-                alpha = match_args(terms, anchor.args)
+        self, key: FrozenSet[Const], literal: Tuple[str, Tuple[Term, ...]], tag: str
+    ) -> Replay:
+        """The cached stream of one positive literal's places; the first
+        call for a pool key checks every block against the null cap."""
+        if key not in self._blocks:
+            self._blocks[key] = BlockReps(self.core, key, self.block_bound)
+        if (key, literal, tag) not in self._pairs:
+            self._pairs[key, literal, tag] = Replay(self._places(self._blocks[key], literal, tag))
+        return self._pairs[key, literal, tag]
+
+    def _places(
+        self, blocks: BlockReps, literal: Tuple[str, Tuple[Term, ...]], tag: str
+    ) -> Iterator[CandidatePair]:
+        """The places of one positive literal among the anchors, renamed into
+        ``tag``: representatives block by block, each once, anchors in
+        ``repr`` order, over the blocks with an atom of its relation and
+        arity holding a null or its constant at each of its constants."""
+        rel, terms = literal
+        consts = [(i, t) for i, t in enumerate(terms) if isinstance(t, Const)]
+        reached = sorted({b for args, b in self._shapes.get((rel, len(terms)), ())
+                          if all(isinstance(args[i], Null) or args[i] == t for i, t in consts)})
+        seen: Set[BlockRep] = set()
+        for rep in itertools.chain.from_iterable(map(blocks.reps, reached)):
+            if rep in seen:
+                continue
+            seen.add(rep)
+            for anchor in sorted(rep.anchors, key=repr):
+                same_shape = anchor.rel == rel and len(anchor.args) == len(terms)
+                alpha = match_args(terms, anchor.args) if same_shape else None
                 if alpha is not None:
-                    pairs.append(CandidatePair(rep, tuple(
+                    yield CandidatePair(rep, tuple(
                         (var, Null(tag, self._rank[v]) if isinstance(v, Null) else v)
                         for var, v in sorted(alpha.items(), key=lambda it: it[0].name)
-                    )))
-            self._candidates[memo_key] = tuple(pairs)
-        return self._candidates[memo_key]
+                    ))
 
     def conjunct_satisfiable(
         self, conjunct: ExistentialConjunct, context: Iterable[Const] = ()
@@ -536,11 +524,11 @@ class CoreEvaluator:
         if conjunct.k == 0:
             return self._leaf((), {}, conjunct, context)
 
-        key, index = self._anchor_index(context)
-        candidate_sets: List[Tuple[CandidatePair, ...]] = []
+        key = self._reps_key(context)
+        candidate_sets: List[Replay] = []
         for i, literal in enumerate(conjunct.positives):
-            pairs = self._candidate_pairs(key, index, literal, f"cp{i + 1}")
-            if not pairs:
+            pairs = self._candidate_pairs(key, literal, f"cp{i + 1}")
+            if next(iter(pairs), None) is None:
                 return False  # a positive literal has no witness anywhere
             candidate_sets.append(pairs)
 

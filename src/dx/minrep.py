@@ -9,13 +9,15 @@ evaluator reads the masks directly.  The enumeration is exponential in the
 number of nulls of a block and is gated by a product cap on the number of
 maps of all nulls.  The per-block variant only remaps the nulls of one atom
 block and is polynomial for a fixed per-block null bound; it feeds the fast
-path, each representative a delta on the instance.  On a core it retracts a
-block image only over the rest blocks that pass one arc-consistency check
+path, each representative a delta on the instance, and ``BlockReps``
+computes it only as far as a reader reads.  On a core a block image is
+retracted only over the rest blocks that pass one arc-consistency check
 towards its fresh atoms.  ``_block_images`` maps a block's nulls for both.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import operator
@@ -209,29 +211,52 @@ def _blocks_onto(
     return onto
 
 
-def _each_block_reps(
-    instance: Instance,
-    constants: Iterable[Const],
-    max_block_nulls: Optional[int] = None,
-    indices: Optional[Iterable[int]] = None,
-) -> Iterator[Tuple[BlockRep, ...]]:
-    """``block_reps`` of the given blocks (by default all) in turn, sharing
-    one partition, pool and core test."""
-    partition = atom_blocks(instance)
-    pool = _pool(instance, constants)
-    blocks_onto = _blocks_onto(instance, partition)
-    for block_index in range(len(partition.blocks)) if indices is None else indices:
-        block = partition.blocks[block_index]
-        block_nulls = block.nulls()
-        if max_block_nulls is not None and len(block_nulls) > max_block_nulls:
-            raise BlockTooLarge(
-                f"block has {len(block_nulls)} nulls, cap is {max_block_nulls}"
-            )
+class Replay:
+    """The items of an iterator, each computed once, when a reader first
+    reaches it, and replayed to every later reader: each ``iter`` starts a
+    new reader at the first item (a ``tee`` that is never read keeps all)."""
 
+    def __init__(self, items: Iterable) -> None:
+        self._items = itertools.tee(items, 1)[0]
+
+    def __iter__(self) -> Iterator:
+        return copy.copy(self._items)
+
+
+class BlockReps:
+    """The per-block representatives of an instance over one pool, computed
+    on demand.  ``reps(i)`` replays block i's stream: on first demand it maps
+    the block's nulls into the pool and keeps the subset-minimal images, in
+    map order; each is cored, its fresh atoms' nulls fixed, only over the
+    rest blocks ``_blocks_onto`` keeps, when a reader first reaches it.  The
+    null cap is checked for every block up front."""
+
+    def __init__(self, instance: Instance, constants: Iterable[Const],
+                 max_block_nulls: Optional[int] = None):
+        self.instance, self.partition = instance, atom_blocks(instance)
+        self.pool = _pool(instance, constants)
+        self._streams: Dict[int, Replay] = {}
+        for block in self.partition.blocks:
+            if max_block_nulls is not None and len(block.nulls()) > max_block_nulls:
+                raise BlockTooLarge(f"block has {len(block.nulls())} nulls, cap is {max_block_nulls}")
+        self._onto = _blocks_onto(instance, self.partition)
+
+    def __iter__(self) -> Iterator[BlockRep]:
+        """Every block's representatives, block by block."""
+        return itertools.chain.from_iterable(map(self.reps, range(len(self.partition.blocks))))
+
+    def reps(self, block_index: int) -> Replay:
+        if block_index not in self._streams:
+            self._streams[block_index] = Replay(self._block_reps(block_index))
+        return self._streams[block_index]
+
+    def _block_reps(self, block_index: int) -> Iterator[BlockRep]:
+        block = self.partition.blocks[block_index]
+        block_nulls = block.nulls()
         fresh_sets: List[FrozenSet[Atom]] = []
-        for mapped in _block_images(block, pool):
+        for mapped in _block_images(block, self.pool):
             # the mapped block atoms outside the rest of the instance
-            fresh = frozenset(a for a in mapped if a in block.atoms or a not in instance.atoms)
+            fresh = frozenset(a for a in mapped if a in block.atoms or a not in self.instance.atoms)
             if all(v in block_nulls for a in fresh for v in a.args if isinstance(v, Null)):
                 fresh_sets.append(fresh)
 
@@ -241,14 +266,11 @@ def _each_block_reps(
         if len({len(s) for s in minimal}) > 1:
             codec = AtomMasks(a for s in minimal for a in s)
             minimal = {codec.decode(w).atoms for w in _minimal_images(map(codec.encode, minimal))}
-        reps: List[BlockRep] = []
         for fresh in dict.fromkeys(fresh_sets):
-            if fresh not in minimal:
-                continue
-            anchor_nulls = {v for a in fresh for v in a.args if isinstance(v, Null)}
-            image = BlockRep(instance, fresh, block.atoms - fresh)
-            reps.append(core_retract_fixing(image, anchor_nulls, blocks_onto(fresh, block_index)))
-        yield tuple(reps)
+            if fresh in minimal:
+                anchor_nulls = {v for a in fresh for v in a.args if isinstance(v, Null)}
+                image = BlockRep(self.instance, fresh, block.atoms - fresh)
+                yield core_retract_fixing(image, anchor_nulls, self._onto(fresh, block_index))
 
 
 def block_reps(
@@ -263,9 +285,9 @@ def block_reps(
     fresh atoms (those outside the rest of the instance) mention no other
     block's nulls gives an image, fresh atoms plus rest.  Every subset-minimal
     image is cored with its fresh atoms' nulls fixed, in the order the maps
-    are enumerated.
+    are enumerated.  The null cap applies to every block.
     """
-    return next(_each_block_reps(instance, constants, max_block_nulls, [block_index]))
+    return tuple(BlockReps(instance, constants, max_block_nulls).reps(block_index))
 
 
 def enum_min_c_block(
@@ -286,8 +308,7 @@ def all_block_reps(
 ) -> Tuple[BlockRep, ...]:
     """Per-block representatives over every atom block, deduplicated.  Two
     representatives are equal iff their instances and anchors are."""
-    each = _each_block_reps(instance, constants, max_block_nulls)
-    return tuple(dict.fromkeys(rep for reps in each for rep in reps))
+    return tuple(dict.fromkeys(BlockReps(instance, constants, max_block_nulls)))
 
 
 def atom_in_some_minimal(instance: Instance, atom: Atom) -> bool:
@@ -303,6 +324,4 @@ def atom_in_some_minimal(instance: Instance, atom: Atom) -> bool:
     if not is_core(instance):
         raise PreconditionViolated("NotCore", "the instance is not a core")
     constants = [v for v in atom.args if isinstance(v, Const)]
-    return any(
-        atom in rep for reps in _each_block_reps(instance, constants) for rep in reps
-    )
+    return any(atom in rep for rep in BlockReps(instance, constants))

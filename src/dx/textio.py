@@ -525,6 +525,11 @@ def serialize_mapping(m: SchemaMapping) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _const_text(c: Const) -> str:
+    """A constant's name, quoted unless it reads back as one identifier."""
+    return c.name if re.fullmatch(r"(?!_)\w[\w']*", c.name) else f'"{c.name}"'
+
+
 def serialize_instance(instance: Instance) -> str:
     atoms = instance.sorted_atoms()
     names: Dict[Null, str] = {}
@@ -534,7 +539,7 @@ def serialize_instance(instance: Instance) -> str:
                 names[v] = f"_n{len(names) + 1}"
     lines = []
     for a in atoms:
-        args = ",".join(names[v] if isinstance(v, Null) else v.name for v in a.args)
+        args = ",".join(names[v] if isinstance(v, Null) else _const_text(v) for v in a.args)
         lines.append(f"{a.rel}({args}).")
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -189,6 +189,21 @@ def test_blocks_report(files, capsys):
     assert len(doc["blocks"]) == 3 and doc["all_packed"] is False
 
 
+def test_chase_output_with_awkward_constants_reads_back(files, capsys):
+    write, tmp_path = files
+    m = write("m.dx", "source R/2. target E/2. tgd R(x,y) -> E(x,y).")
+    code, out, _ = run(["chase", "-m", m, "-s", write("s.inst", 'R("a b",c). R("_z",d).')], capsys)
+    assert code == 0 and out == 'E("_z",d).\nE("a b",c).\n'
+    chased = tmp_path / "t.inst"
+    chased.write_text(out, encoding="utf-8")
+    code, out, err = run(["blocks", "-m", m, "-i", str(chased), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["blocks"]) == 2 and doc["all_packed"] is True
+    code, out, _ = run(["core", "-m", m, "-s", write("s2.inst", 'R("a b",c). R("_z",d).')], capsys)
+    assert code == 0 and out == 'E("_z",d).\nE("a b",c).\n'
+
+
 def test_minrep_emits_representatives(files, capsys):
     write, _ = files
     code, out, _ = run(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +25,7 @@ from dx import (
     specialize,
 )
 from dx.errors import (
+    BlockTooLarge,
     BudgetExceeded,
     NotHomomorphismClosed,
     NotUniversal,
@@ -39,6 +41,7 @@ from dx.gcwa import (
 )
 import dx.corelib
 import dx.gcwa
+import dx.minrep
 from dx.corelib import is_core
 from dx.logic import Eq, Exists, FOQuery, Forall, Not, RelAtom
 from dx.model import apply_map, value_key
@@ -244,9 +247,9 @@ def _reference_search(evaluator, conjunct, context):
         return not conjunct.quantified or bool(context) or len(evaluator.core) > 0, leaves
     if conjunct.k == 0:
         return leaf((), {}), leaves
-    key, index = evaluator._anchor_index(context)
+    key = evaluator._reps_key(context)
     candidate_sets = [
-        evaluator._candidate_pairs(key, index, literal, f"cp{i + 1}")
+        list(evaluator._candidate_pairs(key, literal, f"cp{i + 1}"))
         for i, literal in enumerate(conjunct.positives)
     ]
     if not all(candidate_sets):
@@ -440,6 +443,9 @@ def _packed_cores():
     for edges in ([(1, 2), (1, 3), (2, 3)], [(1, 2), (2, 3)]):
         yield core_solution(m, instance(clique_source(edges), m.source))
     yield _ef_chain_core(ef_chain(8))[0]
+    # both blocks map onto R(a,a) and retract each other: one representative
+    # twice, which a literal's places list once
+    yield Instance([Atom("R", (Null("t", 1), a)), Atom("R", (a, Null("t", 2)))])
     rng = random.Random(2024)
     made = 0
     while made < 30:
@@ -457,12 +463,13 @@ def test_candidate_pairs_match_renaming_first_reference():
         rank = _core_rank(core)
         outside = Const("zz")
         for context in (frozenset(), frozenset([outside])):
-            key, index = evaluator._anchor_index(context)
+            key = evaluator._reps_key(context)
             reps = evaluator.reps_for(context)
             for literal in _probe_literals(core, outside):
                 for tag in ("cp1", "cp2"):
-                    got = []
-                    for p in evaluator._candidate_pairs(key, index, literal, tag):
+                    got, pairs = [], list(evaluator._candidate_pairs(key, literal, tag))
+                    assert len(set(pairs)) == len(pairs), (core, literal)
+                    for p in pairs:
                         pair = (_renamed(p.rep.whole(), tag, rank), p.assignment)
                         if pair not in got:  # reps equal after renaming
                             got.append(pair)
@@ -601,23 +608,40 @@ def _two_null_answers(edges):
 
 
 @pytest.fixture
-def block_reps_calls(monkeypatch):
-    calls = []
-    original = dx.gcwa.all_block_reps
+def streams(monkeypatch):
+    """The per-block representative streams started, one (``BlockReps``,
+    block index) each, and the ``all_block_reps`` calls of ``gcwa``."""
+    starts, calls = [], []
+    stream, block_reps = dx.minrep.BlockReps._block_reps, dx.gcwa.all_block_reps
 
-    def counting(*args, **kwargs):
+    def counting_stream(self, block_index):
+        starts.append((self, block_index))
+        return stream(self, block_index)
+
+    def counting_reps(*args, **kwargs):
         calls.append(args)
-        return original(*args, **kwargs)
+        return block_reps(*args, **kwargs)
 
-    monkeypatch.setattr(dx.gcwa, "all_block_reps", counting)
-    return calls
+    monkeypatch.setattr(dx.minrep.BlockReps, "_block_reps", counting_stream)
+    monkeypatch.setattr(dx.gcwa, "all_block_reps", counting_reps)
+    return types.SimpleNamespace(starts=starts, all_block_reps=calls)
 
 
-def test_block_reps_are_computed_once_per_pool(block_reps_calls):
+def _started_once_per_pool(starts):
+    """One pool key, so one ``BlockReps``, and each of its blocks started at
+    most once."""
+    assert len({blocks for blocks, _ in starts}) == 1
+    assert len(set(starts)) == len(starts)
+
+
+def test_block_reps_are_computed_once_per_pool(streams):
     edges = ef_chain(10)
     core, q = _ef_chain_core(edges)
     assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
-    assert len(block_reps_calls) == 1
+    _started_once_per_pool(streams.starts)
+    # the search reads only the blocks it reaches, not every block
+    assert len(streams.starts) < len(dx.corelib.atom_blocks(core).blocks)
+    assert streams.all_block_reps == []
 
     evaluator = CoreEvaluator(core)
     inside = sorted(core.consts(), key=lambda v: v.name)
@@ -629,29 +653,29 @@ def test_block_reps_are_computed_once_per_pool(block_reps_calls):
     evaluator.reps_for([outside] + inside)
     evaluator.reps_for([outside])
     assert len(evaluator._reps) == 2
-    assert len(block_reps_calls) == 3
+    assert len(streams.all_block_reps) == 2
 
 
-def test_ef_chain_fast_path_at_twenty_source_atoms(block_reps_calls):
-    # the whole evaluation shares one set of block representatives
-    edges = ef_chain(20)
+def _ef_chain_fast_path(n, streams):
+    # the whole evaluation shares one pool key, and each block's
+    # representatives are computed at most once
+    edges = ef_chain(n)
     core, q = _ef_chain_core(edges)
     assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
-    assert len(block_reps_calls) == 1
+    _started_once_per_pool(streams.starts)
+    assert streams.all_block_reps == []
 
 
-def test_ef_chain_fast_path_at_forty_source_atoms(block_reps_calls):
-    edges = ef_chain(40)
-    core, q = _ef_chain_core(edges)
-    assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
-    assert len(block_reps_calls) == 1
+def test_ef_chain_fast_path_at_twenty_source_atoms(streams):
+    _ef_chain_fast_path(20, streams)
 
 
-def test_ef_chain_fast_path_at_eighty_source_atoms(block_reps_calls):
-    edges = ef_chain(80)
-    core, q = _ef_chain_core(edges)
-    assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
-    assert len(block_reps_calls) == 1
+def test_ef_chain_fast_path_at_forty_source_atoms(streams):
+    _ef_chain_fast_path(40, streams)
+
+
+def test_ef_chain_fast_path_at_eighty_source_atoms(streams):
+    _ef_chain_fast_path(80, streams)
 
 
 def test_ef_chain_rep_storage_grows_polynomially():
@@ -669,33 +693,35 @@ def test_ef_chain_rep_storage_grows_polynomially():
 
 @pytest.fixture
 def rep_shrinks(monkeypatch):
-    """The ``corelib._shrink`` calls made under each ``all_block_reps`` call
-    of the fast path, one count per call."""
+    """Runs a function and records the ``corelib._shrink`` calls made during
+    it, one count per run."""
     shrinks, counts = [], []
-    shrink, block_reps = dx.corelib._shrink, dx.gcwa.all_block_reps
+    shrink = dx.corelib._shrink
 
     def counting_shrink(*args):
         shrinks.append(args)
         return shrink(*args)
 
-    def counting_reps(*args, **kwargs):
+    def run(fn, *args):
         before = len(shrinks)
-        reps = block_reps(*args, **kwargs)
+        result = fn(*args)
         counts.append(len(shrinks) - before)
-        return reps
+        return result
 
     monkeypatch.setattr(dx.corelib, "_shrink", counting_shrink)
-    monkeypatch.setattr(dx.gcwa, "all_block_reps", counting_reps)
-    return counts
+    run.counts = counts
+    return run
 
 
 def test_ef_chain_reps_retract_nothing(rep_shrinks):
     # work without a clock: every rest block fails the arc-consistency pass
-    # towards a representative's fresh atoms, so none is retracted
+    # towards a representative's fresh atoms, so none is retracted, neither
+    # under every representative nor under a whole evaluation
     for n in (10, 20, 40):
         core, q = _ef_chain_core(ef_chain(n))
-        CoreEvaluator(core).reps_for(q.consts())
-    assert rep_shrinks == [0, 0, 0]
+        rep_shrinks(CoreEvaluator(core).reps_for, q.consts())
+        assert rep_shrinks(answers_gcwa_star_universal, core, q) == _ef_chain_answers(ef_chain(n))
+    assert rep_shrinks.counts == [0] * 6
 
 
 def test_two_null_chain_answers(rep_shrinks):
@@ -703,12 +729,46 @@ def test_two_null_chain_answers(rep_shrinks):
     # checks the smallest chain; the arc-consistency pass leaves no rest
     # block to retract here either
     m, source, core, q = _two_null_chain(ef_chain(4))
-    assert answers_gcwa_star_universal(core, q) == answers_gcwa_star_universal_general(m, source, q)
+    fast = rep_shrinks(answers_gcwa_star_universal, core, q)
+    assert fast == answers_gcwa_star_universal_general(m, source, q)
     for n in (5, 10, 20):
         edges = ef_chain(n)
         _, _, core, q = _two_null_chain(edges)
-        assert answers_gcwa_star_universal(core, q) == _two_null_answers(edges)
-    assert rep_shrinks == [0, 0, 0, 0]
+        assert rep_shrinks(answers_gcwa_star_universal, core, q) == _two_null_answers(edges)
+    assert rep_shrinks.counts == [0, 0, 0, 0]
+
+
+def test_retracted_representatives_grow_at_most_three_times_per_doubling(monkeypatch):
+    # work without a clock: a search retracts only the representatives it
+    # reaches; retracting every one grows about 4 times per doubling of the
+    # EF chain and 8 to 9 times on the two-null chain
+    retracted = []
+    retract = dx.minrep.core_retract_fixing
+
+    def counting(*args):
+        retracted.append(args)
+        return retract(*args)
+
+    monkeypatch.setattr(dx.minrep, "core_retract_fixing", counting)
+    for chain, sizes in ((_ef_chain_core, (10, 20, 40)),
+                         (lambda edges: _two_null_chain(edges)[2:], (5, 10, 20))):
+        counts = []
+        for n in sizes:
+            before = len(retracted)
+            answers_gcwa_star_universal(*chain(ef_chain(n)))
+            counts.append(len(retracted) - before)
+        assert all(0 < small and big <= 3 * small for small, big in zip(counts, counts[1:])), counts
+
+
+def test_block_cap_fails_fast_on_blocks_no_search_reaches():
+    # the E literal reaches only the one-null block; the two-null G block
+    # still exceeds a cap of 1 when the first pool key is built
+    n1, n2, n3 = Null("t", 1), Null("t", 2), Null("t", 3)
+    core = Instance([Atom("E", (a, n1)), Atom("G", (n2, n3))])
+    conjunct = ExistentialConjunct((("E", (a, z)),), (), ())
+    with pytest.raises(BlockTooLarge):
+        CoreEvaluator(core, block_bound=1).conjunct_satisfiable(conjunct)
+    assert CoreEvaluator(core, block_bound=2).conjunct_satisfiable(conjunct)
 
 
 def test_leaves_read_the_core_index_without_rebuilding_instances(monkeypatch):

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from dx import (
+    Atom,
     Const,
+    Instance,
     instances_isomorphic,
     parse_instance,
     parse_mapping,
@@ -159,6 +161,19 @@ def test_roundtrip_instances_modulo_null_names():
     inst = parse_instance(SourceText(NAF_INSTANCE), E_SCHEMA)
     again = parse_instance(SourceText(serialize_instance(inst)), E_SCHEMA)
     assert instances_isomorphic(inst, again)
+
+
+def test_roundtrip_instances_with_awkward_constant_names():
+    # a constant is written bare only if it reads back as one identifier
+    schema = Schema((("E", 2),))
+    names = ["a b", "_z", "", "x-y", "1", "ab'c", "é", "a.b", "q(", "#c", "\\/", "ok"]
+    inst = Instance([Atom("E", (Const(u), Const(v))) for u, v in zip(names, names[1:] + names[:1])])
+    text = serialize_instance(inst)
+    assert parse_instance(SourceText(text), schema) == inst
+    assert 'E(ok,"a b").' in text.splitlines() and "E(é,\"a.b\")." in text.splitlines()
+    with_nulls = parse_instance(SourceText('E("_z",_n). E(_n,"a b").'), schema)
+    again = parse_instance(SourceText(serialize_instance(with_nulls)), schema)
+    assert instances_isomorphic(with_nulls, again) and Const("_z") in again.consts()
 
 
 def test_serialize_instance_is_deterministic():
