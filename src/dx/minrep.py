@@ -10,9 +10,11 @@ number of nulls of a block and is gated by a product cap on the number of
 maps of all nulls.  The per-block variant only remaps the nulls of one atom
 block and is polynomial for a fixed per-block null bound; it feeds the fast
 path, each representative a delta on the instance, and ``BlockReps``
-computes it only as far as a reader reads.  On a core a block image is
-retracted only over the rest blocks that pass one arc-consistency check
-towards its fresh atoms.  ``_block_images`` maps a block's nulls for both.
+computes it only as far as a reader reads, testing each block image for
+minimality as it comes by homomorphisms of the block (Chandra and Merlin).
+On a core a block image is retracted only over the rest blocks that pass
+one arc-consistency check towards its fresh atoms.  ``_block_images`` maps
+a block's nulls for both.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .model import (
     Instance,
     Null,
     Value,
+    find_homomorphism,
     instance_key,
     mask_key,
     match_args,
@@ -225,11 +228,9 @@ class Replay:
 
 class BlockReps:
     """The per-block representatives of an instance over one pool, computed
-    on demand.  ``reps(i)`` replays block i's stream: on first demand it maps
-    the block's nulls into the pool and keeps the subset-minimal images, in
-    map order; each is cored, its fresh atoms' nulls fixed, only over the
-    rest blocks ``_blocks_onto`` keeps, when a reader first reaches it.  The
-    null cap is checked for every block up front."""
+    on demand.  ``reps(i)`` replays block i's stream, which builds the next
+    map of the block's nulls only when a reader first asks for the next
+    representative.  The null cap is checked for every block up front."""
 
     def __init__(self, instance: Instance, constants: Iterable[Const],
                  max_block_nulls: Optional[int] = None):
@@ -251,26 +252,27 @@ class BlockReps:
         return self._streams[block_index]
 
     def _block_reps(self, block_index: int) -> Iterator[BlockRep]:
+        """Block i's representatives, in map order.  A map's fresh set (its
+        block atoms outside the rest) is kept if new, on the block's nulls
+        only, and minimal: for no atom a of it does the block map into the
+        rest plus fresh - {a}, which holds each smaller fresh set missing a.
+        A kept one is cored, its nulls fixed, over the blocks ``_blocks_onto`` keeps."""
         block = self.partition.blocks[block_index]
-        block_nulls = block.nulls()
-        fresh_sets: List[FrozenSet[Atom]] = []
-        for mapped in _block_images(block, self.pool):
-            # the mapped block atoms outside the rest of the instance
-            fresh = frozenset(a for a in mapped if a in block.atoms or a not in self.instance.atoms)
-            if all(v in block_nulls for a in fresh for v in a.args if isinstance(v, Null)):
-                fresh_sets.append(fresh)
+        block_nulls, seen = block.nulls(), set()
 
-        # an image is fresh | rest with fresh disjoint from rest, so images
-        # compare as their fresh-atom sets do; equal sizes make all minimal
-        minimal = set(fresh_sets)
-        if len({len(s) for s in minimal}) > 1:
-            codec = AtomMasks(a for s in minimal for a in s)
-            minimal = {codec.decode(w).atoms for w in _minimal_images(map(codec.encode, minimal))}
-        for fresh in dict.fromkeys(fresh_sets):
-            if fresh in minimal:
-                anchor_nulls = {v for a in fresh for v in a.args if isinstance(v, Null)}
+        def maps_into(kept: FrozenSet[Atom]) -> bool:
+            image = Image(self.instance, kept - block.atoms, block.atoms - kept)
+            return find_homomorphism(block, image) is not None
+
+        for mapped in _block_images(block, self.pool):
+            fresh = frozenset(a for a in mapped if a in block.atoms or a not in self.instance.atoms)
+            if fresh in seen:
+                continue
+            seen.add(fresh)
+            nulls = {v for a in fresh for v in a.args if isinstance(v, Null)}
+            if nulls <= block_nulls and not any(maps_into(fresh - {a}) for a in fresh):
                 image = BlockRep(self.instance, fresh, block.atoms - fresh)
-                yield core_retract_fixing(image, anchor_nulls, self._onto(fresh, block_index))
+                yield core_retract_fixing(image, nulls, self._onto(fresh, block_index))
 
 
 def block_reps(
@@ -279,14 +281,8 @@ def block_reps(
     constants: Iterable[Const],
     max_block_nulls: Optional[int] = None,
 ) -> Tuple[BlockRep, ...]:
-    """Representatives of the minimal images of one block.
-
-    Each legal map of the block's nulls into dom(instance) + constants whose
-    fresh atoms (those outside the rest of the instance) mention no other
-    block's nulls gives an image, fresh atoms plus rest.  Every subset-minimal
-    image is cored with its fresh atoms' nulls fixed, in the order the maps
-    are enumerated.  The null cap applies to every block.
-    """
+    """Representatives of the minimal images of one block, in map order
+    (``BlockReps._block_reps``).  The null cap applies to every block."""
     return tuple(BlockReps(instance, constants, max_block_nulls).reps(block_index))
 
 

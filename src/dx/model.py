@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DxError, NotGround, UndefinedValue
 
@@ -477,39 +477,43 @@ def match_conjunction(
     read as a variable.  Each pattern atom probes ``Instance.atoms_matching``
     on its constant and already-bound positions and binds the rest (a
     repeated term must agree), so bindings come out in the canonical order
-    of I's atoms, pattern by pattern.  It is the only conjunctive matcher;
-    ``corelib._shrink`` keeps its own null-first search, whose order picks
-    the retraction and so the core.
+    of I's atoms, pattern by pattern.
     """
-    binding = dict(binding or {})
-    patterns, plan, bound = iter(patterns), [], set(binding)
+    bnd = dict(binding) if binding else {}
+    return _extend(instance, iter(patterns), [], set(bnd), 0, bnd)
 
-    def rec(i: int, bnd: Dict) -> Iterator[Dict]:
-        if i == len(plan):
-            pattern = next(patterns, None)
-            if pattern is None:
-                yield dict(bnd)
-                return
-            rel, terms = pattern
-            at = tuple(j for j, t in enumerate(terms) if isinstance(t, Const) or t in bound)
-            free = [(j, t) for j, t in enumerate(terms) if j not in at]
-            plan.append((rel, len(terms), at, [terms[j] for j in at], free))
-            bound.update(t for _, t in free)
-        rel, arity, at, keys, free = plan[i]
-        for atom in instance.atoms_matching(rel, arity, at, tuple([bnd.get(t, t) for t in keys])):
-            added = []
-            for j, t in free:
-                if t not in bnd:
-                    bnd[t] = atom.args[j]
-                    added.append(t)
-                elif bnd[t] != atom.args[j]:
-                    break
+
+def _extend(instance, patterns: Iterator, plan: List, bound: set, i: int, bnd: Dict) -> Iterator[Dict]:
+    """The extensions of ``bnd`` that embed patterns i and later; each is
+    read and planned when the search first reaches it."""
+    if i == len(plan):
+        pattern = next(patterns, None)
+        if pattern is None:
+            yield dict(bnd)
+            return
+        rel, terms = pattern
+        at, keys, free = [], [], []
+        for j, t in enumerate(terms):
+            if isinstance(t, Const) or t in bound:
+                at.append(j)
+                keys.append(t)
             else:
-                yield from rec(i + 1, bnd)
-            for t in added:
-                del bnd[t]
-
-    return rec(0, binding)
+                free.append((j, t))
+        plan.append((rel, len(terms), tuple(at), keys, free))
+        bound.update([t for _, t in free])
+    rel, arity, at, keys, free = plan[i]
+    for atom in instance.atoms_matching(rel, arity, at, tuple([bnd.get(t, t) for t in keys])):
+        added = []
+        for j, t in free:
+            if t not in bnd:
+                bnd[t] = atom.args[j]
+                added.append(t)
+            elif bnd[t] != atom.args[j]:
+                break
+        else:
+            yield from _extend(instance, patterns, plan, bound, i + 1, bnd)
+        for t in added:
+            del bnd[t]
 
 
 # ---------------------------------------------------------------- homomorphisms

@@ -731,11 +731,11 @@ def test_two_null_chain_answers(rep_shrinks):
     m, source, core, q = _two_null_chain(ef_chain(4))
     fast = rep_shrinks(answers_gcwa_star_universal, core, q)
     assert fast == answers_gcwa_star_universal_general(m, source, q)
-    for n in (5, 10, 20):
+    for n in (5, 10, 20, 40):
         edges = ef_chain(n)
         _, _, core, q = _two_null_chain(edges)
         assert rep_shrinks(answers_gcwa_star_universal, core, q) == _two_null_answers(edges)
-    assert rep_shrinks.counts == [0, 0, 0, 0]
+    assert rep_shrinks.counts == [0] * 5
 
 
 def test_retracted_representatives_grow_at_most_three_times_per_doubling(monkeypatch):
@@ -751,13 +751,40 @@ def test_retracted_representatives_grow_at_most_three_times_per_doubling(monkeyp
 
     monkeypatch.setattr(dx.minrep, "core_retract_fixing", counting)
     for chain, sizes in ((_ef_chain_core, (10, 20, 40)),
-                         (lambda edges: _two_null_chain(edges)[2:], (5, 10, 20))):
+                         (lambda edges: _two_null_chain(edges)[2:], (5, 10, 20, 40))):
         counts = []
         for n in sizes:
             before = len(retracted)
             answers_gcwa_star_universal(*chain(ef_chain(n)))
             counts.append(len(retracted) - before)
         assert all(0 < small and big <= 3 * small for small, big in zip(counts, counts[1:])), counts
+
+
+def test_block_images_built_grow_about_linearly(monkeypatch):
+    # work without a clock: each block image's minimality is decided as it
+    # is built, so a search builds only the images up to the first
+    # representative of each block it reaches (n - 2 on both chains here);
+    # building every image of each block grew 4 times per doubling of the
+    # EF chain and 10 to 17 times on the two-null chain
+    built, images = [0], dx.minrep._block_images
+
+    def counting(*args):
+        for image in images(*args):
+            built[0] += 1
+            yield image
+
+    monkeypatch.setattr(dx.minrep, "_block_images", counting)
+    for chain, sizes in ((_ef_chain_core, (10, 20, 40, 80)),
+                         (lambda edges: _two_null_chain(edges)[2:], (5, 10, 20, 40))):
+        counts = []
+        for n in sizes:
+            built[0] = 0
+            answers_gcwa_star_universal(*chain(ef_chain(n)))
+            counts.append(built[0])
+        # 2.5 times per doubling over the range; the two-null chain's first
+        # doubling (3 to 8 images) exceeds it by its constant offset alone
+        assert all(0 < small and big <= 3 * small for small, big in zip(counts, counts[1:])), counts
+        assert counts[-1] <= 2.5 ** (len(counts) - 1) * counts[0], counts
 
 
 def test_block_cap_fails_fast_on_blocks_no_search_reaches():

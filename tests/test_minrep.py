@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import dx.minrep
 from dx import (
     Atom,
     Const,
@@ -326,6 +327,60 @@ def test_block_reps_match_reference():
 
 def _whole(reps):
     return [(rep.whole(), rep.anchors) for rep in reps]
+
+
+def _rejected_fresh_sets(monkeypatch):
+    """Counts the fresh sets that ``BlockReps``' minimality test rejects:
+    each rejected set has exactly one homomorphism test that finds a map."""
+    rejected, homomorphism = [0], dx.minrep.find_homomorphism
+
+    def counting(block, image):
+        found = homomorphism(block, image)
+        rejected[0] += found is not None
+        return found
+
+    monkeypatch.setattr(dx.minrep, "find_homomorphism", counting)
+    return rejected
+
+
+def test_minimality_test_rejects_fresh_sets_on_the_reference_corpus(monkeypatch):
+    # the rejecting branch is covered: over test_block_reps_match_reference's
+    # corpus, more than 100 fresh sets have a smaller valid one
+    n1, n2, n3 = Null("t", 1), Null("t", 2), Null("t", 3)
+    non_cores = [
+        Instance([Atom("E", (a, n1)), Atom("E", (a, n2))]),
+        Instance([Atom("E", (a, n1)), Atom("E", (n1, n2)), Atom("E", (a, n3))]),
+    ]
+    rejected = _rejected_fresh_sets(monkeypatch)
+    for inst in _small_fixtures() + non_cores + _chain_cores() + _random_packed_cores(30):
+        for constants in (set(), {a}, {c, Const("zz")}):
+            for idx in range(len(atom_blocks(inst).blocks)):
+                block_reps(inst, idx, constants)
+    assert rejected[0] > 100
+
+
+def test_block_reps_match_reference_on_fresh_sets_of_sizes_zero_to_two(monkeypatch):
+    # the block E(a,n1), E(n1,n2) maps onto the rest (fresh set {}), onto
+    # one new atom (E(b,a)) or onto two (E(a,c), E(c,a)): only {} is
+    # minimal; the fresh sets of E(b,n3) are single atoms, all minimal, in
+    # map order
+    n1, n2, n3 = Null("t", 1), Null("t", 2), Null("t", 3)
+    inst = Instance([Atom("E", (a, b)), Atom("E", (a, n1)), Atom("E", (n1, n2)), Atom("E", (b, n3))])
+    assert not is_core(inst)
+    partition = atom_blocks(inst)
+    rejected = _rejected_fresh_sets(monkeypatch)
+    sizes, anchors = set(), []
+    for idx, block in enumerate(partition.blocks):
+        rest = inst.atoms - block.atoms
+        for image in dx.minrep._block_images(block, sorted(inst.dom() | {c}, key=value_key)):
+            sizes.add(len(set(image) - rest))
+        expected = _reference_block_reps(inst, idx, {c})
+        assert _whole(block_reps(inst, idx, set())) == _whole(_reference_block_reps(inst, idx, set()))
+        assert _whole(block_reps(inst, idx, {c})) == _whole(expected), idx
+        anchors.append([sorted(map(repr, rep.anchors)) for rep in expected])
+    assert sizes == {0, 1, 2}
+    assert rejected[0] > 0
+    assert anchors == [[["E(a,b)"]], [[]], [["E(b,a)"], ["E(b,b)"], ["E(b,c)"], ["E(b,_t3)"]]]
 
 
 def test_local_retraction_matches_whole_instance_retraction():
