@@ -5,11 +5,11 @@ is split into existential conjuncts, and a conjunct is satisfiable over some
 finite union of minimal possible worlds iff the block-wise minimal
 representatives can be joined compatibly into a witness instance padded with
 disjoint copies of the core.  The places of each positive literal are one
-cached stream over the blocks able to map onto it, whose representatives
-are retracted only when a search first reaches them.  No witness is built:
-a search leaf reads it through the core's position index and the chosen
-representatives' deltas (``_Witness``), so a leaf costs what its probes
-touch, not |core|.  The general evaluator realizes the same test by bounded
+cached stream over the blocks that ``BlockReps`` finds can map onto it,
+whose representatives are retracted only when a search first reaches them.
+No witness is built: a search leaf reads it through the core's position
+index and the chosen representatives' deltas (``_Witness``), so a leaf
+costs what its probes touch, not |core|.  The general evaluator realizes the same test by bounded
 brute force (no packedness needed) and is exponential.
 
 Both paths share one driver: a candidate tuple is specialized into every
@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .corelib import atom_blocks, blocks_packed, core_solution, is_core
+from .corelib import blocks_packed, core_solution, is_core
 from .errors import NotHomomorphismClosed, NotUniversal, PreconditionViolated
 from .logic import (
     Eq,
@@ -462,9 +462,6 @@ class CoreEvaluator:
         self._nulls = sorted(core.nulls(), key=value_key)
         self._rank = {n: j for j, n in enumerate(self._nulls)}
         self._ground = frozenset(a for a in core.atoms if a.is_ground)
-        self._shapes: Dict[Tuple[str, int], List[Tuple[Tuple[Value, ...], int]]] = {}
-        for a, i in atom_blocks(core).atom_block:
-            self._shapes.setdefault((a.rel, len(a.args)), []).append((a.args, i))
 
     def _reps_key(self, constants: Iterable[Const]) -> FrozenSet[Const]:
         return frozenset(constants) - self.core.dom()
@@ -491,14 +488,10 @@ class CoreEvaluator:
     ) -> Iterator[CandidatePair]:
         """The places of one positive literal among the anchors, renamed into
         ``tag``: representatives block by block, each once, anchors in
-        ``repr`` order, over the blocks with an atom of its relation and
-        arity holding a null or its constant at each of its constants."""
+        ``repr`` order, over the blocks that reach the literal."""
         rel, terms = literal
-        consts = [(i, t) for i, t in enumerate(terms) if isinstance(t, Const)]
-        reached = sorted({b for args, b in self._shapes.get((rel, len(terms)), ())
-                          if all(isinstance(args[i], Null) or args[i] == t for i, t in consts)})
         seen: Set[BlockRep] = set()
-        for rep in itertools.chain.from_iterable(map(blocks.reps, reached)):
+        for rep in itertools.chain.from_iterable(map(blocks.reps, blocks.reaching_blocks(rel, terms))):
             if rep in seen:
                 continue
             seen.add(rep)
@@ -518,12 +511,7 @@ class CoreEvaluator:
         core that satisfies the conjunct?"""
         context = frozenset(context) | frozenset(conjunct.consts())
         if conjunct.is_empty:
-            # any nonempty union works; its active domain must be nonempty
-            # when the (dropped) existential prefix still quantifies
-            return not conjunct.quantified or bool(context) or len(self.core) > 0
-        if conjunct.k == 0:
-            return self._leaf((), {}, conjunct, context)
-
+            return _empty_satisfiable(conjunct, context, self.core)
         key = self._reps_key(context)
         candidate_sets: List[Replay] = []
         for i, literal in enumerate(conjunct.positives):
@@ -560,6 +548,12 @@ class CoreEvaluator:
 
 def candidate_constants(core: Instance, q: FOQuery) -> Tuple[Const, ...]:
     return tuple(sorted(set(core.consts()) | set(q.consts()), key=value_key))
+
+
+def _empty_satisfiable(conjunct: ExistentialConjunct, context: Iterable[Const], core: Instance) -> bool:
+    """Both evaluators' rule: any nonempty union of minimal worlds satisfies an empty
+    conjunct; its active domain must be nonempty when the dropped prefix quantifies."""
+    return not conjunct.quantified or bool(context) or len(core) > 0
 
 
 def _is_certain(
@@ -672,12 +666,7 @@ class _GeneralEvaluator:
         self, conjunct: ExistentialConjunct, context: Iterable[Const] = ()
     ) -> bool:
         if conjunct.is_empty:
-            return (
-                not conjunct.quantified
-                or bool(context)
-                or bool(conjunct.consts())
-                or len(self.core) > 0
-            )
+            return _empty_satisfiable(conjunct, context, self.core)
         ys = conjunct.variables()
         base = frozenset(
             set(self.core.consts()) | set(conjunct.consts()) | set(context)
@@ -708,12 +697,10 @@ class _GeneralEvaluator:
             loose = {beta[v] for v in ys if beta[v] in fresh_holders} - covered_fresh
             return all(fresh_holders[b] & clean for b in loose)
 
-        ys_list = list(ys)
-
         def assign(i: int, beta: Dict[Var, Const], used_fresh: int) -> bool:
-            if i == len(ys_list):
+            if i == len(ys):
                 return check(beta)
-            var = ys_list[i]
+            var = ys[i]
             for v in base_values:
                 beta[var] = v
                 if assign(i + 1, beta, used_fresh):
@@ -725,8 +712,6 @@ class _GeneralEvaluator:
             del beta[var]
             return False
 
-        if not ys_list:
-            return check({})
         return assign(0, {}, 0)
 
 

@@ -12,9 +12,11 @@ block and is polynomial for a fixed per-block null bound; it feeds the fast
 path, each representative a delta on the instance, and ``BlockReps``
 computes it only as far as a reader reads, testing each block image for
 minimality as it comes by homomorphisms of the block (Chandra and Merlin).
-On a core a block image is retracted only over the rest blocks that pass
-one arc-consistency check towards its fresh atoms.  ``_block_images`` maps
-a block's nulls for both.
+Its one pattern table answers which blocks can map onto an atom, for the
+fast path's literal places, for ``atom_in_some_minimal`` and for the
+retraction: on a core a block image is retracted only over the rest blocks
+that reach its fresh atoms and pass one arc-consistency check towards them.
+``_block_images`` maps a block's nulls for both enumerations.
 """
 
 from __future__ import annotations
@@ -24,11 +26,10 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BlockTooLarge, BudgetExceeded, PreconditionViolated
 from .corelib import (
-    BlockPartition,
     Image,
     atom_blocks,
     blocks_packed,
@@ -42,6 +43,7 @@ from .model import (
     Instance,
     Null,
     Value,
+    Var,
     find_homomorphism,
     instance_key,
     mask_key,
@@ -174,46 +176,6 @@ def _block_images(block: Instance, pool: Sequence[Value]) -> Iterator[List[Atom]
         yield [Atom(a.rel, tuple([f[v] for v in a.args])) for a in block.atoms]
 
 
-def _blocks_onto(
-    instance: Instance, partition: BlockPartition
-) -> Callable[[FrozenSet[Atom], int], List[Instance]]:
-    """The blocks but the given one, in canonical order, that a retraction of
-    a block image with the given fresh atoms may move: all on a non-core.  On
-    a core the rest is a core too, so a rest block can only shrink the image
-    by sending an atom b onto a fresh atom, and the image only loses atoms; a
-    block is kept if, under the map of some such b, each of its atoms still
-    matches one of the instance or the fresh atoms (one arc-consistency
-    pass).  Only the position tables of the constant patterns in use are
-    probed for b."""
-    if not is_core(instance):
-        return lambda fresh, exclude: [b for i, b in enumerate(partition.blocks) if i != exclude]
-    block_of = dict(partition.atom_block)
-    patterns: Dict[Tuple[str, int], Set[Tuple[int, ...]]] = {}
-    for b in instance.atoms:
-        patterns.setdefault((b.rel, len(b.args)), set()).add(
-            tuple(i for i, v in enumerate(b.args) if isinstance(v, Const)))
-
-    def matched(c: Atom, h: Dict[Value, Value], added: Instance) -> bool:
-        at = tuple(i for i, v in enumerate(c.args) if isinstance(v, Const) or v in h)
-        values = tuple(h.get(c.args[i], c.args[i]) for i in at)
-        return any(part.atoms_matching(c.rel, len(c.args), at, values) for part in (instance, added))
-
-    def onto(fresh: FrozenSet[Atom], exclude: int) -> List[Instance]:
-        found, added = {exclude}, Instance(fresh)
-        for a in fresh:
-            for at in patterns.get((a.rel, len(a.args)), ()):
-                for b in instance.atoms_matching(a.rel, len(a.args), at, tuple(a.args[i] for i in at)):
-                    i = block_of[b]
-                    h = None if i in found else match_args(b.args, a.args)
-                    if h is not None and all(
-                        c is b or matched(c, h, added) for c in partition.blocks[i].atoms
-                    ):
-                        found.add(i)
-        return [partition.blocks[i] for i in sorted(found - {exclude})]
-
-    return onto
-
-
 class Replay:
     """The items of an iterator, each computed once, when a reader first
     reaches it, and replayed to every later reader: each ``iter`` starts a
@@ -240,7 +202,12 @@ class BlockReps:
         for block in self.partition.blocks:
             if max_block_nulls is not None and len(block.nulls()) > max_block_nulls:
                 raise BlockTooLarge(f"block has {len(block.nulls())} nulls, cap is {max_block_nulls}")
-        self._onto = _blocks_onto(instance, self.partition)
+        self._block_of = dict(self.partition.atom_block)
+        self._patterns: Dict[Tuple[str, int], Set[Tuple[int, ...]]] = {}
+        for b in instance.atoms:
+            self._patterns.setdefault((b.rel, len(b.args)), set()).add(
+                tuple(i for i, v in enumerate(b.args) if isinstance(v, Const)))
+        self._is_core = is_core(instance)
 
     def __iter__(self) -> Iterator[BlockRep]:
         """Every block's representatives, block by block."""
@@ -251,12 +218,54 @@ class BlockReps:
             self._streams[block_index] = Replay(self._block_reps(block_index))
         return self._streams[block_index]
 
+    def reaching_atoms(self, rel: str, args: Sequence[Union[Value, Var]]) -> List[Atom]:
+        """The atoms of ``rel`` that hold, wherever ``args`` holds a value
+        rather than a variable, that value or a null: those a map of their
+        block's nulls may send onto ``args``.  One index probe per constant
+        pattern of the relation; an atom may come back from two probes."""
+        valued = [i for i, v in enumerate(args) if not isinstance(v, Var)]
+        probes = {tuple(i for i in at if i in valued)
+                  for at in self._patterns.get((rel, len(args)), ())}
+        return [b for at in probes
+                for b in self.instance.atoms_matching(rel, len(args), at, tuple(args[i] for i in at))
+                if all(isinstance(b.args[i], Null) or b.args[i] == args[i] for i in valued)]
+
+    def reaching_blocks(self, rel: str, args: Sequence[Union[Value, Var]]) -> List[int]:
+        """The blocks with an atom in ``reaching_atoms``, in block order."""
+        return sorted({self._block_of[b] for b in self.reaching_atoms(rel, args)})
+
+    def _onto(self, fresh: FrozenSet[Atom], exclude: int) -> List[Instance]:
+        """The blocks but the given one, in block order, that a retraction of
+        a block image with the given fresh atoms may move: all on a non-core.
+        On a core the rest is a core too, so a rest block can only shrink
+        the image by sending an atom b onto a fresh atom, and the image only
+        loses atoms; a block is kept if, under the map of some such b, each
+        of its atoms still matches one of the instance or the fresh atoms
+        (one arc-consistency pass)."""
+        blocks = self.partition.blocks
+        if not self._is_core:
+            return [b for i, b in enumerate(blocks) if i != exclude]
+        found, added = {exclude}, Instance(fresh)
+
+        def matched(c: Atom, h: Dict[Value, Value]) -> bool:
+            at = tuple(i for i, v in enumerate(c.args) if isinstance(v, Const) or v in h)
+            values = tuple(h.get(c.args[i], c.args[i]) for i in at)
+            return any(part.atoms_matching(c.rel, len(c.args), at, values) for part in (self.instance, added))
+
+        for a in fresh:
+            for b in self.reaching_atoms(a.rel, a.args):
+                i = self._block_of[b]
+                h = None if i in found else match_args(b.args, a.args)
+                if h is not None and all(c is b or matched(c, h) for c in blocks[i].atoms):
+                    found.add(i)
+        return [blocks[i] for i in sorted(found - {exclude})]
+
     def _block_reps(self, block_index: int) -> Iterator[BlockRep]:
         """Block i's representatives, in map order.  A map's fresh set (its
         block atoms outside the rest) is kept if new, on the block's nulls
         only, and minimal: for no atom a of it does the block map into the
         rest plus fresh - {a}, which holds each smaller fresh set missing a.
-        A kept one is cored, its nulls fixed, over the blocks ``_blocks_onto`` keeps."""
+        A kept one is cored, its nulls fixed, over the blocks ``_onto`` keeps."""
         block = self.partition.blocks[block_index]
         block_nulls, seen = block.nulls(), set()
 
@@ -312,6 +321,8 @@ def atom_in_some_minimal(instance: Instance, atom: Atom) -> bool:
 
     Requires a packed core; on such instances the per-block representatives
     capture exactly the atoms of the whole-instance minimal representatives.
+    Only the blocks that reach the atom can hold it (a ground core atom is
+    its own block), so only their streams start.
     """
     if not atom.is_ground:
         raise PreconditionViolated("NotGround", "the probe atom must be ground")
@@ -319,5 +330,5 @@ def atom_in_some_minimal(instance: Instance, atom: Atom) -> bool:
         raise PreconditionViolated("NotPacked", "an atom block is not packed")
     if not is_core(instance):
         raise PreconditionViolated("NotCore", "the instance is not a core")
-    constants = [v for v in atom.args if isinstance(v, Const)]
-    return any(atom in rep for rep in BlockReps(instance, constants))
+    blocks = BlockReps(instance, [v for v in atom.args if isinstance(v, Const)])
+    return any(atom in rep for i in blocks.reaching_blocks(atom.rel, atom.args) for rep in blocks.reps(i))

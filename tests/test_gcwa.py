@@ -15,6 +15,7 @@ from dx import (
     answers_gcwa_star_universal_general,
     answers_owa_homclosed,
     answers_semantics,
+    atom_in_some_minimal,
     core_solution,
     enum_min_c,
     eval_gcwa_star_universal,
@@ -785,6 +786,42 @@ def test_block_images_built_grow_about_linearly(monkeypatch):
         # doubling (3 to 8 images) exceeds it by its constant offset alone
         assert all(0 < small and big <= 3 * small for small, big in zip(counts, counts[1:])), counts
         assert counts[-1] <= 2.5 ** (len(counts) - 1) * counts[0], counts
+
+
+def test_reached_atoms_grow_about_linearly(monkeypatch):
+    # work without a clock: the atoms BlockReps' reach index returns per
+    # evaluation, for the literal places and the retraction pass together;
+    # scanning every block shape of a literal's relation once per
+    # specialized literal grew 4 times per doubling of the EF chain
+    reached, reaching = [], dx.minrep.BlockReps.reaching_atoms
+
+    def counting(self, rel, args):
+        atoms = reaching(self, rel, args)
+        reached.append(len(atoms))
+        return atoms
+
+    monkeypatch.setattr(dx.minrep.BlockReps, "reaching_atoms", counting)
+    counts = []
+    for n in (20, 40, 80, 160):
+        reached[:] = []
+        edges = ef_chain(n)
+        assert answers_gcwa_star_universal(*_ef_chain_core(edges)) == _ef_chain_answers(edges)
+        counts.append(sum(reached))
+    assert all(0 < small and big <= 2.5 * small for small, big in zip(counts, counts[1:])), counts
+
+
+def test_atom_no_block_reaches_starts_no_stream(streams):
+    # F(x, zz) with zz outside the core: every F atom of the EF chain's core
+    # holds a constant other than zz in second place; starting every block's
+    # stream took 0.8 s at n = 80
+    edges = ef_chain(80)
+    core, _ = _ef_chain_core(edges)
+    first = Const(edges[0][0])
+    assert not atom_in_some_minimal(core, Atom("F", (first, Const("zz"))))
+    assert streams.starts == []
+    # two blocks reach E(first, zz); the first one's stream holds it
+    assert atom_in_some_minimal(core, Atom("E", (first, Const("zz"))))
+    assert len(streams.starts) == 1
 
 
 def test_block_cap_fails_fast_on_blocks_no_search_reaches():
