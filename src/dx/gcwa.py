@@ -15,7 +15,12 @@ brute force (no packedness needed) and is exponential.
 Both paths share one driver: a candidate tuple is specialized into every
 conjunct of the negated query, and the tuple is a certain answer iff the
 backend's ``conjunct_satisfiable`` rejects them all.  ``CoreEvaluator`` is
-the fast backend and ``_GeneralEvaluator`` the general one.
+the fast backend and ``_GeneralEvaluator`` the general one.  Before any
+search the fast backend tries the conjuncts on the core itself
+(``core_refutes``): the core, its nulls read as distinct fresh constants, is
+one of the minimal worlds (the identity map of each block is a minimal
+image), so a conjunct that holds there refutes the tuple, and only the
+tuples the core does not refute are searched.
 """
 
 from __future__ import annotations
@@ -453,6 +458,8 @@ class CoreEvaluator:
             raise PreconditionViolated("NotPacked", "an atom block is not packed")
         if not is_core(core):
             raise PreconditionViolated("NotCore", "the instance is not a core")
+        if block_bound is not None:
+            BlockReps(core, (), block_bound)  # fail fast even if no search runs
         self.core = core
         self.block_bound = block_bound
         self._queries: Dict[FOQuery, tuple] = {}
@@ -503,6 +510,11 @@ class CoreEvaluator:
                         (var, Null(tag, self._rank[v]) if isinstance(v, Null) else v)
                         for var, v in sorted(alpha.items(), key=lambda it: it[0].name)
                     ))
+
+    def core_refutes(self, conjuncts: Sequence[ExistentialConjunct], context: FrozenSet[Const]) -> bool:
+        """Does some conjunct hold on the core, one of its own minimal worlds?
+        One join over the core's index per conjunct, the tuple's constants bound."""
+        return any(satisfies_conjunct(self.core, conjunct, context) for conjunct in conjuncts)
 
     def conjunct_satisfiable(
         self, conjunct: ExistentialConjunct, context: Iterable[Const] = ()
@@ -561,8 +573,10 @@ def _is_certain(
 ) -> bool:
     """The driver shared by both evaluators: a tuple of candidate constants
     is a certain answer iff no conjunct of the negated query, specialized to
-    it, is satisfiable by the evaluator's ``conjunct_satisfiable``; the
-    templates and candidate constants are memoised per evaluator and query."""
+    it once, is satisfiable by the evaluator's ``conjunct_satisfiable``.
+    The evaluator's ``core_refutes`` sees all the conjuncts first and may
+    refute the tuple without a search; the templates and candidate
+    constants are memoised per evaluator and query."""
     if q not in evaluator._queries:
         allowed = frozenset(candidate_constants(evaluator.core, q))
         evaluator._queries[q] = (normalize_negation(q), allowed)
@@ -570,13 +584,10 @@ def _is_certain(
     if len(values) != q.width or any(v not in allowed for v in values):
         return False
     context = frozenset(q.consts()) | frozenset(values)
-    for template in templates:
-        conjunct = specialize(template, q.free_vars, values)
-        if isinstance(conjunct, Unsatisfiable):
-            continue
-        if evaluator.conjunct_satisfiable(conjunct, context):
-            return False
-    return True
+    conjuncts = [c for c in (specialize(t, q.free_vars, values) for t in templates)
+                 if not isinstance(c, Unsatisfiable)]
+    return not (evaluator.core_refutes(conjuncts, context)
+                or any(evaluator.conjunct_satisfiable(c, context) for c in conjuncts))
 
 
 def _certain_answers(
@@ -596,7 +607,9 @@ def eval_gcwa_star_universal(
     """Is the tuple a certain answer of the universal query on the core?
 
     Polynomial-time path; requires the instance to be a packed core (the
-    shape cores of packed-dependency mappings always have).
+    shape cores of packed-dependency mappings always have).  A tuple whose
+    negated query holds on the core itself is refuted there, without a
+    block search.
     """
     return _is_certain(_evaluator or CoreEvaluator(core, block_bound), q, values)
 
@@ -642,6 +655,9 @@ class _GeneralEvaluator:
         self.valuation_cap = valuation_cap
         self._queries: Dict[FOQuery, tuple] = {}
         self._cache: Dict[Tuple[FrozenSet[Const], int], tuple] = {}
+
+    def core_refutes(self, conjuncts: Sequence[ExistentialConjunct], context: FrozenSet[Const]) -> bool:
+        return False  # every conjunct is searched, so the two drivers stay independent
 
     def _reps(self, base: FrozenSet[Const], fresh_count: int):
         """The minimal images over base + fresh constants, as a bitset of

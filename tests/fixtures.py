@@ -151,6 +151,11 @@ def ef_chain(n):
     return edges + [(nodes[0], "b"), (nodes[(n - 1) // 2], "b")]
 
 
+def fan(n):
+    """Edges into b from n - 1 nodes plus the edge a -> c: n source atoms."""
+    return [(f"v{i:02d}", "b") for i in range(n - 1)] + [("a", "c")]
+
+
 def chain_core(mapping_text, edges):
     """The mapping, the R-edges as source, and its core solution."""
     m = mapping(mapping_text)

@@ -37,6 +37,7 @@ from dx.gcwa import (
     CoreEvaluator,
     ExistentialConjunct,
     Unsatisfiable,
+    candidate_constants,
     compatible_and_relation,
     satisfies_conjunct,
 )
@@ -82,6 +83,7 @@ from fixtures import (
     chain_core,
     clique_source,
     ef_chain,
+    fan,
     instance,
     mapping,
     query,
@@ -268,6 +270,22 @@ def _reference_search(evaluator, conjunct, context):
         return False
 
     return search(0), leaves
+
+
+def _search_answers(core, q):
+    """The certain answers by the block search alone: each candidate
+    tuple's specialized conjuncts all go to ``conjunct_satisfiable``, none
+    tried on the core first, so the search's work is counted on every
+    tuple the full path would refute on the core."""
+    evaluator, templates = CoreEvaluator(core), normalize_negation(q)
+    answers = set()
+    for tup in itertools.product(candidate_constants(core, q), repeat=q.width):
+        context = frozenset(q.consts()) | frozenset(tup)
+        conjuncts = [specialize(t, q.free_vars, tup) for t in templates]
+        if not any(evaluator.conjunct_satisfiable(c, context)
+                   for c in conjuncts if not isinstance(c, Unsatisfiable)):
+            answers.add(tup)
+    return answers
 
 
 @pytest.fixture
@@ -512,17 +530,20 @@ def test_leaves_match_materializing_reference_on_packed_cores(leaf_replay):
 
 
 def test_leaves_match_materializing_reference_on_criterion_8_triples(leaf_replay):
-    # criterion 8 draws 221 triples from its seed to agree on 200
+    # criterion 8 draws 221 triples from its seed to agree on 200; the
+    # search runs on every candidate tuple, also those the core refutes
     for m, s, q in itertools.islice(random_triples(random.Random(20260808), max_atoms=5), 221):
-        answers_gcwa_star_universal(core_solution(m, s), q)
+        _search_answers(core_solution(m, s), q)
     assert len(leaf_replay) > 200 and sum(leaf_replay) > 150, (len(leaf_replay), sum(leaf_replay))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32 - 1))
 def test_leaves_match_materializing_reference_on_random_triples(leaf_replay, seed):
+    # the check on the core changes no answer
     m, s, q = next(random_triples(random.Random(seed), max_atoms=5))
-    answers_gcwa_star_universal(core_solution(m, s), q)
+    core = core_solution(m, s)
+    assert answers_gcwa_star_universal(core, q) == _search_answers(core, q)
 
 
 # ------------------------------------------------------------- fast path
@@ -638,7 +659,7 @@ def _started_once_per_pool(starts):
 def test_block_reps_are_computed_once_per_pool(streams):
     edges = ef_chain(10)
     core, q = _ef_chain_core(edges)
-    assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
+    assert _search_answers(core, q) == _ef_chain_answers(edges)
     _started_once_per_pool(streams.starts)
     # the search reads only the blocks it reaches, not every block
     assert len(streams.starts) < len(dx.corelib.atom_blocks(core).blocks)
@@ -658,11 +679,11 @@ def test_block_reps_are_computed_once_per_pool(streams):
 
 
 def _ef_chain_fast_path(n, streams):
-    # the whole evaluation shares one pool key, and each block's
+    # the whole search shares one pool key, and each block's
     # representatives are computed at most once
     edges = ef_chain(n)
     core, q = _ef_chain_core(edges)
-    assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
+    assert _search_answers(core, q) == _ef_chain_answers(edges)
     _started_once_per_pool(streams.starts)
     assert streams.all_block_reps == []
 
@@ -756,7 +777,7 @@ def test_retracted_representatives_grow_at_most_three_times_per_doubling(monkeyp
         counts = []
         for n in sizes:
             before = len(retracted)
-            answers_gcwa_star_universal(*chain(ef_chain(n)))
+            _search_answers(*chain(ef_chain(n)))
             counts.append(len(retracted) - before)
         assert all(0 < small and big <= 3 * small for small, big in zip(counts, counts[1:])), counts
 
@@ -780,7 +801,7 @@ def test_block_images_built_grow_about_linearly(monkeypatch):
         counts = []
         for n in sizes:
             built[0] = 0
-            answers_gcwa_star_universal(*chain(ef_chain(n)))
+            _search_answers(*chain(ef_chain(n)))
             counts.append(built[0])
         # 2.5 times per doubling over the range; the two-null chain's first
         # doubling (3 to 8 images) exceeds it by its constant offset alone
@@ -805,7 +826,7 @@ def test_reached_atoms_grow_about_linearly(monkeypatch):
     for n in (20, 40, 80, 160):
         reached[:] = []
         edges = ef_chain(n)
-        assert answers_gcwa_star_universal(*_ef_chain_core(edges)) == _ef_chain_answers(edges)
+        assert _search_answers(*_ef_chain_core(edges)) == _ef_chain_answers(edges)
         counts.append(sum(reached))
     assert all(0 < small and big <= 2.5 * small for small, big in zip(counts, counts[1:])), counts
 
@@ -835,6 +856,74 @@ def test_block_cap_fails_fast_on_blocks_no_search_reaches():
     assert CoreEvaluator(core, block_bound=2).conjunct_satisfiable(conjunct)
 
 
+def test_block_cap_fails_fast_when_the_core_decides():
+    # the core refutes the query, so no search builds a BlockReps; the cap
+    # is checked when the evaluator is built
+    m, _, core, _ = _two_null_chain(ef_chain(4))
+    q = query("q() := forall z: forall w: F(z,w) -> w = b.", m.target)
+    assert answers_gcwa_star_universal(core, q) == set()
+    with pytest.raises(BlockTooLarge, match="block has 2 nulls, cap is 1"):
+        answers_gcwa_star_universal(core, q, block_bound=1)
+
+
+def test_core_check_changes_no_answer():
+    # with the check on the core and by the search alone, on both chains,
+    # the fan and criterion 8's triples
+    families = ((_ef_chain_core, ef_chain, _ef_chain_answers),
+                (lambda edges: _two_null_chain(edges)[2:], ef_chain, _two_null_answers),
+                (_ef_chain_core, fan, lambda edges: {(b,), (c,)}))
+    for chain, edges_of, expected in families:
+        for n in (10, 20, 40, 80):
+            edges = edges_of(n)
+            core, q = chain(edges)
+            assert answers_gcwa_star_universal(core, q) == _search_answers(core, q) == expected(edges), n
+    for m, s, q in itertools.islice(random_triples(random.Random(20260808), max_atoms=5), 221):
+        core = core_solution(m, s)
+        assert answers_gcwa_star_universal(core, q) == _search_answers(core, q), q
+
+
+def test_core_decides_both_chains_without_a_block_search(streams, rep_shrinks):
+    # work without a clock: the core refutes every non-answer of both
+    # chains, and the answers' literals reach no block
+    edges = ef_chain(80)
+    ef_core, ef_q = _ef_chain_core(edges)
+    assert rep_shrinks(answers_gcwa_star_universal, ef_core, ef_q) == _ef_chain_answers(edges)
+    _, _, core, q = _two_null_chain(edges)
+    assert rep_shrinks(answers_gcwa_star_universal, core, q) == _two_null_answers(edges)
+    assert streams.starts == [] and rep_shrinks.counts == [0, 0]
+
+
+def test_fan_searches_every_tuple_the_core_does_not_refute(monkeypatch):
+    # work without a clock: on the fan the core refutes only a, whose edge
+    # ends in c; every other constant's conjunct is searched, and the block
+    # images built grow at most 3 times per doubling
+    searched, satisfiable = [], CoreEvaluator.conjunct_satisfiable
+    built, images = [0], dx.minrep._block_images
+
+    def counting(self, conjunct, context=()):
+        searched.append(frozenset(context))
+        return satisfiable(self, conjunct, context)
+
+    def counting_images(*args):
+        for image in images(*args):
+            built[0] += 1
+            yield image
+
+    monkeypatch.setattr(CoreEvaluator, "conjunct_satisfiable", counting)
+    monkeypatch.setattr(dx.minrep, "_block_images", counting_images)
+    edges = fan(40)
+    assert answers_gcwa_star_universal(*_ef_chain_core(edges)) == {(b,), (c,)}
+    nodes = {Const(v) for v, _ in edges} - {a}
+    assert len(nodes) == 39
+    assert len(searched) == 41 and set(searched) == {frozenset({b, v}) for v in nodes | {b, c}}
+    counts = []
+    for n in (10, 20, 40, 80):
+        built[0] = 0
+        answers_gcwa_star_universal(*_ef_chain_core(fan(n)))
+        counts.append(built[0])
+    assert all(0 < small and big <= 3 * small for small, big in zip(counts, counts[1:])), counts
+
+
 def test_leaves_read_the_core_index_without_rebuilding_instances(monkeypatch):
     # work without a clock: no leaf rebuilds a representative whole or
     # builds an instance as large as the core, at any chain length
@@ -862,7 +951,7 @@ def test_leaves_read_the_core_index_without_rebuilding_instances(monkeypatch):
     monkeypatch.setattr(CoreEvaluator, "_leaf", counting_leaf)
     for (core, q), expected in cases:
         size[0], big[:], leaves[:] = len(core), [], []
-        assert answers_gcwa_star_universal(core, q) == expected
+        assert _search_answers(core, q) == expected
         assert leaves and not big, (len(core), len(leaves), big)
     assert not wholes
 
