@@ -40,6 +40,13 @@ class BlockPartition:
 
 
 def atom_blocks(instance: Instance) -> BlockPartition:
+    """The instance's atom blocks, computed once per instance."""
+    if instance._blocks is None:
+        object.__setattr__(instance, "_blocks", _partition(instance))
+    return instance._blocks
+
+
+def _partition(instance: Instance) -> BlockPartition:
     """Union-find over atoms joined by shared nulls; ground atoms are
     singleton blocks.  Blocks come out in canonical order."""
     atoms = instance.sorted_atoms()

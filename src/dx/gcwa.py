@@ -16,11 +16,12 @@ Both paths share one driver: a candidate tuple is specialized into every
 conjunct of the negated query, and the tuple is a certain answer iff the
 backend's ``conjunct_satisfiable`` rejects them all.  ``CoreEvaluator`` is
 the fast backend and ``_GeneralEvaluator`` the general one.  Before any
-search the fast backend tries the conjuncts on the core itself
-(``core_refutes``): the core, its nulls read as distinct fresh constants, is
-one of the minimal worlds (the identity map of each block is a minimal
-image), so a conjunct that holds there refutes the tuple, and only the
-tuples the core does not refute are searched.
+tuple is specialized the fast backend finds every tuple the core refutes,
+in one join per template over the core's index with the free variables
+unbound (``_core_refuted``): the core, its nulls read as distinct fresh
+constants, is one of the minimal worlds (the identity map of each block is
+a minimal image), so a template that holds there refutes the tuple, and
+only the tuples the core does not refute are searched.
 """
 
 from __future__ import annotations
@@ -205,34 +206,28 @@ def _build_template(
     )
 
 
-def specialize(
-    template: DisjunctTemplate,
-    free_vars: Sequence[Var],
-    values: Sequence[Const],
-) -> Union[ExistentialConjunct, Unsatisfiable]:
-    """Plug a candidate tuple into a template and resolve its equalities by
-    unification; the result has no free variables left."""
-    sub: Dict[Term, Term] = dict(zip(free_vars, values))
-
-    def subst(t: Term) -> Term:
-        return sub.get(t, t)
-
+def _unified(
+    template: DisjunctTemplate, sub: Dict[Term, Term]
+) -> Tuple[Union[ExistentialConjunct, Unsatisfiable], Callable[[Term], Term]]:
+    """The template with ``sub`` applied and its equalities resolved by
+    unification, and the map of each term to its class's representative."""
     # union-find over terms, constants win as representatives
     parent: Dict[Term, Term] = {}
 
     def find(t: Term) -> Term:
+        t = sub.get(t, t)
         parent.setdefault(t, t)
         while parent[t] != t:
             parent[t] = parent[parent[t]]
             t = parent[t]
         return t
 
-    def union(a: Term, b: Term) -> bool:
-        ra, rb = find(a), find(b)
+    for l, r in template.equalities:
+        ra, rb = find(l), find(r)
         if ra == rb:
-            return True
+            continue
         if isinstance(ra, Const) and isinstance(rb, Const):
-            return False
+            return UNSAT, find
         if isinstance(ra, Const):
             parent[rb] = ra
         elif isinstance(rb, Const):
@@ -240,28 +235,16 @@ def specialize(
         else:
             lo, hi = sorted((ra, rb), key=lambda v: v.name)
             parent[hi] = lo
-        return True
 
-    for l, r in template.equalities:
-        if not union(subst(l), subst(r)):
-            return UNSAT
-
-    def resolve(t: Term) -> Term:
-        return find(subst(t))
-
-    positives = {
-        (rel, tuple(resolve(t) for t in terms)) for rel, terms in template.positives
-    }
-    negatives = {
-        (rel, tuple(resolve(t) for t in terms)) for rel, terms in template.negatives
-    }
+    positives = {(rel, tuple(map(find, terms))) for rel, terms in template.positives}
+    negatives = {(rel, tuple(map(find, terms))) for rel, terms in template.negatives}
     if positives & negatives:
-        return UNSAT
+        return UNSAT, find
     disequalities = set()
     for l, r in template.disequalities:
-        rl, rr = resolve(l), resolve(r)
+        rl, rr = find(l), find(r)
         if rl == rr:
-            return UNSAT
+            return UNSAT, find
         if isinstance(rl, Const) and isinstance(rr, Const):
             continue
         disequalities.add(tuple(sorted((rl, rr), key=_term_key)))
@@ -270,30 +253,42 @@ def specialize(
         tuple(sorted(negatives, key=_lit_key)),
         tuple(sorted(disequalities, key=_pair_key)),
         template.quantified,
-    )
+    ), find
 
 
-def satisfies_conjunct(
+def specialize(
+    template: DisjunctTemplate,
+    free_vars: Sequence[Var],
+    values: Sequence[Const],
+) -> Union[ExistentialConjunct, Unsatisfiable]:
+    """Plug a candidate tuple into a template and resolve its equalities by
+    unification; the result has no free variables left."""
+    return _unified(template, dict(zip(free_vars, values)))[0]
+
+
+def conjunct_bindings(
     instance: Union[Instance, "_Witness"],
     conjunct: ExistentialConjunct,
     context: Iterable[Const] = (),
-) -> bool:
-    """Active-domain satisfaction of an existential conjunct, evaluated by
-    joining the positive literals first (nulls count as plain values).
-
-    ``context`` carries the constants of the whole query the conjunct came
-    from: splitting a query into disjuncts must not shrink the domain its
-    quantifiers range over.  The instance is read through
-    ``atoms_matching`` and ``in``, and through ``dom()`` only when a
-    variable occurs in no positive literal or the conjunct is empty.
-    """
+    free: Sequence[Var] = (),
+    pool: Sequence[Const] = (),
+) -> Iterator[Dict[Var, Value]]:
+    """The bindings of the positive literals' variables and ``free`` under
+    which an existential conjunct holds on the instance (active-domain
+    semantics, nulls plain values), the positive literals joined first.  A
+    variable of ``free`` outside them ranges over ``pool``, any other over
+    the active domain, read through ``dom()`` only for such a variable or
+    an empty conjunct.  ``context`` carries the constants of the whole
+    query the conjunct came from: splitting a query into disjuncts must not
+    shrink the domain its quantifiers range over."""
     named = set(conjunct.consts()) | set(context)
-    if conjunct.is_empty:
+    if conjunct.is_empty and conjunct.quantified and not (named or instance.dom()):
         # an existential prefix needs a nonempty active domain; a nonempty
         # conjunct without one has no witness anyway
-        return not conjunct.quantified or bool(named or instance.dom())
+        return
     positive_vars = {t for _, terms in conjunct.positives for t in terms if isinstance(t, Var)}
-    loose = [v for v in conjunct.variables() if v not in positive_vars]
+    ranged = [v for v in free if v not in positive_vars]
+    loose = [v for v in conjunct.variables() if v not in positive_vars and v not in free]
     adom = sorted(set(instance.dom()) | named, key=value_key) if loose else []
 
     def check(bnd: Dict[Var, Value]) -> bool:
@@ -303,10 +298,44 @@ def satisfies_conjunct(
         return all(bnd.get(l, l) != bnd.get(r, r) for l, r in conjunct.disequalities)
 
     for bnd in match_conjunction(conjunct.positives, instance):
-        for extra in itertools.product(adom, repeat=len(loose)):
-            if check({**bnd, **dict(zip(loose, extra))}):
-                return True
-    return False
+        for values in itertools.product(pool, repeat=len(ranged)):
+            bnd.update(zip(ranged, values))
+            for extra in itertools.product(adom, repeat=len(loose)):
+                bnd.update(zip(loose, extra))
+                if check(bnd):
+                    yield dict(bnd)
+                    break
+
+
+def satisfies_conjunct(
+    instance: Union[Instance, "_Witness"],
+    conjunct: ExistentialConjunct,
+    context: Iterable[Const] = (),
+) -> bool:
+    """Does the existential conjunct hold on the instance: its first
+    satisfying binding, if any."""
+    return next(conjunct_bindings(instance, conjunct, context), None) is not None
+
+
+def _core_refuted(
+    core: Instance, q: FOQuery, templates: Sequence[DisjunctTemplate], pool: Sequence[Const]
+) -> FrozenSet[Tuple[Const, ...]]:
+    """The candidate tuples some template holds for on the core: one join
+    per template, its free variables unbound and read off each binding.  A
+    null gives no tuple; the rest range over dom(core) and the query's
+    constants, the domain of each tuple's own check."""
+    refuted: Set[Tuple[Const, ...]] = set()
+    for template in templates:
+        conjunct, find = _unified(template, {})
+        if isinstance(conjunct, Unsatisfiable):
+            continue
+        heads = tuple(map(find, q.free_vars))
+        free = [v for v in dict.fromkeys(heads) if isinstance(v, Var)]
+        for bnd in conjunct_bindings(core, conjunct, q.consts(), free, pool):
+            tup = tuple(bnd.get(h, h) for h in heads)
+            if all(isinstance(v, Const) for v in tup):
+                refuted.add(tup)
+    return frozenset(refuted)
 
 
 # ---------------------------------------------------------------- compatibility
@@ -511,19 +540,14 @@ class CoreEvaluator:
                         for var, v in sorted(alpha.items(), key=lambda it: it[0].name)
                     ))
 
-    def core_refutes(self, conjuncts: Sequence[ExistentialConjunct], context: FrozenSet[Const]) -> bool:
-        """Does some conjunct hold on the core, one of its own minimal worlds?
-        One join over the core's index per conjunct, the tuple's constants bound."""
-        return any(satisfies_conjunct(self.core, conjunct, context) for conjunct in conjuncts)
-
     def conjunct_satisfiable(
         self, conjunct: ExistentialConjunct, context: Iterable[Const] = ()
     ) -> bool:
         """Is there a nonempty finite union of minimal possible worlds of the
         core that satisfies the conjunct?"""
         context = frozenset(context) | frozenset(conjunct.consts())
-        if conjunct.is_empty:
-            return _empty_satisfiable(conjunct, context, self.core)
+        if conjunct.is_empty:  # it holds on a union of minimal worlds iff on the core
+            return satisfies_conjunct(self.core, conjunct, context)
         key = self._reps_key(context)
         candidate_sets: List[Replay] = []
         for i, literal in enumerate(conjunct.positives):
@@ -562,10 +586,16 @@ def candidate_constants(core: Instance, q: FOQuery) -> Tuple[Const, ...]:
     return tuple(sorted(set(core.consts()) | set(q.consts()), key=value_key))
 
 
-def _empty_satisfiable(conjunct: ExistentialConjunct, context: Iterable[Const], core: Instance) -> bool:
-    """Both evaluators' rule: any nonempty union of minimal worlds satisfies an empty
-    conjunct; its active domain must be nonempty when the dropped prefix quantifies."""
-    return not conjunct.quantified or bool(context) or len(core) > 0
+def _plan(evaluator: Union[CoreEvaluator, _GeneralEvaluator], q: FOQuery) -> tuple:
+    """The memo per evaluator and query: the negated query's templates, the
+    candidate pool in order and as a set, and the tuples the core refutes
+    (none for the general evaluator, so the two drivers stay independent)."""
+    if q not in evaluator._queries:
+        templates, pool = normalize_negation(q), candidate_constants(evaluator.core, q)
+        refuted = (_core_refuted(evaluator.core, q, templates, pool)
+                   if isinstance(evaluator, CoreEvaluator) else frozenset())
+        evaluator._queries[q] = (templates, pool, frozenset(pool), refuted)
+    return evaluator._queries[q]
 
 
 def _is_certain(
@@ -573,27 +603,23 @@ def _is_certain(
 ) -> bool:
     """The driver shared by both evaluators: a tuple of candidate constants
     is a certain answer iff no conjunct of the negated query, specialized to
-    it once, is satisfiable by the evaluator's ``conjunct_satisfiable``.
-    The evaluator's ``core_refutes`` sees all the conjuncts first and may
-    refute the tuple without a search; the templates and candidate
-    constants are memoised per evaluator and query."""
-    if q not in evaluator._queries:
-        allowed = frozenset(candidate_constants(evaluator.core, q))
-        evaluator._queries[q] = (normalize_negation(q), allowed)
-    templates, allowed = evaluator._queries[q]
-    if len(values) != q.width or any(v not in allowed for v in values):
+    it once, is satisfiable by the evaluator's ``conjunct_satisfiable``.  A
+    tuple the core refutes (``_plan``) fails before anything is specialized."""
+    templates, _, allowed, refuted = _plan(evaluator, q)
+    values = tuple(values)
+    if len(values) != q.width or values in refuted or any(v not in allowed for v in values):
         return False
     context = frozenset(q.consts()) | frozenset(values)
     conjuncts = [c for c in (specialize(t, q.free_vars, values) for t in templates)
                  if not isinstance(c, Unsatisfiable)]
-    return not (evaluator.core_refutes(conjuncts, context)
-                or any(evaluator.conjunct_satisfiable(c, context) for c in conjuncts))
+    return not any(evaluator.conjunct_satisfiable(c, context) for c in conjuncts)
 
 
 def _certain_answers(
-    core: Instance, q: FOQuery, is_certain: Callable[[Tuple[Const, ...]], bool]
+    evaluator: Union[CoreEvaluator, _GeneralEvaluator], q: FOQuery,
+    is_certain: Callable[[Tuple[Const, ...]], bool],
 ) -> Set[Tuple[Const, ...]]:
-    pool = candidate_constants(core, q)
+    pool = _plan(evaluator, q)[1]
     return {tup for tup in itertools.product(pool, repeat=q.width) if is_certain(tup)}
 
 
@@ -622,7 +648,7 @@ def answers_gcwa_star_universal(
     """All certain answers of a universal query on a packed core."""
     evaluator = CoreEvaluator(core, block_bound)
     return _certain_answers(
-        core, q, lambda tup: eval_gcwa_star_universal(core, q, tup, _evaluator=evaluator)
+        evaluator, q, lambda tup: eval_gcwa_star_universal(core, q, tup, _evaluator=evaluator)
     )
 
 
@@ -656,9 +682,6 @@ class _GeneralEvaluator:
         self._queries: Dict[FOQuery, tuple] = {}
         self._cache: Dict[Tuple[FrozenSet[Const], int], tuple] = {}
 
-    def core_refutes(self, conjuncts: Sequence[ExistentialConjunct], context: FrozenSet[Const]) -> bool:
-        return False  # every conjunct is searched, so the two drivers stay independent
-
     def _reps(self, base: FrozenSet[Const], fresh_count: int):
         """The minimal images over base + fresh constants, as a bitset of
         their ids, each atom's and each fresh constant's holders among them
@@ -681,8 +704,8 @@ class _GeneralEvaluator:
     def conjunct_satisfiable(
         self, conjunct: ExistentialConjunct, context: Iterable[Const] = ()
     ) -> bool:
-        if conjunct.is_empty:
-            return _empty_satisfiable(conjunct, context, self.core)
+        if conjunct.is_empty:  # it holds on a union of minimal worlds iff on the core
+            return satisfies_conjunct(self.core, conjunct, context)
         ys = conjunct.variables()
         base = frozenset(
             set(self.core.consts()) | set(conjunct.consts()) | set(context)
@@ -759,7 +782,7 @@ def answers_gcwa_star_universal_general(
     core = core_solution(mapping, source)
     evaluator = _GeneralEvaluator(core, valuation_cap)
     return _certain_answers(
-        core,
+        evaluator,
         q,
         lambda tup: eval_gcwa_star_universal_general(
             mapping, source, q, tup, _evaluator=evaluator

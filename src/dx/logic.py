@@ -116,6 +116,15 @@ class FOQuery:
     def positive(self) -> bool:
         return is_ucq(self)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.free_vars, self.body))
+
+    def __hash__(self) -> int:
+        # the body's own hash walks the whole formula, and the certain-answer
+        # drivers look their query up once per candidate tuple
+        return self._hash
+
 
 def subformulas(f: Formula) -> List[Formula]:
     """f and every formula nested in it, outermost first."""

@@ -182,10 +182,10 @@ class Instance:
     """A finite set of atoms (set semantics, no duplicates).
 
     ``_core`` is True once ``corelib.core_of`` has returned this instance,
-    so later core tests on it need no search.
+    so later core tests on it need no search; ``_blocks`` caches its blocks.
     """
 
-    __slots__ = ("atoms", "_dom", "_tables", "_sorted", "_core")
+    __slots__ = ("atoms", "_dom", "_tables", "_sorted", "_core", "_blocks")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
         object.__setattr__(self, "atoms", frozenset(atoms))
@@ -193,6 +193,7 @@ class Instance:
         object.__setattr__(self, "_tables", None)
         object.__setattr__(self, "_sorted", None)
         object.__setattr__(self, "_core", False)
+        object.__setattr__(self, "_blocks", None)
 
     # -- set plumbing
 

@@ -977,6 +977,133 @@ def test_fast_path_runs_the_core_search_once(monkeypatch):
     assert is_core(dx.corelib.core_of(non_core))
 
 
+def _reference_refuted(core, q):
+    """The per-tuple reference for the tuples the core refutes: each
+    candidate tuple's specialized conjuncts tried on the core one by one."""
+    templates = normalize_negation(q)
+    return {tup for tup in itertools.product(candidate_constants(core, q), repeat=q.width)
+            if any(satisfies_conjunct(core, c, frozenset(q.consts()) | frozenset(tup))
+                   for c in (specialize(t, q.free_vars, tup) for t in templates)
+                   if not isinstance(c, Unsatisfiable))}
+
+
+def _refuted(core, q):
+    return dx.gcwa._plan(CoreEvaluator(core), q)[3]
+
+
+def test_refuted_set_matches_per_tuple_reference_on_criterion_8_triples():
+    rng, nonempty = random.Random(23), 0
+    for m, s, _ in itertools.islice(random_triples(random.Random(20260808), max_atoms=5), 221):
+        core = core_solution(m, s)
+        for width in range(4):
+            q = gen_universal_query(rng, free_count=width)
+            expected = _reference_refuted(core, q)
+            assert _refuted(core, q) == expected, (q, core)
+            nonempty += bool(expected)
+    assert nonempty > 300, nonempty
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), width=st.integers(0, 3))
+def test_refuted_set_matches_per_tuple_reference_on_random_cores(seed, width):
+    rng = random.Random(seed)
+    core = core_solution(gen_packed_mapping(rng), gen_source(rng, max_atoms=8))
+    q = gen_universal_query(rng, free_count=width, max_literals=4)
+    assert _refuted(core, q) == _reference_refuted(core, q)
+
+
+HAND_MADE_QUERIES = {
+    # x = a, x = w, and x equated with the quantified u, which names the class
+    "q(x) := forall y: E(x,y) -> ~(x = a).": {(a,)},
+    "q(x,w) := forall y: E(x,y) -> ~(x = w).": {(a, a), (b, b), (c, c)},
+    "q(x) := forall u: forall y: E(u,y) -> ~(x = u).": {(a,), (b,), (c,)},
+    # x only in a negative literal, then only in a disequality
+    "q(x) := forall z: forall y: F(z,y) -> E(x,z).": {(a,), (b,), (c,)},
+    "q(x) := forall z: forall y: F(z,y) -> y = x.": {(a,), (b,), (c,)},
+    # x named by no literal
+    "q(x) := forall z: forall y: F(z,y) -> y = b.": {(a,), (b,), (c,)},
+    # the join binds x to a null only
+    "q(x) := forall y: ~E(y,x).": set(),
+    # the negation holds with no literal left
+    "q(x) := forall y: ~(y = y).": {(a,), (b,), (c,)},
+    "q() := forall y: ~(y = y).": {()},
+}
+
+
+def test_refuted_set_matches_per_tuple_reference_on_hand_made_templates():
+    # the sets are those of the EF core of a -> b -> c -> c; the two-null
+    # core and the empty core are checked against the reference only
+    m, _, ef_core = chain_core(EF_MAP, [("a", "b"), ("b", "c"), ("c", "c")])
+    for text, expected in HAND_MADE_QUERIES.items():
+        q = query(text, m.target)
+        assert _refuted(ef_core, q) == _reference_refuted(ef_core, q) == expected, text
+    for mapping_text, edges in ((TWO_NULL_MAP, [("a", "b"), ("b", "b")]), (EF_MAP, [])):
+        m, _, core = chain_core(mapping_text, edges)
+        for text in HAND_MADE_QUERIES:
+            q = query(text, m.target)
+            assert _refuted(core, q) == _reference_refuted(core, q), (text, core)
+
+
+WIDTH_2_QUERY = "q(x,w) := forall z: forall y: E(x,z) /\\ F(z,y) -> y = w."
+
+
+def _ef_chain_pairs(edges):
+    """Certain answers of the width-2 query on the EF chain, read off the
+    source: x has no out-edge, and w is any candidate constant."""
+    consts = {v for e in edges for v in e}
+    has_out = {x for x, _ in edges}
+    return {(Const(x), Const(w)) for x in consts - has_out for w in consts}
+
+
+def test_core_refutes_in_one_join_per_template(monkeypatch):
+    # work without a clock: one core join per template at every chain
+    # length, and on the width-2 query only the 3n - 4 pairs the core does
+    # not refute (x's out-edges all end in w) are specialized
+    joins, specialized = [], []
+    bindings, spec = dx.gcwa.conjunct_bindings, dx.gcwa.specialize
+
+    def counting_bindings(instance, *args):
+        if isinstance(instance, Instance):  # a search leaf reads a _Witness
+            joins.append(instance)
+        return bindings(instance, *args)
+
+    def counting_specialize(*args):
+        specialized.append(args)
+        return spec(*args)
+
+    monkeypatch.setattr(dx.gcwa, "conjunct_bindings", counting_bindings)
+    monkeypatch.setattr(dx.gcwa, "specialize", counting_specialize)
+    for n in (20, 40, 80, 160):
+        edges = ef_chain(n)
+        m, _, core = chain_core(EF_MAP, edges)
+        for text, expected in ((CHAIN_QUERY, _ef_chain_answers(edges)),
+                               (WIDTH_2_QUERY, _ef_chain_pairs(edges))):
+            q = query(text, m.target)
+            joins[:], specialized[:] = [], []
+            assert answers_gcwa_star_universal(core, q) == expected
+            templates = len(normalize_negation(q))
+            assert joins == [core] * templates, n
+        assert len(expected) == 2 * n
+        assert len(specialized) == (3 * n - 4) * templates, n
+
+
+def test_fast_path_partitions_the_core_once(monkeypatch):
+    # work without a clock: on an unmarked core the core test, the
+    # packedness test and the block search share one block partition
+    partitioned, partition = [], dx.corelib._partition
+
+    def counting(instance):
+        partitioned.append(instance)
+        return partition(instance)
+
+    core, q = _ef_chain_core(fan(20))
+    core = Instance(core.atoms)
+    monkeypatch.setattr(dx.corelib, "_partition", counting)
+    for _ in range(2):
+        assert answers_gcwa_star_universal(core, q) == {(b,), (c,)}
+        assert len(partitioned) == 1 and partitioned[0] is core
+
+
 # ------------------------------------------------------------- general path
 
 
