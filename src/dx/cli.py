@@ -26,8 +26,8 @@ from . import gcwa, oracle, randgen
 from .corelib import atom_blocks, blocks_packed, core_solution
 from .errors import BudgetExceeded, DxError, ParseError, PreconditionViolated
 from .logic import FOQuery, is_ucq, is_universal
-from .minrep import enum_min_c, enum_min_c_block
-from .model import Const, Instance, SchemaMapping
+from .minrep import BlockReps, enum_min_c
+from .model import Const, Instance, SchemaMapping, instance_key
 from .textio import (
     SourceText,
     answers_json,
@@ -193,10 +193,11 @@ def _cmd_minrep(args) -> int:
         for i, rep in enumerate(reps.representatives):
             chunks.append(f"# rep {i} (whole instance)\n" + serialize_instance(rep))
     else:
-        partition = atom_blocks(inst)
-        for b in range(len(partition.blocks)):
-            reps = enum_min_c_block(inst, b, constants)
-            for i, rep in enumerate(reps.representatives):
+        # one BlockReps for every block: each build tests the instance for
+        # being a core, a core search of its own on a non-core
+        blocks = BlockReps(inst, constants)
+        for b in range(len(blocks.partition.blocks)):
+            for i, rep in enumerate(sorted({r.whole() for r in blocks.reps(b)}, key=instance_key)):
                 chunks.append(f"# rep {i} (block {b})\n" + serialize_instance(rep))
     _emit("\n".join(chunks) if chunks else "", args.output)
     return EXIT_OK

@@ -12,16 +12,17 @@ index and the chosen representatives' deltas (``_Witness``), so a leaf
 costs what its probes touch, not |core|.  The general evaluator realizes the same test by bounded
 brute force (no packedness needed) and is exponential.
 
-Both paths share one driver: a candidate tuple is specialized into every
-conjunct of the negated query, and the tuple is a certain answer iff the
-backend's ``conjunct_satisfiable`` rejects them all.  ``CoreEvaluator`` is
-the fast backend and ``_GeneralEvaluator`` the general one.  Before any
-tuple is specialized the fast backend finds every tuple the core refutes,
-in one join per template over the core's index with the free variables
-unbound (``_core_refuted``): the core, its nulls read as distinct fresh
-constants, is one of the minimal worlds (the identity map of each block is
-a minimal image), so a template that holds there refutes the tuple, and
-only the tuples the core does not refute are searched.
+Both paths share one driver, a ``_QueryPlan`` built once per evaluation: a
+candidate tuple is specialized into every template of the negated query, and
+it is a certain answer iff the backend's ``conjunct_satisfiable`` rejects
+them all.  Each backend (``CoreEvaluator``, ``_GeneralEvaluator``) serves
+the one pool of constants all tuples read, the core's and the query's.  The
+fast plan first finds every tuple the core refutes, in one join per template
+over the core's index with the free variables unbound (``_core_refuted``):
+the core, its nulls read as distinct fresh constants, is one of the minimal
+worlds (the identity map of each block is a minimal image), so a template
+that holds there refutes the tuple.  The general plan refutes none, so the
+two drivers stay independent.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ from .model import (
     value_key,
 )
 
-GENERAL_VALUATION_CAP = 400_000
-
 
 # ---------------------------------------------------------------- conjuncts
 
@@ -80,7 +79,6 @@ def _pair_key(pair: Tuple[Term, Term]):
     return (_term_key(pair[0]), _term_key(pair[1]))
 
 
-
 @dataclass(frozen=True)
 class DisjunctTemplate:
     """One disjunct of the negated universal query, free variables still
@@ -91,16 +89,6 @@ class DisjunctTemplate:
     equalities: Tuple[Tuple[Term, Term], ...]
     disequalities: Tuple[Tuple[Term, Term], ...]
     quantified: bool = False  # the negated query had a nonempty exists-prefix
-
-
-class Unsatisfiable:
-    """Marker for a disjunct that died during specialization."""
-
-    def __repr__(self):
-        return "UNSAT"
-
-
-UNSAT = Unsatisfiable()
 
 
 @dataclass(frozen=True)
@@ -126,21 +114,17 @@ class ExistentialConjunct:
             + 2 * len(self.disequalities)
         )
 
-    def variables(self) -> Tuple[Var, ...]:
-        out: Set[Var] = set()
+    def _terms(self) -> Iterator[Term]:
         for _, terms in self.positives + self.negatives:
-            out.update(t for t in terms if isinstance(t, Var))
-        for a, b in self.disequalities:
-            out.update(t for t in (a, b) if isinstance(t, Var))
-        return tuple(sorted(out, key=lambda v: v.name))
+            yield from terms
+        for pair in self.disequalities:
+            yield from pair
+
+    def variables(self) -> Tuple[Var, ...]:
+        return tuple(sorted({t for t in self._terms() if isinstance(t, Var)}, key=lambda v: v.name))
 
     def consts(self) -> Tuple[Const, ...]:
-        out: Set[Const] = set()
-        for _, terms in self.positives + self.negatives:
-            out.update(t for t in terms if isinstance(t, Const))
-        for a, b in self.disequalities:
-            out.update(t for t in (a, b) if isinstance(t, Const))
-        return tuple(sorted(out, key=value_key))
+        return tuple(sorted({t for t in self._terms() if isinstance(t, Const)}, key=value_key))
 
     @property
     def is_empty(self) -> bool:
@@ -150,53 +134,36 @@ class ExistentialConjunct:
 def normalize_negation(q: FOQuery) -> Tuple[DisjunctTemplate, ...]:
     """Negate a universal query into existential-conjunct templates.
 
-    Contradictory disjuncts (same-term disequalities, distinct-constant
-    equalities, complementary literal pairs) are dropped here; positive
-    equalities survive into the templates and are resolved by ``specialize``.
+    A disjunct is kept iff it unifies with its free variables unbound
+    (``_unified``): binding them only merges classes, so a disjunct
+    contradictory without them (a same-class disequality, distinct
+    constants equated, a literal both positive and negated) stays so under
+    every tuple.  Positive equalities survive into the templates and are
+    resolved by ``specialize``.
     """
     p = prenex(q.body)
     if p is None or any(kind != "forall" for kind, _ in p[0]):
         raise NotUniversal(f"query {q.name} is not a universal query")
     prefix, matrix = p
     negated = to_nnf(matrix, negate=True)
-    templates: List[DisjunctTemplate] = []
-    for literals in dnf_literals(negated):
-        t = _build_template(literals, quantified=bool(prefix))
-        if t is not None:
-            templates.append(t)
-    return tuple(templates)
+    templates = [_template(literals, bool(prefix)) for literals in dnf_literals(negated)]
+    return tuple(t for t in templates if _unified(t, {}) is not None)
 
 
-def _build_template(
-    literals: Sequence[Formula], quantified: bool = False
-) -> Optional[DisjunctTemplate]:
+def _template(literals: Sequence[Formula], quantified: bool) -> DisjunctTemplate:
+    """One disjunct's literals, sorted into the template's four kinds."""
     positives: Set[Tuple[str, Tuple[Term, ...]]] = set()
     negatives: Set[Tuple[str, Tuple[Term, ...]]] = set()
     equalities: Set[Tuple[Term, Term]] = set()
     disequalities: Set[Tuple[Term, Term]] = set()
     for lit in literals:
-        if isinstance(lit, RelAtom):
-            positives.add((lit.rel, lit.terms))
-        elif isinstance(lit, Not) and isinstance(lit.sub, RelAtom):
-            negatives.add((lit.sub.rel, lit.sub.terms))
-        elif isinstance(lit, Eq):
-            l, r = lit.left, lit.right
-            if l == r:
-                continue
-            if isinstance(l, Const) and isinstance(r, Const):
-                return None  # distinct constants can never be equal
-            equalities.add((l, r))
-        elif isinstance(lit, Not) and isinstance(lit.sub, Eq):
-            l, r = lit.sub.left, lit.sub.right
-            if l == r:
-                return None  # t != t is contradictory
-            if isinstance(l, Const) and isinstance(r, Const):
-                continue  # trivially true
-            disequalities.add((l, r))
+        sub, negated = (lit.sub, True) if isinstance(lit, Not) else (lit, False)
+        if isinstance(sub, RelAtom):
+            (negatives if negated else positives).add((sub.rel, sub.terms))
+        elif isinstance(sub, Eq):
+            (disequalities if negated else equalities).add((sub.left, sub.right))
         else:
             raise NotUniversal(f"unexpected literal {lit!r}")
-    if positives & negatives:
-        return None
     return DisjunctTemplate(
         tuple(sorted(positives, key=_lit_key)),
         tuple(sorted(negatives, key=_lit_key)),
@@ -208,9 +175,10 @@ def _build_template(
 
 def _unified(
     template: DisjunctTemplate, sub: Dict[Term, Term]
-) -> Tuple[Union[ExistentialConjunct, Unsatisfiable], Callable[[Term], Term]]:
+) -> Optional[Tuple[ExistentialConjunct, Callable[[Term], Term]]]:
     """The template with ``sub`` applied and its equalities resolved by
-    unification, and the map of each term to its class's representative."""
+    unification, and the map of each term to its class's representative;
+    None if the result is contradictory."""
     # union-find over terms, constants win as representatives
     parent: Dict[Term, Term] = {}
 
@@ -227,7 +195,7 @@ def _unified(
         if ra == rb:
             continue
         if isinstance(ra, Const) and isinstance(rb, Const):
-            return UNSAT, find
+            return None
         if isinstance(ra, Const):
             parent[rb] = ra
         elif isinstance(rb, Const):
@@ -239,12 +207,12 @@ def _unified(
     positives = {(rel, tuple(map(find, terms))) for rel, terms in template.positives}
     negatives = {(rel, tuple(map(find, terms))) for rel, terms in template.negatives}
     if positives & negatives:
-        return UNSAT, find
+        return None
     disequalities = set()
     for l, r in template.disequalities:
         rl, rr = find(l), find(r)
         if rl == rr:
-            return UNSAT, find
+            return None
         if isinstance(rl, Const) and isinstance(rr, Const):
             continue
         disequalities.add(tuple(sorted((rl, rr), key=_term_key)))
@@ -260,10 +228,12 @@ def specialize(
     template: DisjunctTemplate,
     free_vars: Sequence[Var],
     values: Sequence[Const],
-) -> Union[ExistentialConjunct, Unsatisfiable]:
+) -> Optional[ExistentialConjunct]:
     """Plug a candidate tuple into a template and resolve its equalities by
-    unification; the result has no free variables left."""
-    return _unified(template, dict(zip(free_vars, values)))[0]
+    unification; the result has no free variables left, or is None if the
+    tuple makes the disjunct contradictory."""
+    unified = _unified(template, dict(zip(free_vars, values)))
+    return None if unified is None else unified[0]
 
 
 def conjunct_bindings(
@@ -321,14 +291,12 @@ def _core_refuted(
     core: Instance, q: FOQuery, templates: Sequence[DisjunctTemplate], pool: Sequence[Const]
 ) -> FrozenSet[Tuple[Const, ...]]:
     """The candidate tuples some template holds for on the core: one join
-    per template, its free variables unbound and read off each binding.  A
-    null gives no tuple; the rest range over dom(core) and the query's
-    constants, the domain of each tuple's own check."""
+    per template (each unifies unbound, ``normalize_negation``), its free
+    variables read off each binding.  A null gives no tuple; the rest range
+    over dom(core) and the query's constants, as in each tuple's own check."""
     refuted: Set[Tuple[Const, ...]] = set()
     for template in templates:
         conjunct, find = _unified(template, {})
-        if isinstance(conjunct, Unsatisfiable):
-            continue
         heads = tuple(map(find, q.free_vars))
         free = [v for v in dict.fromkeys(heads) if isinstance(v, Var)]
         for bnd in conjunct_bindings(core, conjunct, q.consts(), free, pool):
@@ -465,36 +433,48 @@ class _Witness:
         return frozenset(self._forward(i, v) for i, img in enumerate(self.images) for a in img for v in a.args)
 
 
+def _checked_context(pool: FrozenSet[Const], conjunct: ExistentialConjunct,
+                     context: Iterable[Const]) -> FrozenSet[Const]:
+    """The constants a conjunct's check ranges over besides the instance's,
+    its own and its query's; each must lie in the evaluator's pool."""
+    context = frozenset(context) | frozenset(conjunct.consts())
+    if not context <= pool:
+        outside = ", ".join(c.name for c in sorted(context - pool, key=value_key))
+        raise PreconditionViolated(
+            "OutsidePool", f"constants outside the evaluator's pool: {outside}")
+    return context
+
+
 class CoreEvaluator:
     """Evaluates existential conjuncts over the minimal possible worlds of a
-    fixed packed core.
+    fixed packed core, over one pool: the core's constants and ``constants``.
 
-    Block representatives, deltas on the core, are read on demand from one
-    ``BlockReps`` per pool key: the context constants outside dom(core), the
-    only ones that change the pool.  The i-th positive literal of a
+    Block representatives, deltas on the core, are read on demand from the
+    pool's one ``BlockReps``, built (and every block checked against
+    ``block_bound``) with the evaluator.  The i-th positive literal of a
     conjunct is placed in copy ``cp<i>`` of a representative, which names
     each core null ``Null(cp<i>, its rank in the core)``.  Its candidate
-    pairs are one cached stream per (pool key, literal, tag) that reads only
-    the blocks able to map onto the literal and matches it against the
+    pairs are one cached stream per (literal, tag) that reads only the
+    blocks able to map onto the literal and matches it against the
     unrenamed anchors (the renaming is injective and a null never equals a
     constant).  Each search leaf, the pairs chosen for all positive
     literals, is checked by ``_leaf`` on a ``_Witness`` view over the
-    core's index.
+    core's index.  A conjunct or context naming a constant outside the pool
+    raises ``PreconditionViolated``.
     """
 
-    def __init__(self, core: Instance, block_bound: Optional[int] = None):
+    def __init__(self, core: Instance, constants: Iterable[Const],
+                 block_bound: Optional[int] = None):
         if not blocks_packed(core):
             raise PreconditionViolated("NotPacked", "an atom block is not packed")
         if not is_core(core):
             raise PreconditionViolated("NotCore", "the instance is not a core")
-        if block_bound is not None:
-            BlockReps(core, (), block_bound)  # fail fast even if no search runs
         self.core = core
+        self.pool = frozenset(core.consts()) | frozenset(constants)
         self.block_bound = block_bound
-        self._queries: Dict[FOQuery, tuple] = {}
+        self.blocks = BlockReps(core, self.pool, block_bound)
         self._reps: Dict[FrozenSet[Const], Tuple[BlockRep, ...]] = {}
-        self._blocks: Dict[FrozenSet[Const], BlockReps] = {}
-        self._pairs: Dict[tuple, Replay] = {}
+        self._pairs: Dict[Tuple[Tuple[str, Tuple[Term, ...]], str], Replay] = {}
         self._nulls = sorted(core.nulls(), key=value_key)
         self._rank = {n: j for j, n in enumerate(self._nulls)}
         self._ground = frozenset(a for a in core.atoms if a.is_ground)
@@ -508,25 +488,19 @@ class CoreEvaluator:
             self._reps[key] = all_block_reps(self.core, key, self.block_bound)
         return self._reps[key]
 
-    def _candidate_pairs(
-        self, key: FrozenSet[Const], literal: Tuple[str, Tuple[Term, ...]], tag: str
-    ) -> Replay:
-        """The cached stream of one positive literal's places; the first
-        call for a pool key checks every block against the null cap."""
-        if key not in self._blocks:
-            self._blocks[key] = BlockReps(self.core, key, self.block_bound)
-        if (key, literal, tag) not in self._pairs:
-            self._pairs[key, literal, tag] = Replay(self._places(self._blocks[key], literal, tag))
-        return self._pairs[key, literal, tag]
+    def _candidate_pairs(self, literal: Tuple[str, Tuple[Term, ...]], tag: str) -> Replay:
+        """The cached stream of one positive literal's places."""
+        if (literal, tag) not in self._pairs:
+            self._pairs[literal, tag] = Replay(self._places(literal, tag))
+        return self._pairs[literal, tag]
 
-    def _places(
-        self, blocks: BlockReps, literal: Tuple[str, Tuple[Term, ...]], tag: str
-    ) -> Iterator[CandidatePair]:
+    def _places(self, literal: Tuple[str, Tuple[Term, ...]], tag: str) -> Iterator[CandidatePair]:
         """The places of one positive literal among the anchors, renamed into
         ``tag``: representatives block by block, each once, anchors in
         ``repr`` order, over the blocks that reach the literal."""
         rel, terms = literal
         seen: Set[BlockRep] = set()
+        blocks = self.blocks
         for rep in itertools.chain.from_iterable(map(blocks.reps, blocks.reaching_blocks(rel, terms))):
             if rep in seen:
                 continue
@@ -545,13 +519,12 @@ class CoreEvaluator:
     ) -> bool:
         """Is there a nonempty finite union of minimal possible worlds of the
         core that satisfies the conjunct?"""
-        context = frozenset(context) | frozenset(conjunct.consts())
+        context = _checked_context(self.pool, conjunct, context)
         if conjunct.is_empty:  # it holds on a union of minimal worlds iff on the core
             return satisfies_conjunct(self.core, conjunct, context)
-        key = self._reps_key(context)
         candidate_sets: List[Replay] = []
         for i, literal in enumerate(conjunct.positives):
-            pairs = self._candidate_pairs(key, literal, f"cp{i + 1}")
+            pairs = self._candidate_pairs(literal, f"cp{i + 1}")
             if next(iter(pairs), None) is None:
                 return False  # a positive literal has no witness anywhere
             candidate_sets.append(pairs)
@@ -582,45 +555,33 @@ class CoreEvaluator:
 # ---------------------------------------------------------------- fast path
 
 
-def candidate_constants(core: Instance, q: FOQuery) -> Tuple[Const, ...]:
-    return tuple(sorted(set(core.consts()) | set(q.consts()), key=value_key))
+class _QueryPlan:
+    """One evaluation of a universal query, built once and read by every
+    candidate tuple: the negated query's templates, the backend's pool in
+    order, the tuples ``refute`` finds up front (none without it) and the
+    backend, built for the query, that searches the rest."""
 
+    def __init__(self, evaluator: Union[CoreEvaluator, _GeneralEvaluator], q: FOQuery,
+                 refute: Optional[Callable[..., FrozenSet[Tuple[Const, ...]]]] = None):
+        self.q, self.evaluator = q, evaluator
+        self.templates = normalize_negation(q)
+        self.pool = tuple(sorted(evaluator.pool, key=value_key))
+        self.refuted = (refute(evaluator.core, q, self.templates, self.pool)
+                        if refute else frozenset())
 
-def _plan(evaluator: Union[CoreEvaluator, _GeneralEvaluator], q: FOQuery) -> tuple:
-    """The memo per evaluator and query: the negated query's templates, the
-    candidate pool in order and as a set, and the tuples the core refutes
-    (none for the general evaluator, so the two drivers stay independent)."""
-    if q not in evaluator._queries:
-        templates, pool = normalize_negation(q), candidate_constants(evaluator.core, q)
-        refuted = (_core_refuted(evaluator.core, q, templates, pool)
-                   if isinstance(evaluator, CoreEvaluator) else frozenset())
-        evaluator._queries[q] = (templates, pool, frozenset(pool), refuted)
-    return evaluator._queries[q]
-
-
-def _is_certain(
-    evaluator: Union[CoreEvaluator, _GeneralEvaluator], q: FOQuery, values: Sequence[Const]
-) -> bool:
-    """The driver shared by both evaluators: a tuple of candidate constants
-    is a certain answer iff no conjunct of the negated query, specialized to
-    it once, is satisfiable by the evaluator's ``conjunct_satisfiable``.  A
-    tuple the core refutes (``_plan``) fails before anything is specialized."""
-    templates, _, allowed, refuted = _plan(evaluator, q)
-    values = tuple(values)
-    if len(values) != q.width or values in refuted or any(v not in allowed for v in values):
-        return False
-    context = frozenset(q.consts()) | frozenset(values)
-    conjuncts = [c for c in (specialize(t, q.free_vars, values) for t in templates)
-                 if not isinstance(c, Unsatisfiable)]
-    return not any(evaluator.conjunct_satisfiable(c, context) for c in conjuncts)
-
-
-def _certain_answers(
-    evaluator: Union[CoreEvaluator, _GeneralEvaluator], q: FOQuery,
-    is_certain: Callable[[Tuple[Const, ...]], bool],
-) -> Set[Tuple[Const, ...]]:
-    pool = _plan(evaluator, q)[1]
-    return {tup for tup in itertools.product(pool, repeat=q.width) if is_certain(tup)}
+    def is_certain(self, values: Sequence[Const]) -> bool:
+        """A tuple of candidate constants is a certain answer iff no conjunct
+        of the negated query, specialized to it once, is satisfiable by the
+        backend's ``conjunct_satisfiable``.  A refuted tuple fails before
+        anything is specialized."""
+        q, values = self.q, tuple(values)
+        if (len(values) != q.width or values in self.refuted
+                or not self.evaluator.pool.issuperset(values)):
+            return False
+        context = frozenset(q.consts()) | frozenset(values)
+        conjuncts = [c for c in (specialize(t, q.free_vars, values) for t in self.templates)
+                     if c is not None]
+        return not any(self.evaluator.conjunct_satisfiable(c, context) for c in conjuncts)
 
 
 def eval_gcwa_star_universal(
@@ -628,7 +589,7 @@ def eval_gcwa_star_universal(
     q: FOQuery,
     values: Sequence[Const],
     block_bound: Optional[int] = None,
-    _evaluator: Optional[CoreEvaluator] = None,
+    _plan: Optional[_QueryPlan] = None,
 ) -> bool:
     """Is the tuple a certain answer of the universal query on the core?
 
@@ -637,7 +598,8 @@ def eval_gcwa_star_universal(
     negated query holds on the core itself is refuted there, without a
     block search.
     """
-    return _is_certain(_evaluator or CoreEvaluator(core, block_bound), q, values)
+    plan = _plan or _QueryPlan(CoreEvaluator(core, q.consts(), block_bound), q, _core_refuted)
+    return plan.is_certain(values)
 
 
 def answers_gcwa_star_universal(
@@ -646,10 +608,9 @@ def answers_gcwa_star_universal(
     block_bound: Optional[int] = None,
 ) -> Set[Tuple[Const, ...]]:
     """All certain answers of a universal query on a packed core."""
-    evaluator = CoreEvaluator(core, block_bound)
-    return _certain_answers(
-        evaluator, q, lambda tup: eval_gcwa_star_universal(core, q, tup, _evaluator=evaluator)
-    )
+    plan = _QueryPlan(CoreEvaluator(core, q.consts(), block_bound), q, _core_refuted)
+    tuples = itertools.product(plan.pool, repeat=q.width)
+    return {tup for tup in tuples if eval_gcwa_star_universal(core, q, tup, _plan=plan)}
 
 
 def answers_owa_homclosed(core: Instance, q: FOQuery) -> Set[Tuple[Const, ...]]:
@@ -676,60 +637,53 @@ def answers_owa_homclosed(core: Instance, q: FOQuery) -> Set[Tuple[Const, ...]]:
 
 
 class _GeneralEvaluator:
-    def __init__(self, core: Instance, valuation_cap: int):
-        self.core = core
-        self.valuation_cap = valuation_cap
-        self._queries: Dict[FOQuery, tuple] = {}
-        self._cache: Dict[Tuple[FrozenSet[Const], int], tuple] = {}
+    """The general backend over one pool, the core's constants and
+    ``constants``, with its minimal images cached per fresh-value count."""
 
-    def _reps(self, base: FrozenSet[Const], fresh_count: int):
-        """The minimal images over base + fresh constants, as a bitset of
-        their ids, each atom's and each fresh constant's holders among them
-        as such a bitset, and the fresh constants."""
-        key = (base, fresh_count)
-        if key in self._cache:
-            return self._cache[key]
-        fresh = tuple(Const(f"#b{i + 1}") for i in range(fresh_count))
-        codec, images = legal_images(self.core, base | set(fresh), self.valuation_cap)
-        minimal = _minimal_images(images)
-        holders = codec.holders(minimal)
-        fresh_holders = {
-            b: functools.reduce(operator.or_, [h for a, h in holders.items() if b in a.args], 0)
-            for b in fresh
-        }
-        result = ((1 << len(minimal)) - 1, holders, fresh_holders, fresh)
-        self._cache[key] = result
-        return result
+    def __init__(self, core: Instance, constants: Iterable[Const]):
+        self.core = core
+        self.pool = frozenset(core.consts()) | frozenset(constants)
+        self._images: Dict[int, tuple] = {}
+
+    def _reps(self, fresh_count: int):
+        """The minimal images over the pool + fresh constants, as a bitset
+        of their ids, each atom's and each fresh constant's holders among
+        them as such a bitset, and the fresh constants."""
+        if fresh_count not in self._images:
+            fresh = tuple(Const(f"#b{i + 1}") for i in range(fresh_count))
+            codec, images = legal_images(self.core, self.pool | set(fresh))
+            minimal = _minimal_images(images)
+            holders = codec.holders(minimal)
+            fresh_holders = {
+                b: functools.reduce(operator.or_, [h for a, h in holders.items() if b in a.args], 0)
+                for b in fresh
+            }
+            self._images[fresh_count] = ((1 << len(minimal)) - 1, holders, fresh_holders, fresh)
+        return self._images[fresh_count]
 
     def conjunct_satisfiable(
         self, conjunct: ExistentialConjunct, context: Iterable[Const] = ()
     ) -> bool:
+        context = _checked_context(self.pool, conjunct, context)
         if conjunct.is_empty:  # it holds on a union of minimal worlds iff on the core
             return satisfies_conjunct(self.core, conjunct, context)
         ys = conjunct.variables()
-        base = frozenset(
-            set(self.core.consts()) | set(conjunct.consts()) | set(context)
-        )
-        every, holders, fresh_holders, fresh = self._reps(base, len(ys))
-        base_values = sorted(base, key=value_key)
-
-        def ground(term: Term, beta: Dict[Var, Const]) -> Const:
-            return term if isinstance(term, Const) else beta[term]
+        every, holders, fresh_holders, fresh = self._reps(len(ys))
+        base_values = sorted(self.pool, key=value_key)
 
         def check(beta: Dict[Var, Const]) -> bool:
-            for l, r in conjunct.disequalities:
-                if ground(l, beta) == ground(r, beta):
-                    return False
+            if any(beta.get(l, l) == beta.get(r, r) for l, r in conjunct.disequalities):
+                return False
             # the members whose atoms avoid the negated facts; with none
             # left no union is a witness, else the union has a member
             clean = every
             for rel, terms in conjunct.negatives:
-                clean &= ~holders.get(Atom(rel, tuple(ground(t, beta) for t in terms)), 0)
+                clean &= ~holders.get(Atom(rel, tuple(beta.get(t, t) for t in terms)), 0)
             if not clean:
                 return False
             covered_fresh: Set[Const] = set()
             for rel, terms in conjunct.positives:
-                atom = Atom(rel, tuple(ground(t, beta) for t in terms))
+                atom = Atom(rel, tuple(beta.get(t, t) for t in terms))
                 if not holders.get(atom, 0) & clean:
                     return False
                 covered_fresh.update(v for v in atom.args if v in fresh_holders)
@@ -759,32 +713,18 @@ def eval_gcwa_star_universal_general(
     source: Instance,
     q: FOQuery,
     values: Sequence[Const],
-    valuation_cap: int = GENERAL_VALUATION_CAP,
-    _evaluator: Optional[_GeneralEvaluator] = None,
 ) -> bool:
     """Exponential evaluator for universal queries over any mapping made of
-    source-to-target dependencies; packedness is not required."""
-    if mapping.egds or mapping.general_constraints:
-        raise PreconditionViolated(
-            "TargetConstraints", "the general evaluator handles st-tgds only"
-        )
-    if _evaluator is None:
-        _evaluator = _GeneralEvaluator(core_solution(mapping, source), valuation_cap)
-    return _is_certain(_evaluator, q, values)
+    source-to-target dependencies (``core_solution`` refuses any other);
+    packedness is not required."""
+    plan = _QueryPlan(_GeneralEvaluator(core_solution(mapping, source), q.consts()), q)
+    return plan.is_certain(values)
 
 
 def answers_gcwa_star_universal_general(
     mapping: SchemaMapping,
     source: Instance,
     q: FOQuery,
-    valuation_cap: int = GENERAL_VALUATION_CAP,
 ) -> Set[Tuple[Const, ...]]:
-    core = core_solution(mapping, source)
-    evaluator = _GeneralEvaluator(core, valuation_cap)
-    return _certain_answers(
-        evaluator,
-        q,
-        lambda tup: eval_gcwa_star_universal_general(
-            mapping, source, q, tup, _evaluator=evaluator
-        ),
-    )
+    plan = _QueryPlan(_GeneralEvaluator(core_solution(mapping, source), q.consts()), q)
+    return set(filter(plan.is_certain, itertools.product(plan.pool, repeat=q.width)))

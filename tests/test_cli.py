@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import dx.corelib
 from dx.cli import main
 
 from fixtures import (
@@ -216,6 +217,23 @@ def test_minrep_emits_representatives(files, capsys):
     )
     assert code == 0
     assert out.count("# rep") == 3  # the three one-null images
+
+
+def test_minrep_tests_a_non_core_once(files, capsys, monkeypatch):
+    # work without a clock: all five blocks share one core search of the
+    # non-core instance; a search per block made five
+    calls, core_of = [], dx.corelib.core_of
+
+    def counting(inst):
+        calls.append(inst)
+        return core_of(inst)
+
+    monkeypatch.setattr(dx.corelib, "core_of", counting)
+    write, _ = files
+    inst = write("t.inst", "E(a,_x). E(a,_y). E(b,_u). E(b,_v). E(c,_w).")
+    code, out, _ = run(["minrep", "-m", write("m.dx", EF_MAP), "-i", inst], capsys)
+    assert code == 0 and out.count("# rep") == 8
+    assert len(calls) == 1
 
 
 def test_compare_agreement(files, capsys):

@@ -23,6 +23,7 @@ from fixtures import EF_MAP, ef_chain
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 CHAIN_QUERY = "q(x) := forall z: forall y: E(x,z) /\\ F(z,y) -> y = b."
+NON_CORE = "E(a,_x). E(a,_y). E(b,_u). E(b,_v). E(c,_w)."
 
 
 def _commands():
@@ -47,6 +48,8 @@ def _commands():
     yield f"blocks {blocks} --format json"
     yield f"minrep {blocks}"
     yield f"minrep {blocks} --whole"
+    # a non-core instance: its blocks share one core test
+    yield "minrep -m demos/data/chain.dx -i {tmp}/noncore.inst"
     yield "compare -m demos/data/chain.dx -s demos/data/chain.inst -q demos/data/chain_three.q"
     yield "eval -m {tmp}/ef.dx -s {tmp}/ef20.inst -q {tmp}/chain.q"
 
@@ -59,6 +62,7 @@ def _write_inputs(tmp: Path) -> None:
     (tmp / "chain.q").write_text(CHAIN_QUERY + "\n", encoding="utf-8")
     edges = "".join(f"R({x},{y}).\n" for x, y in ef_chain(20))
     (tmp / "ef20.inst").write_text(edges, encoding="utf-8")
+    (tmp / "noncore.inst").write_text(NON_CORE + "\n", encoding="utf-8")
 
 
 def _run(command: str, tmp: Path) -> dict:

@@ -35,9 +35,12 @@ from dx.errors import (
 from dx.gcwa import (
     CandidatePair,
     CoreEvaluator,
+    DisjunctTemplate,
     ExistentialConjunct,
-    Unsatisfiable,
-    candidate_constants,
+    _GeneralEvaluator,
+    _QueryPlan,
+    _core_refuted,
+    _unified,
     compatible_and_relation,
     satisfies_conjunct,
 )
@@ -45,7 +48,7 @@ import dx.corelib
 import dx.gcwa
 import dx.minrep
 from dx.corelib import is_core
-from dx.logic import Eq, Exists, FOQuery, Forall, Not, RelAtom
+from dx.logic import Eq, Exists, FOQuery, Forall, Not, RelAtom, dnf_literals, prenex, to_nnf
 from dx.model import apply_map, value_key
 from dx.oracle import Budget
 from dx.randgen import (
@@ -142,7 +145,7 @@ def test_normalized_negation_agrees_with_direct_eval():
         by_templates = False
         for t in templates:
             conj = specialize(t, (), ())
-            if isinstance(conj, Unsatisfiable):
+            if conj is None:
                 continue
             if satisfies_conjunct(inst, conj, q.consts()):
                 by_templates = True
@@ -170,9 +173,89 @@ def test_specialize_resolves_equalities():
     )[0]
     assert template_eq.equalities
     merged = specialize(template_eq, (x, y), (a, a))
-    assert not isinstance(merged, Unsatisfiable) and merged.is_empty is True
-    clash = specialize(template_eq, (x, y), (a, b))
-    assert isinstance(clash, Unsatisfiable)
+    assert merged is not None and merged.is_empty is True
+    assert specialize(template_eq, (x, y), (a, b)) is None
+
+
+# ------------------------------------------------------------- template rules reference
+
+
+def _old_template(literals, quantified):
+    """The template rules that ``normalize_negation`` applied before it kept
+    a disjunct iff it unifies unbound: trivially true literals skipped, and
+    None for a disjunct with t != t, distinct constants equated or a literal
+    both positive and negated."""
+    positives, negatives, equalities, disequalities = set(), set(), set(), set()
+    for lit in literals:
+        if isinstance(lit, RelAtom):
+            positives.add((lit.rel, lit.terms))
+        elif isinstance(lit, Not) and isinstance(lit.sub, RelAtom):
+            negatives.add((lit.sub.rel, lit.sub.terms))
+        elif isinstance(lit, Eq):
+            l, r = lit.left, lit.right
+            if l == r:
+                continue
+            if isinstance(l, Const) and isinstance(r, Const):
+                return None
+            equalities.add((l, r))
+        else:
+            l, r = lit.sub.left, lit.sub.right
+            if l == r:
+                return None
+            if isinstance(l, Const) and isinstance(r, Const):
+                continue
+            disequalities.add((l, r))
+    if positives & negatives:
+        return None
+    lit_key, pair_key = dx.gcwa._lit_key, dx.gcwa._pair_key
+    return DisjunctTemplate(
+        tuple(sorted(positives, key=lit_key)),
+        tuple(sorted(negatives, key=lit_key)),
+        tuple(sorted(equalities, key=pair_key)),
+        tuple(sorted(disequalities, key=pair_key)),
+        quantified,
+    )
+
+
+def _old_normalize(q):
+    prefix, matrix = prenex(q.body)
+    templates = (_old_template(lits, bool(prefix)) for lits in dnf_literals(to_nnf(matrix, negate=True)))
+    return [t for t in templates if t is not None]
+
+
+def test_normalize_negation_matches_the_old_template_rules():
+    # the conjuncts that survive specialization are the old rules' ones, for
+    # every tuple over the draw's constants plus a and b; the templates the
+    # old rules kept but no tuple can satisfy are now dropped up front
+    rng, tuples, dropped = random.Random(24), 0, 0
+    for draw in range(5000):
+        q = gen_universal_query(rng, free_count=draw % 3)
+        old, new = _old_normalize(q), normalize_negation(q)
+        assert len(new) <= len(old)
+        dropped += len(old) - len(new)
+        for tup in itertools.product(sorted(set(q.consts()) | {a, b}, key=value_key), repeat=q.width):
+            alive = [[c for c in (specialize(t, q.free_vars, tup) for t in templates) if c is not None]
+                     for templates in (old, new)]
+            assert alive[0] == alive[1], (q, tup)
+            tuples += 1
+    assert tuples > 10000 and dropped > 10, (tuples, dropped)
+
+
+_TERMS = st.sampled_from([x, y, z, a, b])
+_LITERALS = st.lists(st.tuples(st.sampled_from(["E", "F"]), st.tuples(_TERMS, _TERMS)), max_size=2)
+_PAIRS = st.lists(st.tuples(_TERMS, _TERMS), max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(positives=_LITERALS, negatives=_LITERALS, equalities=_PAIRS, disequalities=_PAIRS,
+       sub=st.dictionaries(st.sampled_from([x, y]), st.sampled_from([a, b, c])))
+def test_a_disjunct_dead_unbound_is_dead_under_every_substitution(
+    positives, negatives, equalities, disequalities, sub
+):
+    # a substitution only merges classes, so it cannot revive a disjunct
+    template = DisjunctTemplate(tuple(positives), tuple(negatives), tuple(equalities), tuple(disequalities))
+    if _unified(template, {}) is None:
+        assert _unified(template, sub) is None
 
 
 # ------------------------------------------------------------- materializing reference
@@ -250,9 +333,8 @@ def _reference_search(evaluator, conjunct, context):
         return not conjunct.quantified or bool(context) or len(evaluator.core) > 0, leaves
     if conjunct.k == 0:
         return leaf((), {}), leaves
-    key = evaluator._reps_key(context)
     candidate_sets = [
-        list(evaluator._candidate_pairs(key, literal, f"cp{i + 1}"))
+        list(evaluator._candidate_pairs(literal, f"cp{i + 1}"))
         for i, literal in enumerate(conjunct.positives)
     ]
     if not all(candidate_sets):
@@ -272,18 +354,23 @@ def _reference_search(evaluator, conjunct, context):
     return search(0), leaves
 
 
+def _candidates(core, q):
+    """The candidate constants of a query on a core, in order."""
+    return sorted(set(core.consts()) | set(q.consts()), key=value_key)
+
+
 def _search_answers(core, q):
     """The certain answers by the block search alone: each candidate
     tuple's specialized conjuncts all go to ``conjunct_satisfiable``, none
     tried on the core first, so the search's work is counted on every
     tuple the full path would refute on the core."""
-    evaluator, templates = CoreEvaluator(core), normalize_negation(q)
+    evaluator, templates = CoreEvaluator(core, q.consts()), normalize_negation(q)
     answers = set()
-    for tup in itertools.product(candidate_constants(core, q), repeat=q.width):
+    for tup in itertools.product(_candidates(core, q), repeat=q.width):
         context = frozenset(q.consts()) | frozenset(tup)
         conjuncts = [specialize(t, q.free_vars, tup) for t in templates]
         if not any(evaluator.conjunct_satisfiable(c, context)
-                   for c in conjuncts if not isinstance(c, Unsatisfiable)):
+                   for c in conjuncts if c is not None):
             answers.add(tup)
     return answers
 
@@ -376,7 +463,7 @@ def test_core_eval_three_distinct_successors():
     q = query(EF_Q2, mapping(EF_MAP).target)
     template = normalize_negation(q)[0]
     conj = specialize(template, (), ())
-    assert CoreEvaluator(core).conjunct_satisfiable(conj, q.consts())
+    assert CoreEvaluator(core, q.consts()).conjunct_satisfiable(conj, q.consts())
 
 
 def test_core_eval_f_atoms_always_end_in_b():
@@ -384,7 +471,7 @@ def test_core_eval_f_atoms_always_end_in_b():
     q = query(EF_Q3, mapping(EF_MAP).target)
     template = normalize_negation(q)[0]
     conj = specialize(template, (), ())
-    assert not CoreEvaluator(core).conjunct_satisfiable(conj, q.consts())
+    assert not CoreEvaluator(core, q.consts()).conjunct_satisfiable(conj, q.consts())
 
 
 def test_core_eval_ground_core():
@@ -392,18 +479,18 @@ def test_core_eval_ground_core():
     q = FOQuery("q", (), Forall(z, Not(RelAtom("Rp", (a, b)))))
     template = normalize_negation(q)[0]
     conj = specialize(template, (), ())
-    assert CoreEvaluator(core).conjunct_satisfiable(conj, q.consts())
+    assert CoreEvaluator(core, q.consts()).conjunct_satisfiable(conj, q.consts())
 
 
 def test_core_eval_rejects_unpacked():
     with pytest.raises(PreconditionViolated):
-        CoreEvaluator(instance(NAF_INSTANCE, E_SCHEMA))
+        CoreEvaluator(instance(NAF_INSTANCE, E_SCHEMA), ())
 
 
 def test_core_eval_rejects_non_core():
     n1, n2 = Null("t", 1), Null("t", 2)
     with pytest.raises(PreconditionViolated):
-        CoreEvaluator(Instance([Atom("E", (a, n1)), Atom("E", (a, n2))]))
+        CoreEvaluator(Instance([Atom("E", (a, n1)), Atom("E", (a, n2))]), ())
 
 
 def _reference_pairs(core, reps, literal, tag):
@@ -478,15 +565,14 @@ def _packed_cores():
 def test_candidate_pairs_match_renaming_first_reference():
     checked = 0
     for core in _packed_cores():
-        evaluator = CoreEvaluator(core)
         rank = _core_rank(core)
         outside = Const("zz")
         for context in (frozenset(), frozenset([outside])):
-            key = evaluator._reps_key(context)
+            evaluator = CoreEvaluator(core, context)
             reps = evaluator.reps_for(context)
             for literal in _probe_literals(core, outside):
                 for tag in ("cp1", "cp2"):
-                    got, pairs = [], list(evaluator._candidate_pairs(key, literal, tag))
+                    got, pairs = [], list(evaluator._candidate_pairs(literal, tag))
                     assert len(set(pairs)) == len(pairs), (core, literal)
                     for p in pairs:
                         pair = (_renamed(p.rep.whole(), tag, rank), p.assignment)
@@ -520,11 +606,13 @@ def _random_conjuncts(rng, core, count):
 
 
 def test_leaves_match_materializing_reference_on_packed_cores(leaf_replay):
-    rng = random.Random(17)
+    # one evaluator per pool: the core's constants, with zz or without
+    rng, zz = random.Random(17), Const("zz")
     for core in _packed_cores():
-        evaluator = CoreEvaluator(core)
+        evaluators = (CoreEvaluator(core, ()), CoreEvaluator(core, [zz]))
         for conjunct in _random_conjuncts(rng, core, 25):
-            for context in (frozenset(), frozenset([Const("zz")])):
+            for context in (frozenset(), frozenset([zz])):
+                evaluator = evaluators[zz in context or zz in conjunct.consts()]
                 evaluator.conjunct_satisfiable(conjunct, context)
     assert len(leaf_replay) > 1500 and sum(leaf_replay) > 1500, (len(leaf_replay), sum(leaf_replay))
 
@@ -650,7 +738,7 @@ def streams(monkeypatch):
 
 
 def _started_once_per_pool(starts):
-    """One pool key, so one ``BlockReps``, and each of its blocks started at
+    """One pool, so one ``BlockReps``, and each of its blocks started at
     most once."""
     assert len({blocks for blocks, _ in starts}) == 1
     assert len(set(starts)) == len(starts)
@@ -665,7 +753,7 @@ def test_block_reps_are_computed_once_per_pool(streams):
     assert len(streams.starts) < len(dx.corelib.atom_blocks(core).blocks)
     assert streams.all_block_reps == []
 
-    evaluator = CoreEvaluator(core)
+    evaluator = CoreEvaluator(core, q.consts())
     inside = sorted(core.consts(), key=lambda v: v.name)
     reps = evaluator.reps_for(inside[:2])
     assert evaluator.reps_for(inside) is reps
@@ -679,7 +767,7 @@ def test_block_reps_are_computed_once_per_pool(streams):
 
 
 def _ef_chain_fast_path(n, streams):
-    # the whole search shares one pool key, and each block's
+    # the whole search shares one pool, and each block's
     # representatives are computed at most once
     edges = ef_chain(n)
     core, q = _ef_chain_core(edges)
@@ -708,7 +796,7 @@ def test_ef_chain_rep_storage_grows_polynomially():
     stored = []
     for n in (10, 20, 40):
         core, q = _ef_chain_core(ef_chain(n))
-        reps = CoreEvaluator(core).reps_for(q.consts())
+        reps = CoreEvaluator(core, q.consts()).reps_for(q.consts())
         stored.append(sum(len(rep.extra) + len(rep.gone) for rep in reps))
     assert all(big <= 2 ** 2.5 * small for small, big in zip(stored, stored[1:])), stored
 
@@ -741,7 +829,7 @@ def test_ef_chain_reps_retract_nothing(rep_shrinks):
     # under every representative nor under a whole evaluation
     for n in (10, 20, 40):
         core, q = _ef_chain_core(ef_chain(n))
-        rep_shrinks(CoreEvaluator(core).reps_for, q.consts())
+        rep_shrinks(CoreEvaluator(core, q.consts()).reps_for, q.consts())
         assert rep_shrinks(answers_gcwa_star_universal, core, q) == _ef_chain_answers(ef_chain(n))
     assert rep_shrinks.counts == [0] * 6
 
@@ -847,13 +935,13 @@ def test_atom_no_block_reaches_starts_no_stream(streams):
 
 def test_block_cap_fails_fast_on_blocks_no_search_reaches():
     # the E literal reaches only the one-null block; the two-null G block
-    # still exceeds a cap of 1 when the first pool key is built
+    # still exceeds a cap of 1 when the evaluator is built
     n1, n2, n3 = Null("t", 1), Null("t", 2), Null("t", 3)
     core = Instance([Atom("E", (a, n1)), Atom("G", (n2, n3))])
     conjunct = ExistentialConjunct((("E", (a, z)),), (), ())
     with pytest.raises(BlockTooLarge):
-        CoreEvaluator(core, block_bound=1).conjunct_satisfiable(conjunct)
-    assert CoreEvaluator(core, block_bound=2).conjunct_satisfiable(conjunct)
+        CoreEvaluator(core, (), block_bound=1).conjunct_satisfiable(conjunct)
+    assert CoreEvaluator(core, (), block_bound=2).conjunct_satisfiable(conjunct)
 
 
 def test_block_cap_fails_fast_when_the_core_decides():
@@ -981,14 +1069,14 @@ def _reference_refuted(core, q):
     """The per-tuple reference for the tuples the core refutes: each
     candidate tuple's specialized conjuncts tried on the core one by one."""
     templates = normalize_negation(q)
-    return {tup for tup in itertools.product(candidate_constants(core, q), repeat=q.width)
+    return {tup for tup in itertools.product(_candidates(core, q), repeat=q.width)
             if any(satisfies_conjunct(core, c, frozenset(q.consts()) | frozenset(tup))
                    for c in (specialize(t, q.free_vars, tup) for t in templates)
-                   if not isinstance(c, Unsatisfiable))}
+                   if c is not None)}
 
 
 def _refuted(core, q):
-    return dx.gcwa._plan(CoreEvaluator(core), q)[3]
+    return _QueryPlan(CoreEvaluator(core, q.consts()), q, _core_refuted).refuted
 
 
 def test_refuted_set_matches_per_tuple_reference_on_criterion_8_triples():
@@ -1102,6 +1190,60 @@ def test_fast_path_partitions_the_core_once(monkeypatch):
     for _ in range(2):
         assert answers_gcwa_star_universal(core, q) == {(b,), (c,)}
         assert len(partitioned) == 1 and partitioned[0] is core
+
+
+def test_answers_build_one_block_reps(monkeypatch):
+    # work without a clock: one evaluation builds its pool's one BlockReps,
+    # whether the core decides every tuple (the EF chain) or the search runs
+    # (the fan)
+    built, init = [], dx.minrep.BlockReps.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(dx.minrep.BlockReps, "__init__", counting)
+    for edges, expected in ((ef_chain(10), _ef_chain_answers(ef_chain(10))), (fan(10), {(b,), (c,)})):
+        core, q = _ef_chain_core(edges)
+        built[:] = []
+        assert answers_gcwa_star_universal(core, q) == expected
+        assert len(built) == 1, edges
+
+
+def test_constants_outside_the_pool_are_refused():
+    # both evaluators serve one pool, the core's constants and those they
+    # were built with; a conjunct or context naming another is an error
+    m = mapping(COPY_MAP)
+    core, zz = core_solution(m, instance(COPY_SRC, m.source)), Const("zz")
+    named = ExistentialConjunct((("Rp", (zz, z)),), (), ())
+    inside = ExistentialConjunct((("Rp", (a, z)),), (), ())
+    for evaluator in (CoreEvaluator(core, ()), _GeneralEvaluator(core, ())):
+        for conjunct, context in ((named, ()), (inside, [zz])):
+            with pytest.raises(PreconditionViolated, match="zz") as exc:
+                evaluator.conjunct_satisfiable(conjunct, context)
+            assert exc.value.reason == "OutsidePool"
+        assert evaluator.conjunct_satisfiable(inside, [a, b])
+    for evaluator in (CoreEvaluator(core, [zz]), _GeneralEvaluator(core, [zz])):
+        assert not evaluator.conjunct_satisfiable(named, [zz])
+
+
+def test_answers_evaluate_each_candidate_tuple_once(monkeypatch):
+    # the benchmark's tracer counts these calls as gcwa.candidate_tuples
+    calls, evaluate = [], dx.gcwa.eval_gcwa_star_universal
+
+    def counting(core, q, values, *args, **kwargs):
+        calls.append(tuple(values))
+        return evaluate(core, q, values, *args, **kwargs)
+
+    monkeypatch.setattr(dx.gcwa, "eval_gcwa_star_universal", counting)
+    for edges, text in ((ef_chain(10), CHAIN_QUERY), (fan(10), CHAIN_QUERY), (ef_chain(6), WIDTH_2_QUERY)):
+        m, _, core = chain_core(EF_MAP, edges)
+        q = query(text, m.target)
+        calls[:] = []
+        answers = answers_gcwa_star_universal(core, q)
+        assert calls == list(itertools.product(_candidates(core, q), repeat=q.width))
+        # each tuple alone, through a plan of its own, gives the same answer
+        assert answers == {tup for tup in calls if evaluate(core, q, tup)}
 
 
 # ------------------------------------------------------------- general path
