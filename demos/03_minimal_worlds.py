@@ -14,12 +14,12 @@ from dx import (
     blocks_packed,
     core_solution,
     enum_min_c,
-    enum_min_c_block,
     parse_instance,
     parse_mapping,
     serialize_instance,
 )
 from dx.errors import PreconditionViolated
+from dx.minrep import BlockReps
 from dx.textio import SourceText
 
 DATA = Path(__file__).parent / "data"
@@ -33,14 +33,15 @@ print(serialize_instance(core))
 # Whole-instance representatives: every way of mapping the nulls into the
 # instance (plus a chosen constant pool) that cannot be shrunk any further.
 reps = enum_min_c(core, {Const("c")})
-print(f"min-representatives over pool {{c}}: {len(reps.representatives)}")
-for rep in reps.representatives:
+print(f"min-representatives over pool {{c}}: {len(reps)}")
+for rep in reps:
     print("  " + "  ".join(serialize_instance(rep).split()))
 
 # Per-block enumeration is the polynomial-time variant the query evaluator
-# uses; on this packed core it already captures every atom above.
-block0 = enum_min_c_block(core, 0, {Const("c")})
-print(f"block-local representatives: {len(block0.representatives)}")
+# uses; on this packed core it already captures every atom above.  One
+# BlockReps serves every block of the core over the pool.
+blocks = BlockReps(core, {Const("c")})
+print(f"block-local representatives: {len(blocks.instances(0))}")
 
 probe = Atom("E", (Const("a"), Const("c")))
 print(f"is {probe!r} in some minimal world? ->",
@@ -60,4 +61,4 @@ except PreconditionViolated as exc:
     print(f"membership test refused: {exc.reason}")
 whole = enum_min_c(unpacked, {Const("c"), Const("a")})
 print("whole-instance enumeration says:",
-      any(probe2 in rep for rep in whole.representatives))
+      any(probe2 in rep for rep in whole))

@@ -63,13 +63,10 @@ from .corelib import (
     core_of,
     core_solution,
     is_core,
-    mapping_block_bound,
 )
 from .minrep import (
-    MinRepSet,
     atom_in_some_minimal,
     enum_min_c,
-    enum_min_c_block,
 )
 from .gcwa import (
     answers_gcwa_star_universal,

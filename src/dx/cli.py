@@ -27,7 +27,7 @@ from .corelib import atom_blocks, blocks_packed, core_solution
 from .errors import BudgetExceeded, DxError, ParseError, PreconditionViolated
 from .logic import FOQuery, is_ucq, is_universal
 from .minrep import BlockReps, enum_min_c
-from .model import Const, Instance, SchemaMapping, instance_key
+from .model import Const, Instance, SchemaMapping
 from .textio import (
     SourceText,
     answers_json,
@@ -189,15 +189,12 @@ def _cmd_minrep(args) -> int:
     constants = tuple(Const(name) for name in names if name)
     chunks = []
     if args.whole:
-        reps = enum_min_c(inst, constants)
-        for i, rep in enumerate(reps.representatives):
+        for i, rep in enumerate(enum_min_c(inst, constants)):
             chunks.append(f"# rep {i} (whole instance)\n" + serialize_instance(rep))
     else:
-        # one BlockReps for every block: each build tests the instance for
-        # being a core, a core search of its own on a non-core
         blocks = BlockReps(inst, constants)
         for b in range(len(blocks.partition.blocks)):
-            for i, rep in enumerate(sorted({r.whole() for r in blocks.reps(b)}, key=instance_key)):
+            for i, rep in enumerate(blocks.instances(b)):
                 chunks.append(f"# rep {i} (block {b})\n" + serialize_instance(rep))
     _emit("\n".join(chunks) if chunks else "", args.output)
     return EXIT_OK

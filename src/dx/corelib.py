@@ -181,11 +181,14 @@ def _shrink(image: Image, atoms: Sequence[Atom], fixed: FrozenSet[Value]) -> Opt
 
 def core_of(instance: Instance) -> Instance:
     """A core of the instance, reached by block-local retractions; works on
-    arbitrary instances, not only chase results.  The result is marked as a
-    core, which ``is_core`` reads instead of searching again."""
-    core = core_retract_fixing(instance, ())
-    object.__setattr__(core, "_core", True)
-    return core
+    arbitrary instances, not only chase results.  The core is remembered on
+    the instance and on itself, so no instance is searched twice and
+    ``is_core`` reads the memo instead of searching."""
+    if instance._core is None:
+        core = core_retract_fixing(instance, ())
+        object.__setattr__(core, "_core", core)
+        object.__setattr__(instance, "_core", core)
+    return instance._core
 
 
 def core_retract_fixing(
@@ -223,7 +226,7 @@ def core_retract_fixing(
 
 
 def is_core(instance: Instance) -> bool:
-    return instance._core or len(core_of(instance)) == len(instance)
+    return (instance._core or core_of(instance)) is instance
 
 
 def core_solution(mapping: SchemaMapping, source: Instance) -> Instance:
@@ -237,8 +240,3 @@ def core_solution(mapping: SchemaMapping, source: Instance) -> Instance:
     require_ground(source, "source instance")
     return core_of(chase.canonical_solution(mapping, source))
 
-
-def mapping_block_bound(mapping: SchemaMapping) -> int:
-    """Upper bound on nulls per atom block of any core solution: the widest
-    existential tuple of the mapping's st-tgds."""
-    return mapping.max_exists_width()

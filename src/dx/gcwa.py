@@ -43,6 +43,7 @@ from .logic import (
     RelAtom,
     all_constants,
     dnf_literals,
+    fresh_constants,
     is_ucq,
     prenex,
     query_answers,
@@ -330,10 +331,7 @@ def compatible_and_relation(
     class may not contain two distinct constants (nor a constant and a null),
     and merging may not collapse two distinct values of one assignment.
     """
-    domain: Set[Value] = set()
-    for p in pairs:
-        domain.update(p.values())
-    parent: Dict[Value, Value] = {v: v for v in domain}
+    parent: Dict[Value, Value] = {v: v for p in pairs for v in p.values()}
 
     def find(v: Value) -> Value:
         while parent[v] != v:
@@ -347,26 +345,24 @@ def compatible_and_relation(
             lo, hi = sorted((ra, rb), key=value_key)
             parent[hi] = lo
 
-    for p1, p2 in itertools.combinations(pairs, 2):
-        d1, d2 = dict(p1.assignment), dict(p2.assignment)
-        for var in set(d1) & set(d2):
-            union(d1[var], d2[var])
+    first: Dict[Var, Value] = {}
+    for p in pairs:
+        for var, v in p.assignment:
+            union(first.setdefault(var, v), v)
 
     classes: Dict[Value, Set[Value]] = {}
-    for v in domain:
+    for v in parent:
         classes.setdefault(find(v), set()).add(v)
     # no class may identify distinct constants, or a constant with a null
     for members in classes.values():
-        consts = [v for v in members if isinstance(v, Const)]
-        if consts and len(members) > 1:
+        if len(members) > 1 and any(isinstance(v, Const) for v in members):
             return None
     # merging may not identify two distinct values of one assignment
     for p in pairs:
-        vals = p.values()
-        for a, b in itertools.combinations(set(vals), 2):
-            if find(a) == find(b):
-                return None
-    return {v: frozenset(classes[find(v)]) for v in domain}
+        values = set(p.values())
+        if len({find(v) for v in values}) < len(values):
+            return None
+    return {v: frozenset(classes[find(v)]) for v in parent}
 
 
 # ---------------------------------------------------------------- core evaluation
@@ -650,7 +646,7 @@ class _GeneralEvaluator:
         of their ids, each atom's and each fresh constant's holders among
         them as such a bitset, and the fresh constants."""
         if fresh_count not in self._images:
-            fresh = tuple(Const(f"#b{i + 1}") for i in range(fresh_count))
+            fresh = fresh_constants(fresh_count, "b")
             codec, images = legal_images(self.core, self.pool | set(fresh))
             minimal = _minimal_images(images)
             holders = codec.holders(minimal)

@@ -256,11 +256,19 @@ def compile_formula(formula: Formula, free_vars: Sequence[Var] = ()) -> Compiled
         naming some of them ranges those over the index matches of R(...),
         the only ones that can falsify it (dually a conjunct R(...) of an
         existential group), else the first slot ranges over the domain; the
-        other slots are then quantified over the other parts as a block."""
-        named = [len(names) if isinstance(p, RelAtom) and n == universal else 0 for p, n, names in parts]
-        if not any(named):
+        other slots are then quantified over the other parts as a block.
+        The guard is the first with the most terms already bound (constants
+        and slots outside the block), which key its index probe, and then
+        with the most slots named."""
+        guards = [i for i, (p, n, _) in enumerate(parts) if isinstance(p, RelAtom) and n == universal]
+        if not guards:
             return _sweep(universal, block[0], quantify(universal, block[1:], parts, inner))
-        best = named.index(max(named))
+
+        def rank(i: int) -> Tuple[int, int]:
+            terms = parts[i][0].terms
+            return sum(isinstance(t, Const) or inner.get(t) not in block for t in terms), len(parts[i][2])
+
+        best = max(guards, key=rank)
         guard, bound = parts[best][0], parts[best][2]
         rest = quantify(universal, [s for s in block if s not in bound], parts[:best] + parts[best + 1:], inner)
         return _guarded(universal, guard.rel, [slot(t, inner) for t in guard.terms], bound, rest)

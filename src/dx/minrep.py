@@ -25,7 +25,6 @@ import copy
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import BlockTooLarge, BudgetExceeded, PreconditionViolated
@@ -52,16 +51,6 @@ from .model import (
 )
 
 ENUM_PRODUCT_CAP = 400_000
-
-
-@dataclass(frozen=True)
-class MinRepSet:
-    """Enumerated representatives of minimal possible worlds."""
-
-    base: Instance
-    constants: Tuple[Const, ...]
-    representatives: Tuple[Instance, ...]
-    scope: Union[str, int]  # "whole" or a block index
 
 
 def _minimal_images(masks: Iterable[int]) -> List[int]:
@@ -141,12 +130,11 @@ def enum_min_c(
     instance: Instance,
     constants: Iterable[Const],
     product_cap: int = ENUM_PRODUCT_CAP,
-) -> MinRepSet:
-    """All subset-minimal images f(T) over legal maps f: dom(T) -> dom(T)+C."""
-    constants = tuple(sorted(set(constants), key=value_key))
+) -> Tuple[Instance, ...]:
+    """All subset-minimal images f(T) over legal maps f: dom(T) -> dom(T)+C,
+    in ``instance_key`` order."""
     codec, images = legal_images(instance, constants, product_cap)
-    reps = tuple(map(codec.decode, _minimal_images(images)))
-    return MinRepSet(instance, constants, reps, "whole")
+    return tuple(map(codec.decode, _minimal_images(images)))
 
 
 class BlockRep(Image):
@@ -218,6 +206,11 @@ class BlockReps:
             self._streams[block_index] = Replay(self._block_reps(block_index))
         return self._streams[block_index]
 
+    def instances(self, block_index: int) -> Tuple[Instance, ...]:
+        """Block i's distinct representatives as whole instances, in
+        ``instance_key`` order."""
+        return tuple(sorted({r.whole() for r in self.reps(block_index)}, key=instance_key))
+
     def reaching_atoms(self, rel: str, args: Sequence[Union[Value, Var]]) -> List[Atom]:
         """The atoms of ``rel`` that hold, wherever ``args`` holds a value
         rather than a variable, that value or a null: those a map of their
@@ -282,28 +275,6 @@ class BlockReps:
             if nulls <= block_nulls and not any(maps_into(fresh - {a}) for a in fresh):
                 image = BlockRep(self.instance, fresh, block.atoms - fresh)
                 yield core_retract_fixing(image, nulls, self._onto(fresh, block_index))
-
-
-def block_reps(
-    instance: Instance,
-    block_index: int,
-    constants: Iterable[Const],
-    max_block_nulls: Optional[int] = None,
-) -> Tuple[BlockRep, ...]:
-    """Representatives of the minimal images of one block, in map order
-    (``BlockReps._block_reps``).  The null cap applies to every block."""
-    return tuple(BlockReps(instance, constants, max_block_nulls).reps(block_index))
-
-
-def enum_min_c_block(
-    instance: Instance,
-    block_index: int,
-    constants: Iterable[Const],
-    max_block_nulls: Optional[int] = None,
-) -> MinRepSet:
-    reps = block_reps(instance, block_index, constants, max_block_nulls)
-    distinct = tuple(sorted({r.whole() for r in reps}, key=instance_key))
-    return MinRepSet(instance, tuple(sorted(set(constants), key=value_key)), distinct, block_index)
 
 
 def all_block_reps(

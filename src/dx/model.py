@@ -181,8 +181,9 @@ def atoms_isomorphic(a1: Atom, a2: Atom) -> bool:
 class Instance:
     """A finite set of atoms (set semantics, no duplicates).
 
-    ``_core`` is True once ``corelib.core_of`` has returned this instance,
-    so later core tests on it need no search; ``_blocks`` caches its blocks.
+    ``_core`` holds the instance's core once ``corelib.core_of`` has found
+    it (the instance itself when it is a core), so later core tests and
+    core searches on it need no search; ``_blocks`` caches its blocks.
     """
 
     __slots__ = ("atoms", "_dom", "_tables", "_sorted", "_core", "_blocks")
@@ -192,7 +193,7 @@ class Instance:
         object.__setattr__(self, "_dom", None)
         object.__setattr__(self, "_tables", None)
         object.__setattr__(self, "_sorted", None)
-        object.__setattr__(self, "_core", False)
+        object.__setattr__(self, "_core", None)
         object.__setattr__(self, "_blocks", None)
 
     # -- set plumbing

@@ -323,9 +323,8 @@ def _st_minimal_solutions(
     the st-tgds alone: injective fresh instantiations of the minimal
     representatives of the core of the chased source."""
     core, base_consts, available = fresh_values(mapping, source, universe)
-    reps = enum_min_c(core, base_consts, product_cap=LEGAL_MAP_CAP)
     out: Set[Instance] = set()
-    for rep in reps.representatives:
+    for rep in enum_min_c(core, base_consts, product_cap=LEGAL_MAP_CAP):
         nulls = sorted(rep.nulls(), key=value_key)
         for images in itertools.permutations(available, len(nulls)):
             v: Dict[Value, Value] = {c: c for c in rep.consts()}

@@ -25,15 +25,13 @@ from dx import (
     core_of,
     core_solution,
     enum_min_c,
-    enum_min_c_block,
     find_homomorphism,
     is_core,
     is_solution,
     tstar_fixpoint,
 )
-from dx.corelib import mapping_block_bound
 from dx.errors import BudgetExceeded, PreconditionViolated
-from dx.minrep import all_block_reps
+from dx.minrep import BlockReps, all_block_reps
 from dx.model import value_key
 from dx.oracle import Budget, gcwa_star_solutions
 from dx.randgen import gen_packed_mapping, gen_source, gen_ucq, random_triples, three_way
@@ -178,10 +176,10 @@ def test_criterion_05_packedness_necessity():
         probe = Atom("E", (c, a))
         # exact whole-instance enumeration: the atom is in no minimal world
         whole = enum_min_c(naf, {c, a})
-        assert not any(probe in rep for rep in whole.representatives)
+        assert not any(probe in rep for rep in whole)
         # but the three-atom block alone does produce it
         block = [blk for blk in atom_blocks(naf).blocks if len(blk) == 3][0]
-        assert any(probe in rep for rep in enum_min_c(block, {c, a}).representatives)
+        assert any(probe in rep for rep in enum_min_c(block, {c, a}))
         # and the fast-path membership operation refuses the instance
         with pytest.raises(PreconditionViolated) as err:
             atom_in_some_minimal(naf, probe)
@@ -197,7 +195,7 @@ def test_criterion_06_min_rep_facts():
         g2 = {v: v for v in blk.dom()}
         g2.update({n2: n1, m2: b})
         images = {apply_map(g1, blk), apply_map(g2, blk)}
-        reps = set(enum_min_c(blk, set()).representatives)
+        reps = set(enum_min_c(blk, set()))
         assert images <= reps
         bad = {Atom("E", (a, a)), Atom("E", (a, b))}
         for image in images:
@@ -231,15 +229,15 @@ def test_criterion_07_representative_properties():
         for inst in _property_fixtures():
             assert len(inst.nulls()) <= 6
             constants = {a}
-            reps = enum_min_c(inst, constants).representatives
+            reps = enum_min_c(inst, constants)
             for rep in reps:
                 assert is_core(rep)
             if is_core(inst):
                 assert inst in set(reps)
             whole = set(reps)
-            partition = atom_blocks(inst)
-            for idx in range(len(partition.blocks)):
-                for rep in enum_min_c_block(inst, idx, constants).representatives:
+            blocks = BlockReps(inst, constants)
+            for idx in range(len(blocks.partition.blocks)):
+                for rep in blocks.instances(idx):
                     assert rep in whole
             if is_core(inst) and blocks_packed(inst):
                 block_reps = all_block_reps(inst, constants)
@@ -287,7 +285,7 @@ def test_criterion_09_chase_core_properties():
             core = core_of(cansol)
             assert is_core(core)
             assert blocks_packed(core)
-            bound = mapping_block_bound(m)
+            bound = m.max_exists_width()
             assert all(len(blk.nulls()) <= bound for blk in atom_blocks(core).blocks)
             try:
                 from dx.oracle import minimal_ground_solutions

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 import dx.corelib
 from dx import (
     Atom,
@@ -16,7 +18,9 @@ from dx import (
     atom_blocks,
     blocks_packed,
 )
-from dx.corelib import mapping_block_bound
+from dx.errors import PreconditionViolated
+from dx.gcwa import CoreEvaluator
+from dx.minrep import BlockReps, atom_in_some_minimal
 from dx.randgen import gen_packed_mapping, gen_source
 from dx.model import homomorphically_equivalent, value_key
 from dx.textio import SourceText, parse_instance, parse_mapping, serialize_instance
@@ -92,6 +96,28 @@ def test_is_core_counterexamples():
     assert is_core(Instance([]))
 
 
+def test_a_non_core_is_searched_once(monkeypatch):
+    # work without a clock: core_of remembers the core on the instance, so
+    # a BlockReps build, a refused CoreEvaluator and a refused membership
+    # probe on one five-block non-core share one core search
+    searches, retract = [], dx.corelib.core_retract_fixing
+
+    def counting(instance, fixed, blocks=None):
+        searches.append(instance)
+        return retract(instance, fixed, blocks)
+
+    monkeypatch.setattr(dx.corelib, "core_retract_fixing", counting)
+    inst = instance("E(a,_x). E(a,_y). E(b,_u). E(b,_v). E(c,_w).", E_SCHEMA)
+    BlockReps(inst, ())
+    with pytest.raises(PreconditionViolated, match="not a core"):
+        CoreEvaluator(inst, ())
+    with pytest.raises(PreconditionViolated, match="not a core"):
+        atom_in_some_minimal(inst, Atom("E", (a, b)))
+    assert searches == [inst]
+    core = core_of(inst)
+    assert len(searches) == 1 and len(core) == 3 and is_core(core) and not is_core(inst)
+
+
 def test_core_solution_examples():
     m = mapping(COPY_MAP)
     assert core_solution(m, instance(COPY_SRC, m.source)) == Instance(
@@ -126,7 +152,7 @@ def test_packed_mapping_cores_have_packed_small_blocks():
         s = gen_source(rng)
         core = core_solution(m, s)
         assert blocks_packed(core)
-        bound = mapping_block_bound(m)
+        bound = m.max_exists_width()
         assert all(len(b.nulls()) <= bound for b in atom_blocks(core).blocks)
 
 

@@ -35,6 +35,8 @@ from dx.logic import dnf_literals, prenex, subformulas, to_nnf
 from dx.model import value_key
 from dx.randgen import gen_packed_mapping, gen_source, gen_ucq, gen_universal_query
 
+from fixtures import EF_MAP, chain_core, ef_chain, query
+
 a, b, c, d, e = (Const(x) for x in "abcde")
 x, y, z, z1, z2 = (Var(n) for n in ("x", "y", "z", "z1", "z2"))
 
@@ -517,6 +519,27 @@ def test_unguarded_block_split_sweeps_the_domain_once_per_variable():
         assert compiled.run(matcher, tuple(inst.dom()), list(compiled.template))
         probes.append(count)
     assert all(later <= 2.5 * earlier for earlier, later in zip(probes, probes[1:])), probes
+
+
+def test_guard_with_a_bound_probe_comes_first(monkeypatch):
+    # forall z, y: E(x,z) /\ F(z,y) -> y = b on the EF chain's core: with x
+    # bound, E(x,z) probes the index and binds z for F(z,y), so the atoms
+    # read grow linearly; guarding on F(z,y) first, which names more block
+    # variables, reads every F atom per candidate x
+    read, matching = [], Instance.atoms_matching
+
+    def counting(self, *args):
+        atoms = list(matching(self, *args))
+        read[-1] += len(atoms)
+        return atoms
+
+    cores = {n: chain_core(EF_MAP, ef_chain(n)) for n in (40, 80, 160, 320)}
+    monkeypatch.setattr(Instance, "atoms_matching", counting)
+    for n, (m, _, core) in cores.items():
+        q = query("q(x) := forall z: forall y: E(x,z) /\\ F(z,y) -> y = b.", m.combined_schema())
+        read.append(0)
+        assert len(query_answers(q, core)) == n + 2
+    assert all(later <= 2.5 * earlier for earlier, later in zip(read, read[1:])), read
 
 
 def test_prenex_preserves_meaning_on_nonempty_domains():

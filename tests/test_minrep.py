@@ -16,7 +16,6 @@ from dx import (
     canonical_solution,
     core_solution,
     enum_min_c,
-    enum_min_c_block,
     find_homomorphism,
     is_core,
     blocks_packed,
@@ -24,7 +23,7 @@ from dx import (
 from dx.corelib import core_retract_fixing
 from dx.errors import BudgetExceeded, PreconditionViolated
 from dx.logic import fresh_constants
-from dx.minrep import BlockRep, _minimal_images, all_block_reps, block_reps
+from dx.minrep import BlockRep, BlockReps, _minimal_images, all_block_reps
 from dx.model import AtomMasks, instance_key, mask_key, value_key
 from dx.randgen import gen_packed_mapping, gen_source
 
@@ -55,8 +54,7 @@ def _ef_core():
 def test_enum_min_c_single_null():
     n = Null("t", 0)
     inst = Instance([Atom("E", (a, n))])
-    reps = enum_min_c(inst, set())
-    assert set(reps.representatives) == {
+    assert set(enum_min_c(inst, set())) == {
         Instance([Atom("E", (a, n))]),
         Instance([Atom("E", (a, a))]),
     }
@@ -64,7 +62,7 @@ def test_enum_min_c_single_null():
 
 def test_enum_min_c_ground_instance():
     inst = Instance([Atom("E", (a, b))])
-    assert set(enum_min_c(inst, {c}).representatives) == {inst}
+    assert set(enum_min_c(inst, {c})) == {inst}
 
 
 def test_enum_min_c_blk_contains_cross_block_images():
@@ -74,7 +72,7 @@ def test_enum_min_c_blk_contains_cross_block_images():
     g1.update({n1: n2, m1: b})
     g2 = {v: v for v in blk.dom()}
     g2.update({n2: n1, m2: b})
-    reps = set(enum_min_c(blk, set()).representatives)
+    reps = set(enum_min_c(blk, set()))
     assert apply_map(g1, blk) in reps
     assert apply_map(g2, blk) in reps
 
@@ -90,20 +88,18 @@ def test_enum_min_c_null_cap():
 
 def test_block_reps_of_ef_core():
     core = _ef_core()
-    reps = enum_min_c_block(core, 0, set())
     null = next(iter(core.nulls()))
     expected = {
         core,
         Instance([Atom("E", (a, a)), Atom("F", (a, b))]),
         Instance([Atom("E", (a, b)), Atom("F", (b, b))]),
     }
-    assert set(reps.representatives) == expected
+    assert set(BlockReps(core, set()).instances(0)) == expected
 
 
 def test_block_reps_ground_block():
     inst = Instance([Atom("E", (a, b))])
-    reps = enum_min_c_block(inst, 0, set())
-    assert set(reps.representatives) == {inst}
+    assert BlockReps(inst, set()).instances(0) == (inst,)
 
 
 def test_block_reps_blk_fixture_contains_g1_image():
@@ -115,8 +111,7 @@ def test_block_reps_blk_fixture_contains_g1_image():
     block_index = next(
         i for i, blkk in enumerate(atom_blocks(blk).blocks) if n1 in blkk.nulls()
     )
-    reps = enum_min_c_block(blk, block_index, set())
-    assert g1_image in set(reps.representatives)
+    assert g1_image in BlockReps(blk, set()).instances(block_index)
 
 
 # ------------------------------------------------------------- membership
@@ -138,7 +133,7 @@ def test_atom_membership_matches_whole_instance_oracle():
         Atom("F", (b, a)),
     ]:
         consts = [v for v in atom.args]
-        oracle = any(atom in rep for rep in enum_min_c(core, consts).representatives)
+        oracle = any(atom in rep for rep in enum_min_c(core, consts))
         assert atom_in_some_minimal(core, atom) == oracle
 
 
@@ -150,9 +145,9 @@ def test_atom_membership_rejects_unpacked_instance():
     assert err.value.reason == "NotPacked"
     # the whole-instance oracle says no, while the block-local answer on the
     # three-atom block alone would say yes
-    assert not any(probe in rep for rep in enum_min_c(naf, {c, a}).representatives)
+    assert not any(probe in rep for rep in enum_min_c(naf, {c, a}))
     block = [blk for blk in atom_blocks(naf).blocks if len(blk) == 3][0]
-    assert any(probe in rep for rep in enum_min_c(block, {c, a}).representatives)
+    assert any(probe in rep for rep in enum_min_c(block, {c, a}))
 
 
 # ------------------------------------------------------------- properties
@@ -178,22 +173,22 @@ def _small_fixtures():
 
 def test_min_c_members_are_cores():
     for inst in _small_fixtures():
-        for rep in enum_min_c(inst, {a}).representatives:
+        for rep in enum_min_c(inst, {a}):
             assert is_core(rep)
 
 
 def test_core_is_its_own_representative():
     for inst in _small_fixtures():
         if is_core(inst):
-            assert inst in set(enum_min_c(inst, {a}).representatives)
+            assert inst in enum_min_c(inst, {a})
 
 
 def test_block_reps_are_whole_instance_representatives():
     for inst in _small_fixtures():
-        whole = set(enum_min_c(inst, {a}).representatives)
-        partition = atom_blocks(inst)
-        for idx in range(len(partition.blocks)):
-            for rep in enum_min_c_block(inst, idx, {a}).representatives:
+        whole = set(enum_min_c(inst, {a}))
+        blocks = BlockReps(inst, {a})
+        for idx in range(len(blocks.partition.blocks)):
+            for rep in blocks.instances(idx):
                 assert rep in whole
 
 
@@ -215,7 +210,7 @@ def test_capture_of_minimal_possible_worlds():
             for img in images
             if not any(other != img and other.subset_of(img) for other in images)
         ]
-        reps = enum_min_c(inst, inst.consts()).representatives
+        reps = enum_min_c(inst, inst.consts())
         for world in minimal:
             assert any(
                 _injectively_instantiates(rep, world, inst.consts())
@@ -240,7 +235,7 @@ def test_atom_provenance_on_packed_cores():
         if not (is_core(inst) and blocks_packed(inst)):
             continue
         constants = {a}
-        whole = enum_min_c(inst, constants).representatives
+        whole = enum_min_c(inst, constants)
         reps = all_block_reps(inst, constants)
         for world in whole:
             for atom in world.atoms:
@@ -317,10 +312,10 @@ def test_block_reps_match_reference():
     assert not any(is_core(inst) for inst in non_cores)
     for inst in _small_fixtures() + non_cores + _chain_cores() + _random_packed_cores(30):
         for constants in (set(), {a}, {c, Const("zz")}):
-            expected_all = []
-            for idx in range(len(atom_blocks(inst).blocks)):
+            expected_all, blocks = [], BlockReps(inst, constants)
+            for idx in range(len(blocks.partition.blocks)):
                 expected = _reference_block_reps(inst, idx, constants)
-                assert _whole(block_reps(inst, idx, constants)) == _whole(expected), (inst, idx)
+                assert _whole(blocks.reps(idx)) == _whole(expected), (inst, idx)
                 expected_all += [r for r in expected if r not in expected_all]
             assert _whole(all_block_reps(inst, constants)) == _whole(expected_all), inst
 
@@ -354,8 +349,7 @@ def test_minimality_test_rejects_fresh_sets_on_the_reference_corpus(monkeypatch)
     rejected = _rejected_fresh_sets(monkeypatch)
     for inst in _small_fixtures() + non_cores + _chain_cores() + _random_packed_cores(30):
         for constants in (set(), {a}, {c, Const("zz")}):
-            for idx in range(len(atom_blocks(inst).blocks)):
-                block_reps(inst, idx, constants)
+            list(BlockReps(inst, constants))
     assert rejected[0] > 100
 
 
@@ -370,13 +364,14 @@ def test_block_reps_match_reference_on_fresh_sets_of_sizes_zero_to_two(monkeypat
     partition = atom_blocks(inst)
     rejected = _rejected_fresh_sets(monkeypatch)
     sizes, anchors = set(), []
+    none_extra, with_c = BlockReps(inst, set()), BlockReps(inst, {c})
     for idx, block in enumerate(partition.blocks):
         rest = inst.atoms - block.atoms
         for image in dx.minrep._block_images(block, sorted(inst.dom() | {c}, key=value_key)):
             sizes.add(len(set(image) - rest))
         expected = _reference_block_reps(inst, idx, {c})
-        assert _whole(block_reps(inst, idx, set())) == _whole(_reference_block_reps(inst, idx, set()))
-        assert _whole(block_reps(inst, idx, {c})) == _whole(expected), idx
+        assert _whole(none_extra.reps(idx)) == _whole(_reference_block_reps(inst, idx, set()))
+        assert _whole(with_c.reps(idx)) == _whole(expected), idx
         anchors.append([sorted(map(repr, rep.anchors)) for rep in expected])
     assert sizes == {0, 1, 2}
     assert rejected[0] > 0
@@ -396,9 +391,10 @@ def test_local_retraction_matches_whole_instance_retraction():
     for inst in _small_fixtures() + non_cores + _chain_cores() + _random_packed_cores(30):
         partition = atom_blocks(inst)
         for constants in (set(), {a}, {c, Const("zz")}):
+            blocks = BlockReps(inst, constants)
             for idx, block in enumerate(partition.blocks):
                 rest = inst.atoms - block.atoms
-                for rep in block_reps(inst, idx, constants):
+                for rep in blocks.reps(idx):
                     assert rep.base is inst
                     anchor_nulls = {v for atom in rep.anchors for v in atom.nulls()}
                     image = Instance(rep.anchors | rest)
@@ -451,7 +447,7 @@ def test_enum_min_c_matches_reference():
                     enum_min_c(inst, constants, product_cap=3000)
                 continue
             expected = _reference_min_c(inst, constants)
-            assert enum_min_c(inst, constants).representatives == expected, inst
+            assert enum_min_c(inst, constants) == expected, inst
             compared += 1
             if maps > 1:
                 with pytest.raises(BudgetExceeded):
