@@ -229,6 +229,8 @@ class _ConstraintEngine:
         """Add every Horn-forced target atom; None when a clause is violated
         beyond repair (an equality over distinct constants, a denial, or a
         forced source atom)."""
+        if not self.horn:
+            return target
         current = set(target.atoms)
         changed = True
         while changed:
@@ -383,7 +385,7 @@ def minimal_ground_solutions(
     universe = universe_of(mapping, source, budget, extra_constants)
     engine = _ConstraintEngine(mapping)
     seeds = _st_minimal_solutions(mapping, source, universe)
-    pool = target_atom_pool(mapping, universe)
+    pool = target_atom_pool(mapping, universe) if engine.horn or engine.residue else ()
     collected = [
         inst
         for seed in seeds
@@ -407,37 +409,44 @@ def _union_masks(
     ``max_atoms`` atoms, as int masks over the returned atoms, in
     ``instance_key`` order.
 
-    Each round joins every union the last round found (at first, the
-    distinct members within ``max_atoms``, in ``instance_key`` order) with
-    every such member; ``work`` counts the joins, also those it skips for a
-    union of ``max_atoms`` atoms, which can only join to itself or past the
-    bound.  More than 40 × ``cap`` joins or ``cap`` unions raise
-    ``BudgetExceeded``.  The masks number the atoms as ``AtomMasks`` does.
+    The distinct members within ``max_atoms`` are taken one at a time in
+    ``instance_key`` order; each is added and joined into every union found
+    before it that can still grow (of fewer than ``max_atoms`` atoms), so
+    the unions of the first k members are those of the first k - 1, the
+    k-th member, and their joins with it.  ``work`` counts the joins.  More
+    than 40 × ``cap`` joins raise ``BudgetExceeded``, and so does a union
+    that is not a member once the members and such unions number ``cap``.
+    The masks number the atoms as ``AtomMasks`` does.
     """
     kept = {m.atoms for m in members if len(m) <= max_atoms}
     codec = AtomMasks(a for m in kept for a in m)
     base = sorted(map(codec.encode, kept), key=mask_key)
-    seen = set(base)
-    frontier = base
+    is_member = set(base)
+    seen: Set[int] = set()
+    growing: List[int] = []
+    by_size: List[List[int]] = [[] for _ in range(max_atoms + 1)]
     work_cap = 40 * cap
-    work = 0
-    while frontier:
-        nxt: List[int] = []
-        for u in frontier:
-            # the joins left before the work cap, which raises after them
-            joins = base if work + len(base) <= work_cap else base[: work_cap - work]
-            work += len(joins)
-            for m in joins if u.bit_count() < max_atoms else ():
-                w = u | m
-                if w != u and w.bit_count() <= max_atoms and w not in seen:
-                    if len(seen) >= cap:
-                        raise BudgetExceeded(f"union closure exceeded its cap of {cap} unions")
-                    seen.add(w)
-                    nxt.append(w)
-            if len(joins) < len(base):
-                raise BudgetExceeded(f"union closure exceeded its work cap of {work_cap} steps")
-        frontier = nxt
-    return codec.atoms, sorted(seen, key=mask_key)
+    work = joined = 0
+    for m in base:
+        # the joins left before the work cap, which raises after them
+        grown = len(growing)
+        joins = growing if work + grown <= work_cap else growing[: work_cap - work]
+        work += len(joins)
+        for w in [m] + [u | m for u in joins]:
+            size = w.bit_count()
+            if size > max_atoms or w in seen:
+                continue
+            if w not in is_member:
+                if len(base) + joined >= cap:
+                    raise BudgetExceeded(f"union closure exceeded its cap of {cap} unions")
+                joined += 1
+            seen.add(w)
+            by_size[size].append(w)
+            if size < max_atoms:
+                growing.append(w)
+        if len(joins) < grown:
+            raise BudgetExceeded(f"union closure exceeded its work cap of {work_cap} steps")
+    return codec.atoms, [w for bucket in by_size for w in sorted(bucket, reverse=True)]
 
 
 def _union_closure(
@@ -478,20 +487,19 @@ def tstar_fixpoint(
     union-irredundant representatives.  Convergence within the round budget
     is reported, never assumed.
     """
-    universe = universe_of(mapping, source, budget, extra_constants)
-    engine = _ConstraintEngine(mapping)
-    pool = target_atom_pool(mapping, universe)
     level0 = list(
         minimal_ground_solutions(mapping, source, budget, extra_constants).instances
     )
     levels: List[Tuple[Instance, ...]] = [tuple(level0)]
     generators: List[Instance] = list(level0)
-    converged = False
-    if mapping.is_st_only():
-        # dependencies with existential-positive heads survive unions, so
-        # every union is already a solution and the levels stabilize at 0
-        converged = True
-    for _ in range(budget.max_fixpoint_rounds if not converged else 0):
+    # dependencies with existential-positive heads survive unions, so
+    # every union is already a solution and the levels stabilize at 0
+    converged = mapping.is_st_only()
+    rounds = 0 if converged else budget.max_fixpoint_rounds
+    if rounds:
+        engine = _ConstraintEngine(mapping)
+        pool = target_atom_pool(mapping, universe_of(mapping, source, budget, extra_constants))
+    for _ in range(rounds):
         added: List[Instance] = []
         for union in _union_closure(generators, budget.max_atoms):
             if chase.is_solution(mapping, source, union):

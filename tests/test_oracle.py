@@ -277,6 +277,24 @@ def test_copy_owa_vs_gcwa_star():
     assert set(answers_semantics(m, s, q, "gcwa-star", BUDGET).answers) == {(a, b)}
 
 
+def test_gcwa_star_builds_no_atom_pool_for_st_tgds(monkeypatch):
+    # only target constraints read the pool of target atoms: an st-tgd
+    # mapping answers without it, and an egd brings it back
+    import dx.oracle
+
+    def no_pool(*args):
+        raise AssertionError("target_atom_pool was called")
+
+    monkeypatch.setattr(dx.oracle, "target_atom_pool", no_pool)
+    m = mapping(COPY_MAP)
+    s = instance(COPY_SRC, m.source)
+    q = query(COPY_QUERY, m.target)
+    assert set(answers_semantics(m, s, q, "gcwa-star", BUDGET).answers) == {(a, b)}
+    m_egd = mapping(COPY_MAP + " egd Rp(x,y), Rp(x,y2) -> y = y2.")
+    with pytest.raises(AssertionError, match="target_atom_pool was called"):
+        answers_semantics(m_egd, s, q, "gcwa-star", BUDGET)
+
+
 def test_unsupported_semantics_for_non_st_mappings():
     m = mapping(C23_MAP)
     s = instance(PE_SRC, m.source)
@@ -405,9 +423,43 @@ def test_too_many_core_nulls_fail_before_enumeration(monkeypatch):
 
 
 def _reference_union_closure(members, max_atoms, cap=60_000):
-    """The union closure on frozensets of atoms: the same member order,
-    rounds, work count and caps as ``dx.oracle._union_closure``, returning
-    the unions sorted by ``instance_key``."""
+    """The union closure on frozensets of atoms, one member at a time: each
+    distinct member within ``max_atoms``, in ``instance_key`` order, is
+    added and joined into every union found before it of fewer than
+    ``max_atoms`` atoms, one step per join.  The same caps as
+    ``dx.oracle._union_closure``; returns the unions sorted by
+    ``instance_key``."""
+    base = []
+    for m in sorted(set(members), key=instance_key):
+        if len(m.atoms) <= max_atoms:
+            base.append(m.atoms)
+    found = {}  # the unions, in the order found
+    joined = work = 0
+    for m in base:
+        growing = [u for u in found if len(u) < max_atoms]
+        for step, w in enumerate([m] + [u | m for u in growing]):
+            if step:
+                work += 1
+                if work > 40 * cap:
+                    raise BudgetExceeded(
+                        f"union closure exceeded its work cap of {40 * cap} steps"
+                    )
+            if len(w) > max_atoms or w in found:
+                continue
+            if w not in base:
+                if len(base) + joined >= cap:
+                    raise BudgetExceeded(
+                        f"union closure exceeded its cap of {cap} unions"
+                    )
+                joined += 1
+            found[w] = None
+    return sorted((Instance(a) for a in found), key=instance_key)
+
+
+def _bfs_union_closure(members, max_atoms, cap=60_000):
+    """The union closure by rounds: each round joins every union the last
+    one found with every member, one step per join, also for a union of
+    ``max_atoms`` atoms.  Returns the unions sorted by ``instance_key``."""
     base = []
     seen = set()
     for m in sorted(set(members), key=instance_key):
@@ -450,13 +502,18 @@ def _e(*pairs):
     return Instance([Atom("E", (Const(x), Const(y))) for x, y in pairs])
 
 
+def _full(names):
+    """One member of 3 atoms per name; two of them make 6 atoms."""
+    return [_e(("a", x), ("b", x), ("c", x)) for x in names]
+
+
 def _hand_made_families():
     ab, bc, cd, ac = _e(("a", "b")), _e(("b", "c")), _e(("c", "d")), _e(("a", "c"))
     big = _e(*[("a", x) for x in "bcdefgh"])
-    full = [_e(("a", x), ("b", x), ("c", x)) for x in "defghij"]
-    # 40 members of 3 atoms and no union within 3 atoms: exactly 1600 joins,
-    # the work cap at cap 40
-    forty = [_e(("a", f"v{i}"), ("b", f"v{i}"), ("c", f"v{i}")) for i in range(40)]
+    full = _full("defghij")
+    # 40 members of 3 atoms: none can grow within 3 atoms, so no joins; within
+    # 6 atoms each joins every member before it, 780 joins for 780 pairs
+    forty = _full([f"v{i}" for i in range(40)])
     return [
         [],
         [Instance([])],
@@ -485,23 +542,52 @@ def _random_minimal_families(count, seed=7207):
     return families
 
 
-def test_union_closure_matches_reference():
-    # the same unions in the same order, and the same errors at the same
-    # caps, for the size cap and for the work cap
+def _closure_grid():
     families = _hand_made_families() + _random_minimal_families(30)
-    errors = set()
     for members in families:
         for max_atoms in (0, 3, 6, 8):
             for cap in (1, 2, 3, 5, 8, 13, 39, 40, 60_000):
-                expected = _closure_outcome(_reference_union_closure, members, max_atoms, cap)
-                got = _closure_outcome(_union_closure, members, max_atoms, cap)
-                assert got == expected, (members, max_atoms, cap)
-                if isinstance(expected, str):
-                    errors.add(expected.split(" of ")[0])
+                yield members, max_atoms, cap
+
+
+def test_union_closure_matches_reference():
+    # the same unions in the same order, and the same errors at the same
+    # caps, for the size cap and for the work cap
+    errors = set()
+    for members, max_atoms, cap in _closure_grid():
+        expected = _closure_outcome(_reference_union_closure, members, max_atoms, cap)
+        got = _closure_outcome(_union_closure, members, max_atoms, cap)
+        assert got == expected, (members, max_atoms, cap)
+        if isinstance(expected, str):
+            errors.add(expected.split(" of ")[0])
     assert errors == {
         "union closure exceeded its cap",
         "union closure exceeded its work cap",
     }
+
+
+def test_union_closure_agrees_with_the_closure_by_rounds():
+    # joining each member only into the unions before it that can still
+    # grow takes fewer steps than joining every union with every member, so
+    # only a work-cap refusal by rounds may come out differently
+    differ = 0
+    for members, max_atoms, cap in _closure_grid():
+        by_rounds = _closure_outcome(_bfs_union_closure, members, max_atoms, cap)
+        got = _closure_outcome(_union_closure, members, max_atoms, cap)
+        if isinstance(by_rounds, str) and "work cap" in by_rounds:
+            differ += got != by_rounds
+        else:
+            assert got == by_rounds, (members, max_atoms, cap)
+    assert differ
+
+
+def test_union_closure_answers_where_rounds_ran_out_of_work():
+    # seven members of 3 atoms within 3 atoms: rounds spend 7 × 7 joins
+    # against a work cap of 40, while no member can grow
+    full = _full("defghij")
+    with pytest.raises(BudgetExceeded, match="work cap of 40 steps"):
+        _bfs_union_closure(full, 3, cap=1)
+    assert _union_closure(full, 3, cap=1) == sorted(full, key=instance_key)
 
 
 def test_union_closure_cap_message_names_its_limit():
