@@ -2,15 +2,15 @@
 
 The fast path decides universal queries on a packed core: the negated query
 is split into existential conjuncts, and a conjunct is satisfiable over some
-finite union of minimal possible worlds iff the block-wise minimal
-representatives can be joined compatibly into a witness instance padded with
-disjoint copies of the core.  The places of each positive literal are one
-cached stream over the blocks that ``BlockReps`` finds can map onto it,
-whose representatives are retracted only when a search first reaches them.
-No witness is built: a search leaf reads it through the core's position
-index and the chosen representatives' deltas (``_Witness``), so a leaf
-costs what its probes touch, not |core|.  The general evaluator realizes the same test by bounded
-brute force (no packedness needed) and is exponential.
+finite union of minimal possible worlds iff its positive literals can be
+placed on block representatives' anchors, glued compatibly, so that the
+assignment the places induce keeps every negated atom out of the witness
+(those copies plus a core copy per loose variable) and every disequality
+true.  Each literal's places are one cached stream over the blocks
+``BlockReps`` finds can map onto it; no witness is built or joined, a leaf
+only probes the negated atoms through the representatives' deltas on the
+core (``_Witness``).  The general evaluator realizes the same test by
+bounded brute force (no packedness needed) and is exponential.
 
 Both paths share one driver, a ``_QueryPlan`` built once per evaluation: a
 candidate tuple is specialized into every template of the negated query, and
@@ -101,19 +101,6 @@ class ExistentialConjunct:
     negatives: Tuple[Tuple[str, Tuple[Term, ...]], ...]
     disequalities: Tuple[Tuple[Term, Term], ...]
     quantified: bool = False  # quantifiers remain even if their literals left
-
-    @property
-    def k(self) -> int:
-        return len(self.positives)
-
-    @property
-    def copy_count(self) -> int:
-        """k + total negated-atom width + 2 * #disequalities."""
-        return (
-            self.k
-            + sum(len(terms) for _, terms in self.negatives)
-            + 2 * len(self.disequalities)
-        )
 
     def _terms(self) -> Iterator[Term]:
         for _, terms in self.positives + self.negatives:
@@ -238,7 +225,7 @@ def specialize(
 
 
 def conjunct_bindings(
-    instance: Union[Instance, "_Witness"],
+    instance: Instance,
     conjunct: ExistentialConjunct,
     context: Iterable[Const] = (),
     free: Sequence[Var] = (),
@@ -279,7 +266,7 @@ def conjunct_bindings(
 
 
 def satisfies_conjunct(
-    instance: Union[Instance, "_Witness"],
+    instance: Instance,
     conjunct: ExistentialConjunct,
     context: Iterable[Const] = (),
 ) -> bool:
@@ -369,23 +356,19 @@ def compatible_and_relation(
 
 
 class _Witness:
-    """The witness of one search leaf, read without building it: copies
-    ``cp1``..``cpk`` of the chosen representatives, glued along the
-    compatibility relation, and padding copies ``cp<k+1>``..``cp<s>`` of
-    the core.  Copy j names core null n ``Null(cp<j>, rank of n in the
-    core)``, and a glued value reads as the first-seen member of its class
-    (pairs in order, variables by name).  A probe maps its values back into
-    each copy that holds them all, probes that copy's position index (the
-    core's, less the representative's ``gone`` atoms plus its anchors) and
-    maps the hits forward.  A ground core atom is in every copy (no
-    representative drops one), so only the first copy probed reports it."""
+    """Membership in the witness of one search leaf, read without building
+    it: copies ``cp1``..``cpk`` of the chosen representatives, glued along
+    the compatibility relation, then ``padding`` copies of the core.  Copy j
+    names core null n ``Null(cp<j>, rank of n in the core)``, and a glued
+    value reads as the first-seen member of its class (pairs in order,
+    variables by name), its entry in ``glue``.  A representative is probed
+    as a delta on the core, a padding copy as the core."""
 
     def __init__(self, evaluator: "CoreEvaluator", chosen: Sequence[CandidatePair],
-                 relation: Dict[Value, FrozenSet[Value]], copies: int):
-        self.images = [p.rep for p in chosen] + [evaluator.core] * (copies - len(chosen))
-        self.tags = [f"cp{i + 1}" for i in range(copies)]
-        self.copy_of = {tag: i for i, tag in enumerate(self.tags)}
-        self.rank, self.nulls, self.ground = evaluator._rank, evaluator._nulls, evaluator._ground
+                 relation: Optional[Dict[Value, FrozenSet[Value]]], padding: int):
+        self.images = [p.rep for p in chosen] + [evaluator.core] * padding
+        self.copy_of = {f"cp{i + 1}": i for i in range(len(self.images))}
+        self.nulls = evaluator._nulls
         first: Dict[Value, int] = {}
         for p in chosen:
             for _, v in p.assignment:
@@ -396,37 +379,15 @@ class _Witness:
         for v in self.members:
             self.members[self.glue[v]][self.copy_of[v.scope]] = self.nulls[v.nid]
 
-    def _forward(self, i: int, v: Value) -> Value:
-        if isinstance(v, Const):
-            return v
-        v = Null(self.tags[i], self.rank[v])
-        return self.glue.get(v, v)
-
-    def _back(self, values: Sequence[Value]) -> Iterator[Tuple[int, Tuple[Value, ...]]]:
-        """Each copy holding all the values, with their core values there; a
-        constant is held by every copy as itself, a null by its members'."""
-        places = [None if isinstance(v, Const) else self.members[v] if v in self.members
-                  else {self.copy_of[v.scope]: self.nulls[v.nid]} for v in values]
-        for i in range(len(self.images)):
-            if all(m is None or i in m for m in places):
-                yield i, tuple(v if m is None else m[i] for v, m in zip(values, places))
-
-    def atoms_matching(self, rel: str, arity: int, positions: Tuple[int, ...],
-                       values: Tuple[Value, ...]) -> List[Atom]:
-        out: List[Atom] = []
-        for n, (i, key) in enumerate(self._back(values)):
-            for a in self.images[i].atoms_matching(rel, arity, positions, key):
-                if a not in self.ground:
-                    out.append(Atom(rel, tuple([self._forward(i, v) for v in a.args])))
-                elif n == 0:
-                    out.append(a)
-        return out
-
     def __contains__(self, atom: Atom) -> bool:
-        return any(Atom(atom.rel, key) in self.images[i] for i, key in self._back(atom.args))
-
-    def dom(self) -> FrozenSet[Value]:
-        return frozenset(self._forward(i, v) for i, img in enumerate(self.images) for a in img for v in a.args)
+        """Probe each copy holding all the atom's values, under their core
+        names there: a constant is held by every copy as itself, a glued
+        null by its members' copies, a padding null by its own."""
+        places = [None if isinstance(v, Const) else self.members[v] if v in self.members
+                  else {self.copy_of[v.scope]: self.nulls[v.nid]} for v in atom.args]
+        return any(Atom(atom.rel, tuple([v if m is None else m[i] for v, m in zip(atom.args, places)]))
+                   in image for i, image in enumerate(self.images)
+                   if all(m is None or i in m for m in places))
 
 
 def _checked_context(pool: FrozenSet[Const], conjunct: ExistentialConjunct,
@@ -454,9 +415,9 @@ class CoreEvaluator:
     blocks able to map onto the literal and matches it against the
     unrenamed anchors (the renaming is injective and a null never equals a
     constant).  Each search leaf, the pairs chosen for all positive
-    literals, is checked by ``_leaf`` on a ``_Witness`` view over the
-    core's index.  A conjunct or context naming a constant outside the pool
-    raises ``PreconditionViolated``.
+    literals, is decided by ``_leaf`` under the assignment those places
+    induce, with no join.  A conjunct or context naming a constant outside
+    the pool raises ``PreconditionViolated``.
     """
 
     def __init__(self, core: Instance, constants: Iterable[Const],
@@ -474,6 +435,7 @@ class CoreEvaluator:
         self._nulls = sorted(core.nulls(), key=value_key)
         self._rank = {n: j for j, n in enumerate(self._nulls)}
         self._ground = frozenset(a for a in core.atoms if a.is_ground)
+        self._pool = sorted(self.pool, key=value_key)
 
     def _reps_key(self, constants: Iterable[Const]) -> FrozenSet[Const]:
         return frozenset(constants) - self.core.dom()
@@ -518,6 +480,8 @@ class CoreEvaluator:
         context = _checked_context(self.pool, conjunct, context)
         if conjunct.is_empty:  # it holds on a union of minimal worlds iff on the core
             return satisfies_conjunct(self.core, conjunct, context)
+        if any(Atom(rel, terms) in self._ground for rel, terms in conjunct.negatives):
+            return False  # every minimal world holds the core's ground atoms
         candidate_sets: List[Replay] = []
         for i, literal in enumerate(conjunct.positives):
             pairs = self._candidate_pairs(literal, f"cp{i + 1}")
@@ -529,7 +493,7 @@ class CoreEvaluator:
 
         def search(i: int, relation: Optional[Dict[Value, FrozenSet[Value]]]) -> bool:
             if i == len(candidate_sets):
-                return self._leaf(chosen, relation, conjunct, context)
+                return self._leaf(chosen, relation, conjunct)
             for pair in candidate_sets[i]:
                 chosen.append(pair)
                 relation = compatible_and_relation(chosen)
@@ -540,12 +504,46 @@ class CoreEvaluator:
 
         return search(0, None)
 
-    def _leaf(self, chosen: Sequence[CandidatePair], relation: Dict[Value, FrozenSet[Value]],
-              conjunct: ExistentialConjunct, context: FrozenSet[Const]) -> bool:
-        """Does the leaf's witness, the chosen pairs glued along their
-        compatibility relation and padded to ``copy_count`` copies, satisfy
-        the conjunct?"""
-        return satisfies_conjunct(_Witness(self, chosen, relation, conjunct.copy_count), conjunct, context)
+    def _leaf(self, chosen: Sequence[CandidatePair], relation: Optional[Dict[Value, FrozenSet[Value]]],
+              conjunct: ExistentialConjunct) -> bool:
+        """Does the conjunct hold on the leaf's witness under the assignment
+        its places induce?  A variable of a positive literal takes its pairs'
+        glued value, so the positive literals hold by construction; only the
+        negated atoms (by witness membership) and the disequalities are
+        tested.  The witness is the chosen copies plus one padding copy of
+        the core per loose variable (one in no positive literal), at least
+        one copy in all; the j-th loose variable ranges over the pool, as in
+        the general evaluator, and the nulls of its own padding copy.
+
+        Per conjunct this is the paper's padded-witness test.  Sound: each
+        copy is a minimal world renamed apart and glued compatibly, and each
+        pool constant lies in every world or is named by the query.
+        Complete: given a padded witness W and a binding satisfying the
+        conjunct there, place each positive literal on the atom the binding
+        uses if it is an anchor of its copy's representative, else on the
+        identity representative of the core block holding it (a core is a
+        minimal image of itself), and give each loose variable its value if
+        that is a constant (W's all lie in the pool), else the null of its
+        own padding copy at the rank of its value.  That leaf's witness maps
+        into W by a homomorphism fixing constants and sending its assignment
+        to the binding (a renaming on a reused representative; on a core
+        copy standing for a representative, its block map and retraction),
+        so every negated atom and disequality the binding keeps, the leaf
+        keeps."""
+        beta: Dict[Term, Value] = {var: v for p in chosen for var, v in p.assignment}
+        loose = [v for v in conjunct.variables() if v not in beta]
+        witness = _Witness(self, chosen, relation, len(loose) if loose or chosen else 1)
+        beta = {var: witness.glue[v] for var, v in beta.items()}
+        ranges = [self._pool + [Null(f"cp{len(chosen) + j}", r) for r in range(len(self._nulls))]
+                  for j in range(1, len(loose) + 1)]
+        for values in itertools.product(*ranges):
+            beta.update(zip(loose, values))
+            if all(beta.get(l, l) != beta.get(r, r) for l, r in conjunct.disequalities) and not any(
+                Atom(rel, tuple([beta.get(t, t) for t in terms])) in witness
+                for rel, terms in conjunct.negatives
+            ):
+                return True
+        return False
 
 
 # ---------------------------------------------------------------- fast path
