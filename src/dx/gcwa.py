@@ -17,12 +17,13 @@ candidate tuple is specialized into every template of the negated query, and
 it is a certain answer iff the backend's ``conjunct_satisfiable`` rejects
 them all.  Each backend (``CoreEvaluator``, ``_GeneralEvaluator``) serves
 the one pool of constants all tuples read, the core's and the query's.  The
-fast plan first finds every tuple the core refutes, in one join per template
-over the core's index with the free variables unbound (``_core_refuted``):
-the core, its nulls read as distinct fresh constants, is one of the minimal
-worlds (the identity map of each block is a minimal image), so a template
-that holds there refutes the tuple.  The general plan refutes none, so the
-two drivers stay independent.
+fast path first drops every tuple that is no answer of q on the core itself,
+in one ``query_answers`` call: the core, its nulls read as distinct fresh
+constants, is one of the minimal worlds (the identity map of each block is a
+minimal image), so every certain answer is an answer there.  That call ranges
+over dom(core) and the query's constants, a superset of the pool, so it drops
+exactly the tuples some template of the negated query holds for on the core.
+The general plan drops none, so the two drivers stay independent.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .corelib import blocks_packed, core_solution, is_core
 from .errors import NotHomomorphismClosed, NotUniversal, PreconditionViolated
@@ -60,7 +61,6 @@ from .model import (
     Value,
     Var,
     match_args,
-    match_conjunction,
     value_key,
 )
 
@@ -122,8 +122,8 @@ class ExistentialConjunct:
 def normalize_negation(q: FOQuery) -> Tuple[DisjunctTemplate, ...]:
     """Negate a universal query into existential-conjunct templates.
 
-    A disjunct is kept iff it unifies with its free variables unbound
-    (``_unified``): binding them only merges classes, so a disjunct
+    A disjunct is kept iff it specializes with its free variables unbound
+    (``specialize(t, (), ())``): binding them only merges classes, so a disjunct
     contradictory without them (a same-class disequality, distinct
     constants equated, a literal both positive and negated) stays so under
     every tuple.  Positive equalities survive into the templates and are
@@ -135,7 +135,7 @@ def normalize_negation(q: FOQuery) -> Tuple[DisjunctTemplate, ...]:
     prefix, matrix = p
     negated = to_nnf(matrix, negate=True)
     templates = [_template(literals, bool(prefix)) for literals in dnf_literals(negated)]
-    return tuple(t for t in templates if _unified(t, {}) is not None)
+    return tuple(t for t in templates if specialize(t, (), ()) is not None)
 
 
 def _template(literals: Sequence[Formula], quantified: bool) -> DisjunctTemplate:
@@ -161,12 +161,15 @@ def _template(literals: Sequence[Formula], quantified: bool) -> DisjunctTemplate
     )
 
 
-def _unified(
-    template: DisjunctTemplate, sub: Dict[Term, Term]
-) -> Optional[Tuple[ExistentialConjunct, Callable[[Term], Term]]]:
-    """The template with ``sub`` applied and its equalities resolved by
-    unification, and the map of each term to its class's representative;
-    None if the result is contradictory."""
+def specialize(
+    template: DisjunctTemplate,
+    free_vars: Sequence[Var],
+    values: Sequence[Const],
+) -> Optional[ExistentialConjunct]:
+    """Plug a candidate tuple into a template and resolve its equalities by
+    unification; the result has no free variables left (those ``free_vars``
+    names), or is None if the tuple makes the disjunct contradictory."""
+    sub: Dict[Term, Term] = dict(zip(free_vars, values))
     # union-find over terms, constants win as representatives
     parent: Dict[Term, Term] = {}
 
@@ -209,89 +212,7 @@ def _unified(
         tuple(sorted(negatives, key=_lit_key)),
         tuple(sorted(disequalities, key=_pair_key)),
         template.quantified,
-    ), find
-
-
-def specialize(
-    template: DisjunctTemplate,
-    free_vars: Sequence[Var],
-    values: Sequence[Const],
-) -> Optional[ExistentialConjunct]:
-    """Plug a candidate tuple into a template and resolve its equalities by
-    unification; the result has no free variables left, or is None if the
-    tuple makes the disjunct contradictory."""
-    unified = _unified(template, dict(zip(free_vars, values)))
-    return None if unified is None else unified[0]
-
-
-def conjunct_bindings(
-    instance: Instance,
-    conjunct: ExistentialConjunct,
-    context: Iterable[Const] = (),
-    free: Sequence[Var] = (),
-    pool: Sequence[Const] = (),
-) -> Iterator[Dict[Var, Value]]:
-    """The bindings of the positive literals' variables and ``free`` under
-    which an existential conjunct holds on the instance (active-domain
-    semantics, nulls plain values), the positive literals joined first.  A
-    variable of ``free`` outside them ranges over ``pool``, any other over
-    the active domain, read through ``dom()`` only for such a variable or
-    an empty conjunct.  ``context`` carries the constants of the whole
-    query the conjunct came from: splitting a query into disjuncts must not
-    shrink the domain its quantifiers range over."""
-    named = set(conjunct.consts()) | set(context)
-    if conjunct.is_empty and conjunct.quantified and not (named or instance.dom()):
-        # an existential prefix needs a nonempty active domain; a nonempty
-        # conjunct without one has no witness anyway
-        return
-    positive_vars = {t for _, terms in conjunct.positives for t in terms if isinstance(t, Var)}
-    ranged = [v for v in free if v not in positive_vars]
-    loose = [v for v in conjunct.variables() if v not in positive_vars and v not in free]
-    adom = sorted(set(instance.dom()) | named, key=value_key) if loose else []
-
-    def check(bnd: Dict[Var, Value]) -> bool:
-        for rel, terms in conjunct.negatives:
-            if Atom(rel, tuple([bnd.get(t, t) for t in terms])) in instance:
-                return False
-        return all(bnd.get(l, l) != bnd.get(r, r) for l, r in conjunct.disequalities)
-
-    for bnd in match_conjunction(conjunct.positives, instance):
-        for values in itertools.product(pool, repeat=len(ranged)):
-            bnd.update(zip(ranged, values))
-            for extra in itertools.product(adom, repeat=len(loose)):
-                bnd.update(zip(loose, extra))
-                if check(bnd):
-                    yield dict(bnd)
-                    break
-
-
-def satisfies_conjunct(
-    instance: Instance,
-    conjunct: ExistentialConjunct,
-    context: Iterable[Const] = (),
-) -> bool:
-    """Does the existential conjunct hold on the instance: its first
-    satisfying binding, if any."""
-    return next(conjunct_bindings(instance, conjunct, context), None) is not None
-
-
-def _core_refuted(
-    core: Instance, q: FOQuery, templates: Sequence[DisjunctTemplate], pool: Sequence[Const]
-) -> FrozenSet[Tuple[Const, ...]]:
-    """The candidate tuples some template holds for on the core: one join
-    per template (each unifies unbound, ``normalize_negation``), its free
-    variables read off each binding.  A null gives no tuple; the rest range
-    over dom(core) and the query's constants, as in each tuple's own check."""
-    refuted: Set[Tuple[Const, ...]] = set()
-    for template in templates:
-        conjunct, find = _unified(template, {})
-        heads = tuple(map(find, q.free_vars))
-        free = [v for v in dict.fromkeys(heads) if isinstance(v, Var)]
-        for bnd in conjunct_bindings(core, conjunct, q.consts(), free, pool):
-            tup = tuple(bnd.get(h, h) for h in heads)
-            if all(isinstance(v, Const) for v in tup):
-                refuted.add(tup)
-    return frozenset(refuted)
+    )
 
 
 # ---------------------------------------------------------------- compatibility
@@ -479,7 +400,7 @@ class CoreEvaluator:
         core that satisfies the conjunct?"""
         context = _checked_context(self.pool, conjunct, context)
         if conjunct.is_empty:  # it holds on a union of minimal worlds iff on the core
-            return satisfies_conjunct(self.core, conjunct, context)
+            return not conjunct.quantified or bool(context or self.core.dom())
         if any(Atom(rel, terms) in self._ground for rel, terms in conjunct.negatives):
             return False  # every minimal world holds the core's ground atoms
         candidate_sets: List[Replay] = []
@@ -552,25 +473,19 @@ class CoreEvaluator:
 class _QueryPlan:
     """One evaluation of a universal query, built once and read by every
     candidate tuple: the negated query's templates, the backend's pool in
-    order, the tuples ``refute`` finds up front (none without it) and the
-    backend, built for the query, that searches the rest."""
+    order and the backend, built for the query, that searches them."""
 
-    def __init__(self, evaluator: Union[CoreEvaluator, _GeneralEvaluator], q: FOQuery,
-                 refute: Optional[Callable[..., FrozenSet[Tuple[Const, ...]]]] = None):
+    def __init__(self, evaluator: Union[CoreEvaluator, _GeneralEvaluator], q: FOQuery):
         self.q, self.evaluator = q, evaluator
         self.templates = normalize_negation(q)
         self.pool = tuple(sorted(evaluator.pool, key=value_key))
-        self.refuted = (refute(evaluator.core, q, self.templates, self.pool)
-                        if refute else frozenset())
 
     def is_certain(self, values: Sequence[Const]) -> bool:
         """A tuple of candidate constants is a certain answer iff no conjunct
         of the negated query, specialized to it once, is satisfiable by the
-        backend's ``conjunct_satisfiable``.  A refuted tuple fails before
-        anything is specialized."""
+        backend's ``conjunct_satisfiable``."""
         q, values = self.q, tuple(values)
-        if (len(values) != q.width or values in self.refuted
-                or not self.evaluator.pool.issuperset(values)):
+        if len(values) != q.width or not self.evaluator.pool.issuperset(values):
             return False
         context = frozenset(q.consts()) | frozenset(values)
         conjuncts = [c for c in (specialize(t, q.free_vars, values) for t in self.templates)
@@ -588,12 +503,16 @@ def eval_gcwa_star_universal(
     """Is the tuple a certain answer of the universal query on the core?
 
     Polynomial-time path; requires the instance to be a packed core (the
-    shape cores of packed-dependency mappings always have).  A tuple whose
-    negated query holds on the core itself is refuted there, without a
-    block search.
+    shape cores of packed-dependency mappings always have).  A tuple that is
+    no answer of q on the core itself is refuted there, without a block
+    search; a caller passing ``_plan`` has refuted such tuples already.
     """
-    plan = _plan or _QueryPlan(CoreEvaluator(core, q.consts(), block_bound), q, _core_refuted)
-    return plan.is_certain(values)
+    if _plan is None:
+        _plan = _QueryPlan(CoreEvaluator(core, q.consts(), block_bound), q)
+        values = tuple(values)
+        if values not in query_answers(q, core, {values}):
+            return False
+    return _plan.is_certain(values)
 
 
 def answers_gcwa_star_universal(
@@ -601,10 +520,12 @@ def answers_gcwa_star_universal(
     q: FOQuery,
     block_bound: Optional[int] = None,
 ) -> Set[Tuple[Const, ...]]:
-    """All certain answers of a universal query on a packed core."""
-    plan = _QueryPlan(CoreEvaluator(core, q.consts(), block_bound), q, _core_refuted)
-    tuples = itertools.product(plan.pool, repeat=q.width)
-    return {tup for tup in tuples if eval_gcwa_star_universal(core, q, tup, _plan=plan)}
+    """All certain answers of a universal query on a packed core: the pool
+    tuples that answer q on the core, each searched in ``product`` order."""
+    plan = _QueryPlan(CoreEvaluator(core, q.consts(), block_bound), q)
+    tuples = list(itertools.product(plan.pool, repeat=q.width))
+    held = query_answers(q, core, set(tuples))
+    return {tup for tup in tuples if tup in held and eval_gcwa_star_universal(core, q, tup, _plan=plan)}
 
 
 def answers_owa_homclosed(core: Instance, q: FOQuery) -> Set[Tuple[Const, ...]]:
@@ -660,7 +581,7 @@ class _GeneralEvaluator:
     ) -> bool:
         context = _checked_context(self.pool, conjunct, context)
         if conjunct.is_empty:  # it holds on a union of minimal worlds iff on the core
-            return satisfies_conjunct(self.core, conjunct, context)
+            return not conjunct.quantified or bool(context or self.core.dom())
         ys = conjunct.variables()
         every, holders, fresh_holders, fresh = self._reps(len(ys))
         base_values = sorted(self.pool, key=value_key)

@@ -352,7 +352,7 @@ def query_answers(
     among: Optional[AbstractSet[Tuple[Value, ...]]] = None,
 ) -> Set[Tuple[Value, ...]]:
     """All width-|free| tuples over dom(I) + dom(q) satisfying the body, or
-    only those of ``among`` when it is given.
+    only those of ``among`` when it is given (one of another width never).
 
     Answers may contain nulls; a Boolean query yields {()} or the empty set.
     A positive-existential body is answered by an index join, others by the
@@ -367,7 +367,7 @@ def query_answers(
             out.update(itertools.product(*((bnd[v],) if v in bnd else adom for v in q.free_vars)))
         return out if among is None else out & among
     candidates = (itertools.product(adom, repeat=q.width) if among is None
-                  else (t for t in among if inside.issuperset(t)))
+                  else (t for t in among if len(t) == q.width and inside.issuperset(t)))
     m, tail = instance.atoms_matching, c.template[q.width:]
     return {t for t in candidates if c.run(m, adom, [*t, *tail])}
 

@@ -41,7 +41,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Set, Tuple, TypeVar
+from typing import Callable, Dict, List, NamedTuple, NoReturn, Optional, Sequence, Set, Tuple, TypeVar
 
 from .errors import ArityMismatch, ParseError, SchemaViolation, UnknownRelation
 from .logic import (
@@ -55,6 +55,8 @@ from .logic import (
     Not,
     Or,
     RelAtom,
+    formula_free_vars,
+    subformulas,
 )
 from .model import (
     Atom,
@@ -477,34 +479,50 @@ def _pattern_atoms_text(atoms) -> str:
     return ", ".join(f"{a.rel}({','.join(map(_pattern_term_text, a.terms))})" for a in atoms)
 
 
-def serialize_formula(f: Formula, parent_prec: int = 0) -> str:
-    if isinstance(f, RelAtom):
-        return f"{f.rel}({','.join(t.name for t in f.terms)})"
-    if isinstance(f, Eq):
-        s = f"{f.left.name} = {f.right.name}"
-        return f"({s})" if parent_prec >= 4 else s
-    if isinstance(f, Not):
-        return f"~{serialize_formula(f.sub, 4)}"
-    if isinstance(f, And):
-        s = " /\\ ".join(serialize_formula(p, 3) for p in f.parts)
-        return f"({s})" if parent_prec >= 3 else s
-    if isinstance(f, Or):
-        # implication sugar is not reconstructed; Or is emitted directly
-        s = " \\/ ".join(serialize_formula(p, 2) for p in f.parts)
-        return f"({s})" if parent_prec >= 2 else s
-    if isinstance(f, (Exists, Forall, CountExists)):
-        if isinstance(f, CountExists):
-            keyword = f"exists[{f.lo},{f.hi}]"
-        else:
-            keyword = "exists" if isinstance(f, Exists) else "forall"
-        s = f"{keyword} {f.var.name}: {serialize_formula(f.sub, 0)}"
-        return f"({s})" if parent_prec > 0 else s
-    raise DxError(f"unknown formula node {f!r}")
+def serialize_formula(f: Formula, head: Sequence[Var] = ()) -> str:
+    """The formula in query-body syntax.  A constant is quoted where a bare
+    name would not read back as itself: when it is no plain identifier, a
+    quantifier keyword, or the name of a variable of the formula or of
+    ``head`` (the query's free variables)."""
+    reserved = _QUANTIFIERS | {v.name for v in head} | {
+        g.var.name for g in subformulas(f) if isinstance(g, (Exists, Forall, CountExists))}
+    reserved |= {v.name for v in formula_free_vars(f)}
+
+    def term(t: Term) -> str:
+        if isinstance(t, Var):
+            return t.name
+        return f'"{t.name}"' if t.name in reserved else _const_text(t)
+
+    def text(f: Formula, parent_prec: int) -> str:
+        if isinstance(f, RelAtom):
+            return f"{f.rel}({','.join(map(term, f.terms))})"
+        if isinstance(f, Eq):
+            s = f"{term(f.left)} = {term(f.right)}"
+            return f"({s})" if parent_prec >= 4 else s
+        if isinstance(f, Not):
+            return f"~{text(f.sub, 4)}"
+        if isinstance(f, And):
+            s = " /\\ ".join(text(p, 3) for p in f.parts)
+            return f"({s})" if parent_prec >= 3 else s
+        if isinstance(f, Or):
+            # implication sugar is not reconstructed; Or is emitted directly
+            s = " \\/ ".join(text(p, 2) for p in f.parts)
+            return f"({s})" if parent_prec >= 2 else s
+        if isinstance(f, (Exists, Forall, CountExists)):
+            if isinstance(f, CountExists):
+                keyword = f"exists[{f.lo},{f.hi}]"
+            else:
+                keyword = "exists" if isinstance(f, Exists) else "forall"
+            s = f"{keyword} {f.var.name}: {text(f.sub, 0)}"
+            return f"({s})" if parent_prec > 0 else s
+        raise DxError(f"unknown formula node {f!r}")
+
+    return text(f, 0)
 
 
 def serialize_query(q: FOQuery) -> str:
     head = f"{q.name}({','.join(v.name for v in q.free_vars)})"
-    return f"{head} := {serialize_formula(q.body)}.\n"
+    return f"{head} := {serialize_formula(q.body, q.free_vars)}.\n"
 
 
 def serialize_mapping(m: SchemaMapping) -> str:

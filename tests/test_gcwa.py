@@ -39,16 +39,15 @@ from dx.gcwa import (
     ExistentialConjunct,
     _GeneralEvaluator,
     _QueryPlan,
-    _core_refuted,
-    _unified,
     compatible_and_relation,
-    satisfies_conjunct,
 )
 import dx.corelib
 import dx.gcwa
 import dx.minrep
 from dx.corelib import is_core
-from dx.logic import Eq, Exists, FOQuery, Forall, Not, RelAtom, dnf_literals, prenex, to_nnf
+from dx.logic import (
+    And, Eq, Exists, FOQuery, Forall, Not, RelAtom, dnf_literals, eval_fo, prenex, query_answers, to_nnf,
+)
 from dx.model import apply_map, value_key
 from dx.oracle import Budget
 from dx.randgen import (
@@ -94,6 +93,23 @@ from fixtures import (
 
 a, b, c = Const("a"), Const("b"), Const("c")
 x, y, z = Var("x"), Var("y"), Var("z")
+
+
+def satisfies_conjunct(instance, conjunct, context=()):
+    """The conjunct reference: the conjunct read as one exists-formula and
+    evaluated by ``eval_fo`` over dom(I), its constants and ``context``
+    (the constants of the query it came from, whose quantifiers range over
+    them too).  A quantified conjunct needs a nonempty domain, even with no
+    literal left."""
+    adom = tuple(instance.dom() | set(conjunct.consts()) | set(context))
+    if conjunct.quantified and not adom:
+        return False
+    body = And((*(RelAtom(rel, terms) for rel, terms in conjunct.positives),
+                *(Not(RelAtom(rel, terms)) for rel, terms in conjunct.negatives),
+                *(Not(Eq(l, r)) for l, r in conjunct.disequalities)))
+    for var in conjunct.variables():
+        body = Exists(var, body)
+    return eval_fo(body, instance, adom=adom)
 
 
 # ------------------------------------------------------------- normalization
@@ -150,8 +166,6 @@ def test_normalized_negation_agrees_with_direct_eval():
             if satisfies_conjunct(inst, conj, q.consts()):
                 by_templates = True
                 break
-        from dx.logic import eval_fo
-
         assert by_templates == (not eval_fo(q.body, inst))
 
 
@@ -254,8 +268,8 @@ def test_a_disjunct_dead_unbound_is_dead_under_every_substitution(
 ):
     # a substitution only merges classes, so it cannot revive a disjunct
     template = DisjunctTemplate(tuple(positives), tuple(negatives), tuple(equalities), tuple(disequalities))
-    if _unified(template, {}) is None:
-        assert _unified(template, sub) is None
+    if specialize(template, (), ()) is None:
+        assert specialize(template, tuple(sub), tuple(sub.values())) is None
 
 
 # ------------------------------------------------------------- materializing reference
@@ -1105,8 +1119,7 @@ def test_leaves_probe_the_witness_once_without_a_join(monkeypatch):
 
     monkeypatch.setattr(CoreEvaluator, "_leaf", counting(leaves, CoreEvaluator._leaf))
     monkeypatch.setattr(dx.gcwa._Witness, "__contains__", counting(probes, dx.gcwa._Witness.__contains__))
-    for name in ("conjunct_bindings", "match_conjunction"):
-        monkeypatch.setattr(dx.gcwa, name, counting(joins, getattr(dx.gcwa, name)))
+    monkeypatch.setattr(dx.gcwa, "query_answers", counting(joins, dx.gcwa.query_answers))
     for n in (10, 20, 40):
         _, _, core, q = _family("bound", n)
         conjunct = specialize(normalize_negation(q)[0], (), ())
@@ -1147,7 +1160,10 @@ def _reference_refuted(core, q):
 
 
 def _refuted(core, q):
-    return _QueryPlan(CoreEvaluator(core, q.consts()), q, _core_refuted).refuted
+    """The pool tuples the fast path drops up front: those that are no
+    answer of q on the core."""
+    tuples = set(itertools.product(_QueryPlan(CoreEvaluator(core, q.consts()), q).pool, repeat=q.width))
+    return tuples - query_answers(q, core, tuples)
 
 
 def test_refuted_set_matches_per_tuple_reference_on_criterion_8_triples():
@@ -1214,22 +1230,24 @@ def _ef_chain_pairs(edges):
     return {(Const(x), Const(w)) for x in consts - has_out for w in consts}
 
 
-def test_core_refutes_in_one_join_per_template(monkeypatch):
-    # work without a clock: one core join per template at every chain
-    # length, and on the width-2 query only the 3n - 4 pairs the core does
-    # not refute (x's out-edges all end in w) are specialized
+def test_core_refutes_in_one_query_evaluation(monkeypatch):
+    # work without a clock: one query_answers call, on the core, per
+    # evaluation at every chain length, and on the width-2 query only the
+    # 3n - 4 pairs the core does not refute (x's out-edges all end in w)
+    # are specialized; normalize_negation's tuple-free calls are not counted
     joins, specialized = [], []
-    bindings, spec = dx.gcwa.conjunct_bindings, dx.gcwa.specialize
+    answers, spec = dx.gcwa.query_answers, dx.gcwa.specialize
 
-    def counting_bindings(instance, *args):
+    def counting_answers(q, instance, *args):
         joins.append(instance)
-        return bindings(instance, *args)
+        return answers(q, instance, *args)
 
-    def counting_specialize(*args):
-        specialized.append(args)
-        return spec(*args)
+    def counting_specialize(template, free_vars, values):
+        if values:
+            specialized.append(values)
+        return spec(template, free_vars, values)
 
-    monkeypatch.setattr(dx.gcwa, "conjunct_bindings", counting_bindings)
+    monkeypatch.setattr(dx.gcwa, "query_answers", counting_answers)
     monkeypatch.setattr(dx.gcwa, "specialize", counting_specialize)
     for n in (20, 40, 80, 160):
         edges = ef_chain(n)
@@ -1240,7 +1258,7 @@ def test_core_refutes_in_one_join_per_template(monkeypatch):
             joins[:], specialized[:] = [], []
             assert answers_gcwa_star_universal(core, q) == expected
             templates = len(normalize_negation(q))
-            assert joins == [core] * templates, n
+            assert joins == [core], n
         assert len(expected) == 2 * n
         assert len(specialized) == (3 * n - 4) * templates, n
 
@@ -1298,7 +1316,8 @@ def test_constants_outside_the_pool_are_refused():
 
 
 def test_answers_evaluate_each_candidate_tuple_once(monkeypatch):
-    # the benchmark's tracer counts these calls as gcwa.candidate_tuples
+    # the benchmark's tracer counts these calls as gcwa.candidate_tuples:
+    # the pool tuples that answer q on the core, in product order
     calls, evaluate = [], dx.gcwa.eval_gcwa_star_universal
 
     def counting(core, q, values, *args, **kwargs):
@@ -1311,9 +1330,12 @@ def test_answers_evaluate_each_candidate_tuple_once(monkeypatch):
         q = query(text, m.target)
         calls[:] = []
         answers = answers_gcwa_star_universal(core, q)
-        assert calls == list(itertools.product(_candidates(core, q), repeat=q.width))
-        # each tuple alone, through a plan of its own, gives the same answer
-        assert answers == {tup for tup in calls if evaluate(core, q, tup)}
+        pool, held = list(itertools.product(_candidates(core, q), repeat=q.width)), query_answers(q, core)
+        assert calls == [t for t in pool if t in held]
+        # each tuple alone, through a plan of its own, gives the same answer,
+        # also one dropped up front, one given as a list or of the wrong width
+        assert answers == {tup for tup in pool if evaluate(core, q, list(tup))}
+        assert not evaluate(core, q, (a,) * (q.width + 1))
 
 
 # ------------------------------------------------------------- general path
@@ -1430,6 +1452,27 @@ def test_logical_equivalence_invariance():
         a1 = set(answers_semantics(m1, s, q, "gcwa-star", budget).answers)
         a2 = set(answers_semantics(m2, s, q, "gcwa-star", budget).answers)
         assert a1 == a2
+
+
+@pytest.mark.parametrize("width,floor", [(2, 55), (3, 45)])
+def test_fast_matches_general_at_query_widths_two_and_three(width, floor):
+    # dx compare --random and criterion 8 draw widths 0 and 1 only; here
+    # 150 packed triples per width, the general evaluator's budget refusals
+    # reported with their reasons
+    rng, nonempty, skipped = random.Random(2028), 0, []
+    for i in range(150):
+        m, s = gen_packed_mapping(rng), gen_source(rng, max_atoms=5)
+        q = gen_universal_query(rng, free_count=width)
+        fast = answers_gcwa_star_universal(core_solution(m, s), q)
+        try:
+            general = answers_gcwa_star_universal_general(m, s, q)
+        except BudgetExceeded as exc:
+            skipped.append((i, str(exc)))
+            continue
+        assert fast == general, (i, m, s, q)
+        nonempty += bool(fast)
+    print(f"width {width}: {nonempty} nonempty, {len(skipped)} skipped {skipped}")
+    assert nonempty >= floor and len(skipped) <= 3, (nonempty, skipped)
 
 
 def test_randomized_three_way_agreement_smoke():

@@ -35,7 +35,7 @@ from dx.logic import dnf_literals, prenex, subformulas, to_nnf
 from dx.model import value_key
 from dx.randgen import gen_packed_mapping, gen_source, gen_ucq, gen_universal_query
 
-from fixtures import EF_MAP, chain_core, ef_chain, query
+from fixtures import E_SCHEMA, EF_MAP, chain_core, ef_chain, query
 
 a, b, c, d, e = (Const(x) for x in "abcde")
 x, y, z, z1, z2 = (Var(n) for n in ("x", "y", "z", "z1", "z2"))
@@ -439,6 +439,17 @@ def test_eval_matches_ground_expansion_on_random_corpus():
             assert query_answers(q, inst) == expected, (q, inst)
             among = {t for t in itertools.product(values + [d], repeat=q.width) if rng.random() < 0.5}
             assert query_answers(q, inst, among) == expected & among, (q, inst, among)
+
+
+def test_query_answers_drops_among_tuples_of_the_wrong_width():
+    # a short tuple would fill the wrong slots of the environment: here it
+    # would bind w, not x, and answer a query that no width-1 tuple can
+    inst = Instance([Atom("E", (a, b))])
+    for text in ("q2(x,w) := forall y: E(x,y) -> y = w.", "q2(x,w) := E(x,w)."):
+        q = query(text, E_SCHEMA)
+        assert query_answers(q, inst) >= {(a, b)}
+        assert query_answers(q, inst, {(b,), (a,), (a, b, a), ()}) == set(), text
+        assert query_answers(q, inst, {(a, b), (b,)}) == {(a, b)}, text
 
 
 def _random_block(rng, depth, scope, constants):

@@ -139,7 +139,9 @@ def test_parse_query_rejects_nulls():
 
 
 def test_roundtrip_mappings():
-    for text in (COPY_MAP, EF_MAP, LEQ2_MAP, MOT_MAP, C23_MAP, CLQ_MAP):
+    # the last one names the constant x inside x's scope
+    for text in (COPY_MAP, EF_MAP, LEQ2_MAP, MOT_MAP, C23_MAP, CLQ_MAP,
+                 'source R/2. target E/2. constraint forall x: R(x,"x") -> E(x,x).'):
         m = parse_mapping(SourceText(text))
         again = parse_mapping(SourceText(serialize_mapping(m)))
         assert again == m
@@ -151,10 +153,18 @@ def test_roundtrip_queries():
         "q(x,y) := forall z: C(x,y) /\\ (A(x,z) -> z = y).",
         "q() := forall z1: forall z2: (C(z1,z2) /\\ A(z1,z2)) -> E(z1,z2).",
         "q(x) := exists z: A(x,z) \\/ ~E(x,z).",
+        # constants named like a variable, with a space, or like a keyword
+        'q(x) := forall y: E(x,"y").',
+        'q(x) := E(x,"x") \\/ x = "w".',
+        'q(w) := forall x: A(x,"w") -> E(x,"x").',
+        'q(x) := E(x,"a b") /\\ ~C("forall","exists").',
     ):
         q = parse_query(SourceText(text), m.target)
         again = parse_query(SourceText(serialize_query(q)), m.target)
         assert again == q
+    # a constant a bare name reads back as stays bare
+    q = parse_query(SourceText("q(x) := forall y: E(x,a) -> y = b."), m.target)
+    assert serialize_query(q) == "q(x) := forall y: ~E(x,a) \\/ y = b.\n"
 
 
 def test_roundtrip_instances_modulo_null_names():
