@@ -7,7 +7,6 @@ and cross-checks seven query semantics with a brute-force oracle.
 
 from .errors import (
     ArityMismatch,
-    BlockTooLarge,
     BudgetExceeded,
     DxError,
     NotGround,

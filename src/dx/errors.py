@@ -21,10 +21,6 @@ class BudgetExceeded(DxError):
     """An exhaustive enumeration would exceed the configured budget."""
 
 
-class BlockTooLarge(DxError):
-    """An atom block has more nulls than the configured per-block cap."""
-
-
 class PreconditionViolated(DxError):
     """An operation's structural precondition does not hold.
 

@@ -328,29 +328,26 @@ class CoreEvaluator:
     fixed packed core, over one pool: the core's constants and ``constants``.
 
     Block representatives, deltas on the core, are read on demand from the
-    pool's one ``BlockReps``, built (and every block checked against
-    ``block_bound``) with the evaluator.  The i-th positive literal of a
-    conjunct is placed in copy ``cp<i>`` of a representative, which names
-    each core null ``Null(cp<i>, its rank in the core)``.  Its candidate
-    pairs are one cached stream per (literal, tag) that reads only the
-    blocks able to map onto the literal and matches it against the
+    pool's one ``BlockReps``, built with the evaluator.  The i-th positive
+    literal of a conjunct is placed in copy ``cp<i>`` of a representative,
+    which names each core null ``Null(cp<i>, its rank in the core)``.  Its
+    candidate pairs are one cached stream per (literal, tag) that reads only
+    the blocks able to map onto the literal and matches it against the
     unrenamed anchors (the renaming is injective and a null never equals a
-    constant).  Each search leaf, the pairs chosen for all positive
-    literals, is decided by ``_leaf`` under the assignment those places
-    induce, with no join.  A conjunct or context naming a constant outside
-    the pool raises ``PreconditionViolated``.
+    constant).  Each search leaf, the pairs chosen for all positive literals,
+    is decided by ``_leaf`` under the assignment those places induce, with
+    no join.  A conjunct or context naming a constant outside the pool raises
+    ``PreconditionViolated``.
     """
 
-    def __init__(self, core: Instance, constants: Iterable[Const],
-                 block_bound: Optional[int] = None):
+    def __init__(self, core: Instance, constants: Iterable[Const]):
         if not blocks_packed(core):
             raise PreconditionViolated("NotPacked", "an atom block is not packed")
         if not is_core(core):
             raise PreconditionViolated("NotCore", "the instance is not a core")
         self.core = core
         self.pool = frozenset(core.consts()) | frozenset(constants)
-        self.block_bound = block_bound
-        self.blocks = BlockReps(core, self.pool, block_bound)
+        self.blocks = BlockReps(core, self.pool)
         self._reps: Dict[FrozenSet[Const], Tuple[BlockRep, ...]] = {}
         self._pairs: Dict[Tuple[Tuple[str, Tuple[Term, ...]], str], Replay] = {}
         self._nulls = sorted(core.nulls(), key=value_key)
@@ -364,7 +361,7 @@ class CoreEvaluator:
     def reps_for(self, constants: Iterable[Const]) -> Tuple[BlockRep, ...]:
         key = self._reps_key(constants)
         if key not in self._reps:
-            self._reps[key] = all_block_reps(self.core, key, self.block_bound)
+            self._reps[key] = all_block_reps(self.core, key)
         return self._reps[key]
 
     def _candidate_pairs(self, literal: Tuple[str, Tuple[Term, ...]], tag: str) -> Replay:
@@ -497,7 +494,6 @@ def eval_gcwa_star_universal(
     core: Instance,
     q: FOQuery,
     values: Sequence[Const],
-    block_bound: Optional[int] = None,
     _plan: Optional[_QueryPlan] = None,
 ) -> bool:
     """Is the tuple a certain answer of the universal query on the core?
@@ -508,21 +504,17 @@ def eval_gcwa_star_universal(
     search; a caller passing ``_plan`` has refuted such tuples already.
     """
     if _plan is None:
-        _plan = _QueryPlan(CoreEvaluator(core, q.consts(), block_bound), q)
+        _plan = _QueryPlan(CoreEvaluator(core, q.consts()), q)
         values = tuple(values)
         if values not in query_answers(q, core, {values}):
             return False
     return _plan.is_certain(values)
 
 
-def answers_gcwa_star_universal(
-    core: Instance,
-    q: FOQuery,
-    block_bound: Optional[int] = None,
-) -> Set[Tuple[Const, ...]]:
+def answers_gcwa_star_universal(core: Instance, q: FOQuery) -> Set[Tuple[Const, ...]]:
     """All certain answers of a universal query on a packed core: the pool
     tuples that answer q on the core, each searched in ``product`` order."""
-    plan = _QueryPlan(CoreEvaluator(core, q.consts(), block_bound), q)
+    plan = _QueryPlan(CoreEvaluator(core, q.consts()), q)
     tuples = list(itertools.product(plan.pool, repeat=q.width))
     held = query_answers(q, core, set(tuples))
     return {tup for tup in tuples if tup in held and eval_gcwa_star_universal(core, q, tup, _plan=plan)}

@@ -25,9 +25,9 @@ import copy
 import functools
 import itertools
 import operator
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 
-from .errors import BlockTooLarge, BudgetExceeded, PreconditionViolated
+from .errors import BudgetExceeded, PreconditionViolated
 from .corelib import (
     Image,
     atom_blocks,
@@ -180,16 +180,12 @@ class BlockReps:
     """The per-block representatives of an instance over one pool, computed
     on demand.  ``reps(i)`` replays block i's stream, which builds the next
     map of the block's nulls only when a reader first asks for the next
-    representative.  The null cap is checked for every block up front."""
+    representative."""
 
-    def __init__(self, instance: Instance, constants: Iterable[Const],
-                 max_block_nulls: Optional[int] = None):
+    def __init__(self, instance: Instance, constants: Iterable[Const]):
         self.instance, self.partition = instance, atom_blocks(instance)
         self.pool = _pool(instance, constants)
         self._streams: Dict[int, Replay] = {}
-        for block in self.partition.blocks:
-            if max_block_nulls is not None and len(block.nulls()) > max_block_nulls:
-                raise BlockTooLarge(f"block has {len(block.nulls())} nulls, cap is {max_block_nulls}")
         self._block_of = dict(self.partition.atom_block)
         self._patterns: Dict[Tuple[str, int], Set[Tuple[int, ...]]] = {}
         for b in instance.atoms:
@@ -277,14 +273,10 @@ class BlockReps:
                 yield core_retract_fixing(image, nulls, self._onto(fresh, block_index))
 
 
-def all_block_reps(
-    instance: Instance,
-    constants: Iterable[Const],
-    max_block_nulls: Optional[int] = None,
-) -> Tuple[BlockRep, ...]:
+def all_block_reps(instance: Instance, constants: Iterable[Const]) -> Tuple[BlockRep, ...]:
     """Per-block representatives over every atom block, deduplicated.  Two
     representatives are equal iff their instances and anchors are."""
-    return tuple(dict.fromkeys(BlockReps(instance, constants, max_block_nulls)))
+    return tuple(dict.fromkeys(BlockReps(instance, constants)))
 
 
 def atom_in_some_minimal(instance: Instance, atom: Atom) -> bool:

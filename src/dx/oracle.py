@@ -61,7 +61,6 @@ from .model import (
 SEMANTICS = ("owa", "cwa", "rcwa", "gcwa", "egcwa", "pws", "gcwa-star")
 EMPTY_POLICIES = ("none", "all")
 
-ORACLE_NULL_CAP = 8
 UNION_CLOSURE_CAP = 60_000
 SUBSET_SEARCH_CAP = 300_000
 EXTENSION_NODE_CAP = 200_000
@@ -663,20 +662,21 @@ def certain_answers(
 def _valuation_images(q: FOQuery, instance: Instance, extra_fresh: int = 0) -> Iterator[Instance]:
     """The distinct images of the instance under the valuations of its nulls
     into its constants, q's and |nulls| + ``extra_fresh`` fresh ones, each
-    yielded once, as they are found."""
+    yielded once, as they are found.  Asking for valuation
+    ``LEGAL_MAP_CAP`` + 1 raises ``BudgetExceeded``."""
     nulls = sorted(instance.nulls(), key=value_key)
-    if len(nulls) > ORACLE_NULL_CAP:
-        raise BudgetExceeded(
-            f"valuation enumeration exceeded its cap of {ORACLE_NULL_CAP} nulls"
-            f" ({len(nulls)} in the instance)"
-        )
     pool = sorted(set(instance.consts()) | set(q.consts()), key=value_key)
     pool += fresh_constants(len(nulls) + extra_fresh)
     seen: Set[Instance] = set()
-    for image in map(Instance, _block_images(instance, pool)):
+    for image in map(Instance, itertools.islice(_block_images(instance, pool), LEGAL_MAP_CAP)):
         if image not in seen:
             seen.add(image)
             yield image
+    if len(pool) ** len(nulls) > LEGAL_MAP_CAP:
+        raise BudgetExceeded(
+            f"valuation enumeration exceeded its cap of {LEGAL_MAP_CAP} valuations"
+            f" ({len(pool)}^{len(nulls)} in all)"
+        )
 
 
 def cert_poss(q: FOQuery, instance: Instance, extra_fresh: int = 0) -> Set[Tuple[Const, ...]]:

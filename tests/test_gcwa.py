@@ -26,7 +26,6 @@ from dx import (
     specialize,
 )
 from dx.errors import (
-    BlockTooLarge,
     BudgetExceeded,
     NotHomomorphismClosed,
     NotUniversal,
@@ -956,27 +955,6 @@ def test_atom_no_block_reaches_starts_no_stream(streams):
     # two blocks reach E(first, zz); the first one's stream holds it
     assert atom_in_some_minimal(core, Atom("E", (first, Const("zz"))))
     assert len(streams.starts) == 1
-
-
-def test_block_cap_fails_fast_on_blocks_no_search_reaches():
-    # the E literal reaches only the one-null block; the two-null G block
-    # still exceeds a cap of 1 when the evaluator is built
-    n1, n2, n3 = Null("t", 1), Null("t", 2), Null("t", 3)
-    core = Instance([Atom("E", (a, n1)), Atom("G", (n2, n3))])
-    conjunct = ExistentialConjunct((("E", (a, z)),), (), ())
-    with pytest.raises(BlockTooLarge):
-        CoreEvaluator(core, (), block_bound=1).conjunct_satisfiable(conjunct)
-    assert CoreEvaluator(core, (), block_bound=2).conjunct_satisfiable(conjunct)
-
-
-def test_block_cap_fails_fast_when_the_core_decides():
-    # the core refutes the query, so no search builds a BlockReps; the cap
-    # is checked when the evaluator is built
-    m, _, core, _ = _two_null_chain(ef_chain(4))
-    q = query("q() := forall z: forall w: F(z,w) -> w = b.", m.target)
-    assert answers_gcwa_star_universal(core, q) == set()
-    with pytest.raises(BlockTooLarge, match="block has 2 nulls, cap is 1"):
-        answers_gcwa_star_universal(core, q, block_bound=1)
 
 
 def test_core_check_changes_no_answer():

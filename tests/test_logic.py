@@ -257,10 +257,12 @@ def test_cert_poss_refuted_by_fresh_valuation():
     assert cert_poss(q, inst) == expected
 
 
-def test_cert_poss_null_cap():
+def test_cert_poss_valuation_cap():
+    # no valuation refutes a, so all 10^9 would be read: the cap stops the
+    # enumeration at its 60 001st valuation
     atoms = [Atom("E", (a, Null("t", i))) for i in range(9)]
     q = FOQuery("q", (x,), Exists(z, RelAtom("E", (x, z))))
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"cap of 60000 valuations \(10\^9 in all\)$"):
         cert_poss(q, Instance(atoms))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,7 @@ from fixtures import (
 
 a, b = Const("a"), Const("b")
 BUDGET = Budget(3, 8, 2)
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 # ------------------------------------------------------------- minimal solutions
@@ -305,6 +307,34 @@ def test_unsupported_semantics_for_non_st_mappings():
         answers_semantics(m, s, q, "pws", BUDGET)
     with pytest.raises(UnsupportedSemantics):
         answers_semantics(m, s, q, "bogus", BUDGET)
+
+
+def test_cwa_cap_counts_the_valuations_read(monkeypatch):
+    # work without a clock: the cap counts the valuations the driver reads,
+    # so on the 3-edge chain (8^3 valuations for chain_fb.q, 7^3 for the
+    # other query) a family the first images refute answers under a cap of
+    # 50, and one no image refutes is refused at its 51st valuation
+    import dx.oracle
+
+    read, images = [], dx.oracle._block_images
+
+    def counting(block, pool):
+        for mapped in images(block, pool):
+            read.append(mapped)
+            yield mapped
+
+    monkeypatch.setattr(dx.oracle, "LEGAL_MAP_CAP", 50)
+    monkeypatch.setattr(dx.oracle, "_block_images", counting)
+    m = mapping((DATA / "chain.dx").read_text())
+    s = instance("R(c0,c1). R(c1,c2). R(c2,c3).", m.source)
+    q = query((DATA / "chain_fb.q").read_text(), m.target)
+    assert answers_semantics(m, s, q, "cwa", BUDGET).answers == frozenset()
+    assert 0 < len(read) < 50
+    read.clear()
+    q = query("q(x) := forall z: E(x,z) -> exists y: F(z,y).", m.target)
+    with pytest.raises(BudgetExceeded, match=r"cap of 50 valuations \(7\^3 in all\)$"):
+        answers_semantics(m, s, q, "cwa", BUDGET)
+    assert len(read) == 50
 
 
 def test_empty_cert_policy():
@@ -683,21 +713,21 @@ def _possible_worlds(m, s, universe, max_atoms):
             yield inst
 
 
-def _valuation_images(q, inst):
-    """Every valuation of inst's nulls into its constants, q's and one fresh
-    constant per null."""
+def _valuation_images(q, inst, cap=60_000):
+    """The image of inst under each valuation of its nulls into its
+    constants, q's and one fresh constant per null; asking for valuation
+    cap + 1 raises."""
     nulls = sorted(inst.nulls(), key=value_key)
-    if len(nulls) > 8:
-        raise BudgetExceeded(
-            f"valuation enumeration exceeded its cap of 8 nulls ({len(nulls)} in the instance)"
-        )
     pool = sorted(set(inst.consts()) | set(q.consts()), key=value_key)
     pool += fresh_constants(len(nulls))
-    valuations = (dict(zip(nulls, vals)) for vals in itertools.product(pool, repeat=len(nulls)))
-    return {
-        Instance(Atom(at.rel, tuple(v.get(x, x) for x in at.args)) for at in inst.atoms)
-        for v in valuations
-    }
+    for count, vals in enumerate(itertools.product(pool, repeat=len(nulls)), 1):
+        if count > cap:
+            raise BudgetExceeded(
+                f"valuation enumeration exceeded its cap of {cap} valuations"
+                f" ({len(pool)}^{len(nulls)} in all)"
+            )
+        v = dict(zip(nulls, vals))
+        yield Instance(Atom(at.rel, tuple(v.get(x, x) for x in at.args)) for at in inst.atoms)
 
 
 def _reference_family(m, s, q, semantics, budget, meta):
