@@ -957,6 +957,18 @@ def test_atom_no_block_reaches_starts_no_stream(streams):
     assert len(streams.starts) == 1
 
 
+def test_block_no_literal_reaches_is_never_searched(streams):
+    # no cap on a block's nulls: the E literal reaches only the one-null
+    # block, so the six-null G block, with 7^6 images over its pool, is
+    # never started
+    n1, *wide = (Null("t", i) for i in range(1, 8))
+    core = Instance([Atom("E", (a, n1)), Atom("G", tuple(wide))])
+    conjunct = ExistentialConjunct((("E", (a, z)),), (), ())
+    assert CoreEvaluator(core, ()).conjunct_satisfiable(conjunct)
+    blocks = dx.corelib.atom_blocks(core).blocks
+    assert [blocks[i] for _, i in streams.starts] == [Instance([Atom("E", (a, n1))])]
+
+
 def test_core_check_changes_no_answer():
     # with the check on the core and by the search alone, on both chains,
     # the fan and criterion 8's triples
