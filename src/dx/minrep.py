@@ -167,10 +167,21 @@ def _block_images(block: Instance, pool: Sequence[Value]) -> Iterator[List[Atom]
 class Replay:
     """The items of an iterator, each computed once, when a reader first
     reaches it, and replayed to every later reader: each ``iter`` starts a
-    new reader at the first item (a ``tee`` that is never read keeps all)."""
+    new reader at the first item (a ``tee`` that is never read keeps all).
+    An error the iterator raises is raised to every reader that reaches it."""
 
     def __init__(self, items: Iterable) -> None:
-        self._items = itertools.tee(items, 1)[0]
+        source, end, error = iter(items), object(), []
+
+        def step():  # tee calls it again after an error, where a finished generator just stops
+            if not error:
+                try:
+                    return next(source, end)
+                except Exception as e:
+                    error.append(e)
+            raise error[0]
+
+        self._items = itertools.tee(iter(step, end), 1)[0]
 
     def __iter__(self) -> Iterator:
         return copy.copy(self._items)

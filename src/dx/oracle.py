@@ -12,9 +12,9 @@ only the tuples that survive the members read so far, applies the
 empty-family rule and keeps the all-constant tuples.  Families are read
 lazily: the subset searches and the ``cwa`` valuation images stop at the
 first member that leaves no common tuple.  The gcwa-star family is kept as
-int masks over the members' atoms: of the unions that show the query the
-same view (the atoms of its relations and the domain) only the first is
-built and read.
+int masks over the members' atoms, and ``_union_answers`` reads chunks of 1,
+8, 64, ... unions unbuilt, each subformula of q and each value's domain mask
+an int with one bit per union.
 """
 
 from __future__ import annotations
@@ -27,10 +27,13 @@ from .errors import BudgetExceeded, DxError, UnsupportedSemantics
 from . import chase
 from .corelib import core_of
 from .logic import (
+    And,
     CountExists,
     FOQuery,
     Forall,
     Formula,
+    Not,
+    Or,
     RelAtom,
     Eq,
     fresh_constants,
@@ -38,7 +41,6 @@ from .logic import (
     query_answers,
     all_constants,
     flat_parts,
-    subformulas,
 )
 from .minrep import _block_images, _minimal_images, enum_min_c
 from .model import (
@@ -585,27 +587,72 @@ def is_gcwa_star_solution(
 # ---------------------------------------------------------------- semantics
 
 
-def _query_views(q: FOQuery, atoms: Sequence[Atom], masks: Iterable[int]) -> Iterator[Instance]:
-    """The unions of ``masks`` over ``atoms``, built lazily, skipping each one
-    whose view of q matches an earlier one.  q's answers on an instance depend
-    only on the atoms of the relations q names and on dom(I) + dom(q), so the
-    view is the mask of those atoms and the values the union touches."""
-    rels = {g.rel for g in subformulas(q.body) if isinstance(g, RelAtom)}
-    codec = AtomMasks(atoms)
-    seen_bits = 0
-    value_bits: Dict[Value, int] = {}
-    for a, bit in codec.bit.items():
-        if a.rel in rels:
-            seen_bits |= bit
-        for v in a.args:
-            value_bits[v] = value_bits.get(v, 0) | bit
-    values = list(value_bits.values())
-    views: Set[Tuple[int, Tuple[bool, ...]]] = set()
-    for w in masks:
-        view = (w & seen_bits, tuple(w & b != 0 for b in values))
-        if view not in views:
-            views.add(view)
-            yield codec.decode(w)
+class _Unions:
+    """A gcwa-star family: int masks over ``atoms``, as ``AtomMasks`` numbers them."""
+
+    def __init__(self, atoms: Tuple[Atom, ...], masks: List[int]):
+        self.atoms, self.masks = atoms, masks
+
+
+def _bits(f: Formula, env: Dict[Var, Value], held: Dict[tuple, int], full: int, domain: list) -> int:
+    """The unions of a chunk where f holds under ``env``, one bit per union,
+    ``full`` having them all.  ``held`` maps (rel, args) to the unions
+    holding that atom, ``domain`` pairs each value with the unions whose
+    domain (with q's constants) holds it; a quantifier ranges over each
+    union's own domain, skipping a value that can decide no union left.  A
+    conjunction or a universal collects where a part or a value fails it."""
+    if isinstance(f, RelAtom):
+        return held.get((f.rel, tuple([env.get(t, t) for t in f.terms])), 0)
+    if isinstance(f, Eq):
+        return full if env.get(f.left, f.left) == env.get(f.right, f.right) else 0
+    if isinstance(f, Not):
+        return full ^ _bits(f.sub, env, held, full, domain)
+    if isinstance(f, CountExists):
+        at_least = [full] + [0] * (f.hi + 1)  # at_least[k]: the unions with k witnesses or more
+        for v, d in domain:
+            w = d & _bits(f.sub, {**env, f.var: v}, held, full, domain)
+            at_least[1:] = [more | fewer & w for more, fewer in zip(at_least[1:], at_least)]
+        return at_least[f.lo] & ~at_least[f.hi + 1]
+    flip = full if isinstance(f, (And, Forall)) else 0
+    acc = 0
+    if isinstance(f, (And, Or)):
+        for p in f.parts:
+            acc |= flip ^ _bits(p, env, held, full, domain)
+            if acc == full:
+                break
+        return flip ^ acc
+    for v, d in domain:
+        if d & ~acc:
+            acc |= d & (flip ^ _bits(f.sub, {**env, f.var: v}, held, full, domain))
+            if acc == full:
+                break
+    return flip ^ acc
+
+
+def _union_answers(
+    q: FOQuery, atoms: Sequence[Atom], masks: Sequence[int]
+) -> Tuple[Optional[Set[Tuple[Value, ...]]], int]:
+    """``_intersect`` over the unions of ``masks``, unbuilt, in chunks of 1, 8,
+    64, ... unions.  A value's domain mask is the OR of its atoms' holders
+    (all ones for q's constants); a tuple is common to a chunk iff the AND
+    of its values' domain masks and ``_bits`` of the body is all ones.  Each
+    later chunk checks only the tuples still common."""
+    codec, common, read = AtomMasks(atoms), None, 0
+    while read < len(masks) and common != set():
+        chunk = masks[read: 1 + 8 * read]  # read is 0, 1, 9, 73, ...: chunks of 8^k
+        read += len(chunk)
+        full = (1 << len(chunk)) - 1
+        held = {(a.rel, a.args): h for a, h in codec.holders(chunk).items() if h}
+        dom = dict.fromkeys(q.consts(), full)
+        for (_, args), h in held.items():
+            dom.update({v: dom.get(v, 0) | h for v in args})
+        domain = list(dom.items())
+        inside = {v for v, d in domain if d == full}
+        candidates = (itertools.product(inside, repeat=q.width) if common is None
+                      else (t for t in common if inside.issuperset(t)))
+        common = {t for t in candidates
+                  if _bits(q.body, dict(zip(q.free_vars, t)), held, full, domain) == full}
+    return common, read
 
 
 def _intersect(
@@ -614,6 +661,8 @@ def _intersect(
     """The query's answers common to the family's members, read until none
     is left, and the count of members read.  After the first member only the
     tuples still common are checked."""
+    if isinstance(family, _Unions):
+        return _union_answers(q, family.atoms, family.masks)
     common: Optional[Set[Tuple[Value, ...]]] = None
     count = 0
     for inst in family:
@@ -769,7 +818,7 @@ def _family(
         fix, atoms, masks = _gcwa_star_masks(mapping, source, budget, q.consts())
         meta["converged"] = fix.converged
         meta["family_size"] = len(masks)
-        return _query_views(q, atoms, masks), False, "no gcwa-star solution within budget"
+        return _Unions(atoms, masks), False, "no gcwa-star solution within budget"
     family = minimal_ground_solutions(mapping, source, budget, q.consts())
     if semantics == "rcwa" and len(family) == 1:
         meta["rcwa_solution"] = True

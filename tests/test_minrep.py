@@ -23,7 +23,7 @@ from dx import (
 from dx.corelib import core_retract_fixing
 from dx.errors import BudgetExceeded, PreconditionViolated
 from dx.logic import fresh_constants
-from dx.minrep import BlockRep, BlockReps, _minimal_images, all_block_reps
+from dx.minrep import BlockRep, BlockReps, Replay, _minimal_images, all_block_reps
 from dx.model import AtomMasks, instance_key, mask_key, value_key
 from dx.randgen import gen_packed_mapping, gen_source
 
@@ -508,3 +508,24 @@ def test_atom_masks_holders():
     assert empty.decode(0) == Instance()
     assert empty.holders([0, 0]) == {}
     assert _minimal_images([empty.encode([])]) == [0]
+
+
+def test_replay_raises_the_streams_error_to_every_reader():
+    # the error is not the end of the stream: a reader that gets past the
+    # two items raises it too, also one started after the first raised
+    def items():
+        yield 1
+        yield 2
+        raise BudgetExceeded("stream cap")
+
+    def read(reader):
+        assert [next(reader), next(reader)] == [1, 2]
+        with pytest.raises(BudgetExceeded, match="stream cap"):
+            next(reader)
+
+    replay = Replay(items())
+    first, second = iter(replay), iter(replay)
+    read(first)
+    read(second)
+    read(iter(replay))
+    assert list(Replay(iter([1, 2]))) == [1, 2]

@@ -20,7 +20,8 @@ from dx import (
     parse_instance,
 )
 from dx.errors import BudgetExceeded, DxError, UnsupportedSemantics
-from dx.logic import fresh_constants, is_ucq, query_answers
+from dx.logic import (And, CountExists, Eq, Exists, FOQuery, Forall, Not, Or, RelAtom, fresh_constants, is_ucq,
+                      query_answers)
 from dx.model import Schema, Var, atom_key, instance_key, match_conjunction, value_key
 from dx.oracle import (
     SEMANTICS,
@@ -29,7 +30,7 @@ from dx.oracle import (
     _as_horn,
     _intersect,
     _overcount_violation,
-    _query_views,
+    _union_answers,
     _union_closure,
     _union_masks,
     target_atom_pool,
@@ -869,10 +870,10 @@ EF_SCHEMA = Schema.of({"E": 2, "F": 2})
 
 
 def _unions_answers(q, members, max_atoms=8):
-    """The oracle's intersection over the unions of ``members`` (their
-    distinct views of q), next to the plain one over every union."""
+    """The oracle's intersection over the unions of ``members`` (one bit per
+    union), next to the plain one over every union."""
     atoms, masks = _union_masks(members, max_atoms)
-    got, _ = _intersect(q, _query_views(q, atoms, masks))
+    got, _ = _union_answers(q, atoms, masks)
     plain = set.intersection(*(query_answers(q, u) for u in _union_closure(members, max_atoms)))
     return got, plain
 
@@ -907,6 +908,25 @@ def test_boolean_query_over_union_views():
     assert _unions_answers(q, covered) == ({()}, {()})
 
 
+def test_quantifiers_range_over_each_unions_own_domain():
+    # each family's second chunk holds a one-atom union and the two-atom
+    # one, and only the latter has a in its domain: a refutes the universal
+    # query in E(b,b) no more than it witnesses the existential one in E(c,c)
+    everywhere = query("q() := forall u: E(u,u).", EF_SCHEMA)
+    assert _unions_answers(everywhere, [_ef(("E", "a", "a")), _ef(("E", "b", "b"))]) == ({()}, {()})
+    witness = query("q() := exists u: ~E(u,u).", EF_SCHEMA)
+    assert _unions_answers(witness, [_ef(("E", "a", "b")), _ef(("E", "c", "c"))]) == (set(), set())
+
+
+@pytest.mark.parametrize("lo, hi, expected", [(1, 1, set()), (1, 2, {(a,)}), (0, 2, {(a,)}), (2, 2, set())])
+def test_counting_quantifier_over_unions(lo, hi, expected):
+    # a has one E successor in each member and two in their union
+    x, u = Var("x"), Var("u")
+    q = FOQuery("q", (x,), CountExists(lo, hi, u, RelAtom("E", (x, u))))
+    members = [_ef(("E", "a", "b")), _ef(("E", "a", "c"))]
+    assert _unions_answers(q, members) == (expected, expected)
+
+
 def test_gcwa_star_empty_family_under_empty_cert_all():
     # no minimal solution fits in zero atoms: the full grid, as the reference
     m = mapping(PE_MAP)
@@ -936,9 +956,9 @@ def test_gcwa_star_union_views_with_target_constraints():
         assert (answers, meta) == reference
 
 
-def test_repeated_views_are_evaluated_once(monkeypatch):
-    # E and F successors are chosen independently: unions with the same E
-    # atoms and the same domain differ only in F, which q never reads
+def test_family_refuted_by_its_first_union_reads_one_union(monkeypatch):
+    # every union holds an E atom, so the first refutes q; the E and F
+    # successors are chosen independently, so the family has many unions
     import dx.oracle
 
     m = mapping(
@@ -946,23 +966,33 @@ def test_repeated_views_are_evaluated_once(monkeypatch):
         "tgd P(x) -> exists z: E(x,z). tgd P(x) -> exists z: F(x,z)."
     )
     s = instance(PE_SRC, m.source)
-    q = query("q(x) := forall u: E(x,u) \\/ ~E(x,u).", m.target)
+    q = query("q() := forall u: forall w: ~E(u,w).", m.target)
     budget = Budget(2, 8, 2)
     expected = _reference_semantics(m, s, q, "gcwa-star", budget, "none")
-    evaluated = set()
+    reads = []
 
-    def counting(original):
-        def run(first, inst, *args, **kwargs):
-            evaluated.add(inst)
-            return original(first, inst, *args, **kwargs)
+    def counting(*args):
+        common, read = _union_answers(*args)
+        reads.append(read)
+        return common, read
 
-        return run
-
-    monkeypatch.setattr(dx.oracle, "query_answers", counting(dx.oracle.query_answers))
+    monkeypatch.setattr(dx.oracle, "_union_answers", counting)
     answers, meta = _semantics_outcome(m, s, q, "gcwa-star", budget, "none")
     assert (answers, meta) == expected
-    assert answers == {(a,)}
-    assert 0 < len(evaluated) < meta["family_size"]
+    assert answers == frozenset()
+    assert reads == [1] and meta["family_size"] > 1
+
+
+def test_unions_are_read_in_chunks_of_growing_size():
+    # the twelve one-atom unions E(a,a), ..., E(a,l) are read in chunks of
+    # 1, 8 and 64, so q is refuted after 1, 9 or all 12 unions
+    atoms, masks = _union_masks([_ef(("E", "a", x)) for x in "abcdefghijkl"], 1)
+    assert len(masks) == 12
+    for refuting, read in (("a", 1), ("b", 9), ("i", 9), ("j", 12), ("l", 12)):
+        q = query(f"q() := ~E(a,{refuting}).", EF_SCHEMA)
+        assert _union_answers(q, atoms, masks) == (set(), read), refuting
+    q = query("q() := forall u: forall w: E(u,w) -> u = a.", EF_SCHEMA)
+    assert _union_answers(q, atoms, masks) == ({()}, 12)
 
 
 _PROPERTY_ATOMS = [
@@ -996,6 +1026,51 @@ def test_intersect_matches_naive_intersection(family, seed, positive):
 @given(members=_families, seed=st.integers(0, 2**32 - 1), positive=st.booleans())
 def test_union_views_match_naive_intersection(members, seed, positive):
     got, plain = _unions_answers(_random_query(seed, positive), members)
+    assert got == plain
+
+
+def _random_formula(rng, bound, depth):
+    """A formula over E/2, F/2, U/1 whose variables are ``bound``; its
+    constants include d, which no member of ``_families`` holds."""
+    terms = list(bound) + [a, b, Const("d")]
+    kind = rng.choice(["literal"] if depth == 0 else ["literal", "not", "and", "or", "exists", "forall"])
+    if kind == "literal":
+        rel = rng.choice("EFU=")
+        args = tuple(rng.choice(terms) for _ in range(1 if rel == "U" else 2))
+        return Eq(*args) if rel == "=" else RelAtom(rel, args)
+    if kind == "not":
+        return Not(_random_formula(rng, bound, depth - 1))
+    if kind in ("and", "or"):
+        parts = tuple(_random_formula(rng, bound, depth - 1) for _ in range(rng.randint(2, 3)))
+        return And(parts) if kind == "and" else Or(parts)
+    return _random_block(rng, Exists if kind == "exists" else Forall, bound, depth)
+
+
+def _random_block(rng, quantifier, bound, depth):
+    """A block of one or two ``quantifier``s over a random formula."""
+    block = [Var(f"v{len(bound) + i}") for i in range(rng.randint(1, 2))]
+    f = _random_formula(rng, bound + block, depth - 1)
+    for v in reversed(block):
+        f = quantifier(v, f)
+    return f
+
+
+def _non_universal_query(seed):
+    """A random query of width 0 to 2 under an existential block or a
+    negated universal one, with nested quantifiers below it."""
+    rng = random.Random(seed)
+    free = [Var(f"x{i}") for i in range(rng.randint(0, 2))]
+    if rng.random() < 0.5:
+        body = _random_block(rng, Exists, free, 3)
+    else:
+        body = Not(_random_block(rng, Forall, free, 3))
+    return FOQuery("q", tuple(free), body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(members=_families, seed=st.integers(0, 2**32 - 1))
+def test_union_answers_match_naive_intersection_on_non_universal_queries(members, seed):
+    got, plain = _unions_answers(_non_universal_query(seed), members)
     assert got == plain
 
 
