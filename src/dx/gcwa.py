@@ -50,7 +50,7 @@ from .logic import (
     query_answers,
     to_nnf,
 )
-from .minrep import BlockRep, BlockReps, Replay, _minimal_images, all_block_reps, legal_images
+from .minrep import BlockRep, BlockReps, Replay, _minimal_images, _pool, all_block_reps, legal_images
 from .model import (
     Atom,
     Const,
@@ -558,7 +558,7 @@ class _GeneralEvaluator:
         them as such a bitset, and the fresh constants."""
         if fresh_count not in self._images:
             fresh = fresh_constants(fresh_count, "b")
-            codec, images = legal_images(self.core, self.pool | set(fresh))
+            codec, images = legal_images(self.core, _pool(self.core, self.pool | set(fresh)))
             minimal = _minimal_images(images)
             holders = codec.holders(minimal)
             fresh_holders = {

@@ -1,10 +1,11 @@
 """Representatives of the minimal possible worlds of an instance.
 
-``legal_images`` enumerates the images of the legal self-maps into dom(T)
-plus a constant pool one atom block at a time, as int masks over one
+``legal_images`` enumerates the images of an instance's nulls mapped into
+a pool (dom(T) plus constants for the legal self-maps, the universe for the
+oracle's ground images) one atom block at a time, as int masks over one
 ``AtomMasks`` numbering of the block images' atoms, and joins the minimal
 block images by OR.  ``_minimal_images`` is the one subset-minimality filter,
-on masks; ``enum_min_c`` decodes its output for the oracle, and the general
+on masks; ``enum_min_c`` and the oracle decode its output, and the general
 evaluator reads the masks directly.  The enumeration is exponential in the
 number of nulls of a block and is gated by a product cap on the number of
 maps of all nulls.  The per-block variant only remaps the nulls of one atom
@@ -97,12 +98,13 @@ def _digit_table(holders: Sequence[int]) -> Dict[str, int]:
 
 def legal_images(
     instance: Instance,
-    constants: Iterable[Const],
+    pool: Sequence[Value],
     product_cap: int = ENUM_PRODUCT_CAP,
 ) -> Tuple[AtomMasks, Set[int]]:
-    """The images f(T), over the legal maps f that send each null of T into
-    dom(T) + constants and fix its constants, that can be subset-minimal, as
-    masks over the atoms of the block images.
+    """The images f(T), over the maps f that send each null of T into the
+    pool and fix its constants, that can be subset-minimal, as masks over
+    the atoms of the block images.  The legal maps take dom(T) + C as the
+    pool; a pool of constants alone gives ground images.
 
     Atom blocks share no nulls, so f(T) is the union of one image per block,
     and it contains the union of minimal block images below those.  Hence
@@ -111,7 +113,6 @@ def legal_images(
     counts the maps of all nulls together.
     """
     nulls = sorted(instance.nulls(), key=value_key)
-    pool = _pool(instance, constants)
     if len(pool) ** len(nulls) > product_cap:
         raise BudgetExceeded(
             f"legal-map enumeration exceeded its cap of {product_cap} maps"
@@ -133,7 +134,7 @@ def enum_min_c(
 ) -> Tuple[Instance, ...]:
     """All subset-minimal images f(T) over legal maps f: dom(T) -> dom(T)+C,
     in ``instance_key`` order."""
-    codec, images = legal_images(instance, constants, product_cap)
+    codec, images = legal_images(instance, _pool(instance, constants), product_cap)
     return tuple(map(codec.decode, _minimal_images(images)))
 
 

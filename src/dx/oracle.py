@@ -4,17 +4,23 @@ Everything here enumerates finite families of ground instances over a
 budgeted universe (the source constants, the constants of the constraints and
 the query, plus a pool of fresh constants).  Results are exact relative to
 those budgets; the test suite guards adequacy by checking that one extra
-fresh constant never changes an answer.
+fresh constant never changes an answer.  Under st-tgds the minimal ground
+solutions are the minimal images of the core over the universe.
 
 Each semantics only picks its family of ground instances (``_family``);
 one driver (``_certain``) intersects the query's answers over it, checking
 only the tuples that survive the members read so far, applies the
 empty-family rule and keeps the all-constant tuples.  Families are read
-lazily: the subset searches and the ``cwa`` valuation images stop at the
-first member that leaves no common tuple.  The gcwa-star family is kept as
-int masks over the members' atoms, and ``_union_answers`` reads chunks of 1,
-8, 64, ... unions unbuilt, each subformula of q and each value's domain mask
-an int with one bit per union.
+lazily, up to the first member that leaves no common tuple.  The gcwa-star
+family is int masks over the members' atoms, read by ``_union_answers`` in
+chunks of 1, 8, 64, ... unions unbuilt, each subformula of q an int with
+one bit per union; ``meta.family_size`` counts its unions.  For a universal
+q over st-tgds it is the unions of at most k members, of any size, under
+``UNION_CLOSURE_CAP`` and its 40× join cap: if a disjunct of not-q holds on
+a union, it holds on the union of one member per positive atom and per
+loose variable (in it, in no positive atom), and k is the most of these in
+one disjunct, at least 1.  Otherwise it is the closure within ``max_atoms``,
+and ``meta.max_atoms_cut`` notes a union too large to build.
 """
 
 from __future__ import annotations
@@ -27,37 +33,13 @@ from .errors import BudgetExceeded, DxError, UnsupportedSemantics
 from . import chase
 from .corelib import core_of
 from .logic import (
-    And,
-    CountExists,
-    FOQuery,
-    Forall,
-    Formula,
-    Not,
-    Or,
-    RelAtom,
-    Eq,
-    fresh_constants,
-    is_ucq,
-    query_answers,
-    all_constants,
-    flat_parts,
+    And, CountExists, Eq, FOQuery, Forall, Formula, Not, Or, RelAtom, all_constants,
+    dnf_literals, flat_parts, formula_free_vars, fresh_constants, is_ucq, prenex, query_answers, to_nnf,
 )
-from .minrep import _block_images, _minimal_images, enum_min_c
+from .minrep import _block_images, _minimal_images, enum_min_c, legal_images
 from .model import (
-    Atom,
-    AtomMasks,
-    Const,
-    Instance,
-    SchemaMapping,
-    Term,
-    Value,
-    Var,
-    apply_map,
-    atom_key,
-    instance_key,
-    mask_key,
-    match_conjunction,
-    value_key,
+    Atom, AtomMasks, Const, Instance, SchemaMapping, Term, Value, Var,
+    atom_key, instance_key, mask_key, match_conjunction, value_key,
 )
 
 SEMANTICS = ("owa", "cwa", "rcwa", "gcwa", "egcwa", "pws", "gcwa-star")
@@ -67,6 +49,8 @@ UNION_CLOSURE_CAP = 60_000
 SUBSET_SEARCH_CAP = 300_000
 EXTENSION_NODE_CAP = 200_000
 LEGAL_MAP_CAP = 60_000
+
+_TRACED_BY_BENCH = enum_min_c  # not called here; bench/tracing.py wraps it here by name
 
 
 @dataclass(frozen=True)
@@ -92,9 +76,6 @@ class SolutionFamily:
 
     def __len__(self) -> int:
         return len(self.instances)
-
-    def __contains__(self, inst: Instance) -> bool:
-        return inst in set(self.instances)
 
 
 @dataclass(frozen=True)
@@ -300,40 +281,29 @@ def _overcount_violation(body: Formula, combined: Instance) -> bool:
 # ---------------------------------------------------------------- minimal solutions
 
 
-def fresh_values(
-    mapping: SchemaMapping, source: Instance, universe: Sequence[Const]
-) -> Tuple[Instance, Set[Const], List[Const]]:
-    """The core of the chased source, the constants it and the mapping name,
-    and the universe's other (fresh) values.  Refuses a core with more nulls
-    than fresh values: it has the most nulls of the minimal representatives."""
+def fresh_values(mapping: SchemaMapping, source: Instance, universe: Sequence[Const]) -> Instance:
+    """The core of the chased source.  Refuses a core with more nulls than
+    the universe has fresh values (named by neither it nor the mapping): it
+    has the most nulls of the minimal representatives."""
     core = core_of(chase.canonical_solution(mapping, source))
-    base_consts = set(core.consts()) | mapping_constants(mapping)
-    available = [c for c in universe if c not in base_consts]
-    if len(core.nulls()) > len(available):
+    fresh = len(set(universe) - set(core.consts()) - mapping_constants(mapping))
+    if len(core.nulls()) > fresh:
         raise BudgetExceeded(
-            f"fresh-value universe exceeded its cap of {len(available)} values"
-            f" ({len(core.nulls())} needed)"
-        )
-    return core, base_consts, available
+            f"fresh-value universe exceeded its cap of {fresh} values ({len(core.nulls())} needed)")
+    return core
 
 
 def _st_minimal_solutions(
-    mapping: SchemaMapping,
-    source: Instance,
-    universe: Sequence[Const],
+    mapping: SchemaMapping, source: Instance, universe: Sequence[Const]
 ) -> List[Instance]:
     """Ground instances over the universe that are minimal with respect to
-    the st-tgds alone: injective fresh instantiations of the minimal
-    representatives of the core of the chased source."""
-    core, base_consts, available = fresh_values(mapping, source, universe)
-    out: Set[Instance] = set()
-    for rep in enum_min_c(core, base_consts, product_cap=LEGAL_MAP_CAP):
-        nulls = sorted(rep.nulls(), key=value_key)
-        for images in itertools.permutations(available, len(nulls)):
-            v: Dict[Value, Value] = {c: c for c in rep.consts()}
-            v.update(zip(nulls, images))
-            out.add(apply_map(v, rep))
-    return sorted(out, key=instance_key)
+    the st-tgds alone, in ``instance_key`` order: the subset-minimal images
+    of the core of the chased source under the maps of its nulls into the
+    universe.  Each image is a solution, and every ground solution holds
+    one, the image of a homomorphism from the core."""
+    core = fresh_values(mapping, source, universe)
+    codec, images = legal_images(core, universe, LEGAL_MAP_CAP)
+    return list(map(codec.decode, _minimal_images(images)))
 
 
 def _minimal_extensions(
@@ -382,22 +352,17 @@ def minimal_ground_solutions(
     budget: Budget = Budget(),
     extra_constants: Iterable[Const] = (),
 ) -> SolutionFamily:
-    """Subset-minimal ground solutions over the budget universe."""
+    """Subset-minimal ground solutions over the budget universe: under
+    st-tgds alone, the minimal images of the core within ``max_atoms``."""
     universe = universe_of(mapping, source, budget, extra_constants)
     engine = _ConstraintEngine(mapping)
-    seeds = _st_minimal_solutions(mapping, source, universe)
-    pool = target_atom_pool(mapping, universe) if engine.horn or engine.residue else ()
-    collected = [
-        inst
-        for seed in seeds
-        if len(seed) <= budget.max_atoms
-        for inst in _minimal_extensions(seed, mapping, source, engine, pool, budget.max_atoms)
-    ]
-    return SolutionFamily(
-        tuple(_minimal(collected)),
-        "minimal",
-        {"universe": [c.name for c in universe], "budget": budget.as_dict()},
-    )
+    seeds = [s for s in _st_minimal_solutions(mapping, source, universe) if len(s) <= budget.max_atoms]
+    if engine.horn or engine.residue:
+        pool = target_atom_pool(mapping, universe)
+        seeds = _minimal([inst for seed in seeds for inst in _minimal_extensions(
+            seed, mapping, source, engine, pool, budget.max_atoms)])
+    meta = {"universe": [c.name for c in universe], "budget": budget.as_dict()}
+    return SolutionFamily(tuple(seeds), "minimal", meta)
 
 
 # ---------------------------------------------------------------- fixpoint
@@ -450,6 +415,57 @@ def _union_masks(
     return codec.atoms, [w for bucket in by_size for w in sorted(bucket, reverse=True)]
 
 
+def _union_bound(q: FOQuery) -> Optional[int]:
+    """For a universal q, k: the most positive atoms plus loose prefix
+    variables (in the disjunct, in none of its positive atoms) of one
+    disjunct of not-q, at least 1; a union where it holds keeps it on one
+    member per positive atom and per loose value.  A disjunct negating one
+    of its literals or a t = t never holds.  None for any other q."""
+    p = prenex(q.body)
+    if p is None or any(kind != "forall" for kind, _ in p[0]):
+        return None
+    k = 1
+    for literals in dnf_literals(to_nnf(p[1], negate=True)):
+        negated = [lit.sub for lit in literals if isinstance(lit, Not)]
+        if any(n in literals or isinstance(n, Eq) and n.left == n.right for n in negated):
+            continue
+        positive = [lit for lit in literals if isinstance(lit, RelAtom)]
+        loose = formula_free_vars(And(tuple(literals))) - formula_free_vars(And(tuple(positive)))
+        k = max(k, len(positive) + sum(v in loose for _, v in p[0]))
+    return k
+
+
+def _k_union_masks(
+    members: Sequence[Instance], k: int, cap: int = UNION_CLOSURE_CAP
+) -> Tuple[Tuple[Atom, ...], List[int]]:
+    """The distinct unions of 1 to k members, of any size, as int masks over
+    the returned atoms, in ``instance_key`` order.  Level j holds the unions
+    of j members that are no union of fewer, each with the least index of
+    the last of j members that make it; it joins only the members after
+    that.  More than 40 × ``cap`` joins, or ``cap`` unions, raise as in
+    ``_union_masks``."""
+    codec = AtomMasks(a for m in members for a in m.atoms)
+    base = sorted({codec.encode(m.atoms) for m in members}, key=mask_key)
+    level, found = {w: i for i, w in enumerate(base)}, set(base)
+    work, work_cap = 0, 40 * cap
+    for _ in range(k - 1):
+        grown: Dict[int, int] = {}
+        for u, last in level.items():
+            work += len(base) - 1 - last
+            if work > work_cap:
+                raise BudgetExceeded(f"union closure exceeded its work cap of {work_cap} steps")
+            for i in range(last + 1, len(base)):
+                w = u | base[i]
+                if w in found:
+                    continue
+                if w not in grown and len(found) + len(grown) >= cap:
+                    raise BudgetExceeded(f"union closure exceeded its cap of {cap} unions")
+                grown[w] = min(i, grown.get(w, i))
+        found.update(grown)
+        level = grown
+    return codec.atoms, sorted(found, key=mask_key)
+
+
 def _union_closure(
     members: Sequence[Instance], max_atoms: int, cap: int = UNION_CLOSURE_CAP
 ) -> List[Instance]:
@@ -459,11 +475,8 @@ def _union_closure(
 
 
 def _is_union_of(instance: Instance, members: Sequence[Instance]) -> bool:
-    contained = [m for m in members if m.subset_of(instance)]
-    if not contained:
-        return False
-    covered = frozenset(a for m in contained for a in m.atoms)
-    return covered == instance.atoms
+    contained = [m.atoms for m in members if m.subset_of(instance)]
+    return bool(contained) and frozenset().union(*contained) == instance.atoms
 
 
 @dataclass(frozen=True)
@@ -517,71 +530,55 @@ def tstar_fixpoint(
         added = list(_sorted_family(added))
         levels.append(tuple(added))
         generators.extend(added)
-    family = SolutionFamily(
-        _sorted_family(generators),
-        f"tstar_level({len(levels) - 1})",
-        {
-            "rounds": len(levels) - 1,
-            "converged": converged,
-            "budget": budget.as_dict(),
-        },
-    )
+    meta = {"rounds": len(levels) - 1, "converged": converged, "budget": budget.as_dict()}
+    family = SolutionFamily(_sorted_family(generators), f"tstar_level({len(levels) - 1})", meta)
     return FixpointResult(family, tuple(levels), converged)
 
 
 def _gcwa_star_masks(
-    mapping: SchemaMapping,
-    source: Instance,
-    budget: Budget,
-    extra_constants: Iterable[Const],
-) -> Tuple[FixpointResult, Tuple[Atom, ...], List[int]]:
-    """The fixpoint and the masks over the returned atoms of its unions that
-    are solutions, in ``instance_key`` order."""
-    fix = tstar_fixpoint(mapping, source, budget, extra_constants)
-    atoms, masks = _union_masks(list(fix.family.instances), budget.max_atoms)
+    mapping: SchemaMapping, source: Instance, budget: Budget, q: Optional[FOQuery],
+    extra_constants: Iterable[Const] = (),
+) -> Tuple[FixpointResult, Tuple[Atom, ...], List[int], bool]:
+    """The fixpoint, over q's constants or else the extra ones, the masks
+    over the returned atoms of the unions whose common answers are q's
+    certain answers, in ``instance_key`` order, and whether ``max_atoms``
+    cut a union.  A universal q over st-tgds gets the unions of at most k
+    members (``_union_bound``); else the closure's unions that are
+    solutions are kept, cut iff the union of all members is larger."""
+    fix = tstar_fixpoint(mapping, source, budget, extra_constants if q is None else q.consts())
+    members = fix.family.instances
+    k = _union_bound(q) if q is not None and mapping.is_st_only() else None
+    if k is not None:
+        return (fix, *_k_union_masks(members, k), False)
+    atoms, masks = _union_masks(members, budget.max_atoms)
     if not mapping.is_st_only():  # st-tgds survive unions, other constraints need not
         decode = AtomMasks(atoms).decode
         masks = [w for w in masks if chase.is_solution(mapping, source, decode(w))]
-    return fix, atoms, masks
+    return fix, atoms, masks, len(frozenset().union(*(m.atoms for m in members))) > budget.max_atoms
 
 
 def gcwa_star_solutions(
-    mapping: SchemaMapping,
-    source: Instance,
-    budget: Budget = Budget(),
-    extra_constants: Iterable[Const] = (),
+    mapping: SchemaMapping, source: Instance, budget: Budget = Budget(), extra_constants: Iterable[Const] = ()
 ) -> SolutionFamily:
     """Ground solutions that are unions of fixpoint members, within budget."""
-    fix, atoms, masks = _gcwa_star_masks(mapping, source, budget, extra_constants)
-    meta = dict(fix.family.meta)
-    meta["tstar_size"] = len(fix.family)
-    meta["converged"] = fix.converged
+    fix, atoms, masks, _ = _gcwa_star_masks(mapping, source, budget, None, extra_constants)
+    meta = {**fix.family.meta, "tstar_size": len(fix.family), "converged": fix.converged}
     return SolutionFamily(tuple(map(AtomMasks(atoms).decode, masks)), "gcwa_star", meta)
 
 
 def is_gcwa_star_solution(
-    mapping: SchemaMapping,
-    source: Instance,
-    target: Instance,
-    budget: Budget = Budget(),
+    mapping: SchemaMapping, source: Instance, target: Instance, budget: Budget = Budget()
 ) -> bool:
     """For mappings of st-tgds and egds: a union of at least one minimal
     ground solution that also satisfies the egds."""
     if mapping.general_constraints:
-        raise UnsupportedSemantics(
-            "the membership test handles st-tgds and egds only"
-        )
+        raise UnsupportedSemantics("the membership test handles st-tgds and egds only")
     if not target.is_ground:
         return False
-    st_only = SchemaMapping(
-        mapping.source, mapping.target, mapping.st_tgds, (), ()
-    )
-    minimal = minimal_ground_solutions(
-        st_only, source, budget, extra_constants=target.consts()
-    )
-    if not _is_union_of(target, list(minimal.instances)):
-        return False
-    return all(chase.egd_satisfied(egd, target) for egd in mapping.egds)
+    st_only = SchemaMapping(mapping.source, mapping.target, mapping.st_tgds, (), ())
+    minimal = minimal_ground_solutions(st_only, source, budget, extra_constants=target.consts())
+    return _is_union_of(target, minimal.instances) and all(
+        chase.egd_satisfied(egd, target) for egd in mapping.egds)
 
 
 # ---------------------------------------------------------------- semantics
@@ -815,9 +812,11 @@ def _family(
         pool = target_atom_pool(mapping, universe)
         return _solution_subsets(mapping, source, pool, budget.max_atoms), True, None
     if semantics == "gcwa-star" and not monotone:
-        fix, atoms, masks = _gcwa_star_masks(mapping, source, budget, q.consts())
+        fix, atoms, masks, cut = _gcwa_star_masks(mapping, source, budget, q)
         meta["converged"] = fix.converged
         meta["family_size"] = len(masks)
+        if cut:
+            meta["max_atoms_cut"] = True
         return _Unions(atoms, masks), False, "no gcwa-star solution within budget"
     family = minimal_ground_solutions(mapping, source, budget, q.consts())
     if semantics == "rcwa" and len(family) == 1:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from pathlib import Path
@@ -22,7 +23,10 @@ from dx import (
 from dx.errors import BudgetExceeded, DxError, UnsupportedSemantics
 from dx.logic import (And, CountExists, Eq, Exists, FOQuery, Forall, Not, Or, RelAtom, fresh_constants, is_ucq,
                       query_answers)
-from dx.model import Schema, Var, atom_key, instance_key, match_conjunction, value_key
+from dx.corelib import core_of, core_solution
+from dx.gcwa import answers_gcwa_star_universal
+from dx.minrep import enum_min_c
+from dx.model import AtomMasks, Schema, Var, atom_key, instance_key, match_conjunction, value_key
 from dx.oracle import (
     SEMANTICS,
     Budget,
@@ -30,9 +34,14 @@ from dx.oracle import (
     _as_horn,
     _intersect,
     _overcount_violation,
+    _gcwa_star_masks,
+    _k_union_masks,
+    _st_minimal_solutions,
     _union_answers,
+    _union_bound,
     _union_closure,
     _union_masks,
+    mapping_constants,
     target_atom_pool,
     universe_of,
 )
@@ -441,13 +450,57 @@ def test_too_many_core_nulls_fail_before_enumeration(monkeypatch):
     from dx.errors import BudgetExceeded
 
     def must_not_run(*args, **kwargs):
-        raise AssertionError("enum_min_c ran on an over-budget core")
+        raise AssertionError("legal_images ran on an over-budget core")
 
-    monkeypatch.setattr(dx.oracle, "enum_min_c", must_not_run)
+    monkeypatch.setattr(dx.oracle, "legal_images", must_not_run)
     m = mapping("source P/1. target E/2. tgd P(x) -> exists z: E(x,z).")
     s = instance("P(a). P(b). P(c).", m.source)
     with pytest.raises(BudgetExceeded, match=r"cap of 2 values \(3 needed\)"):
         minimal_ground_solutions(m, s, Budget(2, 8, 2))
+
+
+def _instantiated_representatives(m, s, universe):
+    """The minimal solutions built from the minimal representatives: every
+    injective instantiation of the nulls of each ``enum_min_c``
+    representative of the core by the universe's values that neither the
+    core nor the mapping names, in ``instance_key`` order."""
+    core = core_of(canonical_solution(m, s))
+    base = set(core.consts()) | mapping_constants(m)
+    fresh = [c for c in universe if c not in base]
+    if len(core.nulls()) > len(fresh):
+        raise BudgetExceeded(
+            f"fresh-value universe exceeded its cap of {len(fresh)} values ({len(core.nulls())} needed)"
+        )
+    out = set()
+    for rep in enum_min_c(core, base, product_cap=60_000):
+        nulls = sorted(rep.nulls(), key=value_key)
+        for images in itertools.permutations(fresh, len(nulls)):
+            v = dict(zip(nulls, images))
+            out.add(Instance(Atom(at.rel, tuple(v.get(x, x) for x in at.args)) for at in rep.atoms))
+    return sorted(out, key=instance_key)
+
+
+def _members_outcome(build, m, s, universe):
+    try:
+        return build(m, s, universe)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_minimal_solutions_are_the_instantiated_representatives():
+    # the minimal ground images of the core over the universe are the
+    # injective fresh instantiations of its minimal representatives, refusals
+    # included, over criterion 8's triples and random ones at three budgets
+    triples = list(_criterion_8_triples(40))
+    triples += list(itertools.islice(random_triples(random.Random(5), max_atoms=5), 30))
+    kinds = collections.Counter()
+    for m, s, q in triples:
+        for budget in (Budget(2, 8, 2), Budget(3, 12, 2), Budget()):
+            universe = universe_of(m, s, budget, q.consts())
+            expected = _members_outcome(_instantiated_representatives, m, s, universe)
+            assert _members_outcome(_st_minimal_solutions, m, s, universe) == expected, (m, s, budget)
+            kinds[isinstance(expected, str)] += 1
+    assert kinds[True] and kinds[False] > 200
 
 
 # ------------------------------------------------------------- union closure reference
@@ -628,6 +681,140 @@ def test_union_closure_cap_message_names_its_limit():
     assert str(info.value) == "union closure exceeded its cap of 4 unions"
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_k_unions_match_combinations(k):
+    # the distinct unions of at most k members, as joined frozensets of
+    # ``itertools.combinations``, in ``instance_key`` order, of any size
+    families = _hand_made_families() + _random_minimal_families(30)
+    for members in families:
+        if len(members) > 12 and k > 2:
+            continue
+        expected = _k_unions(sorted(set(members), key=instance_key), k)
+        atoms, masks = _k_union_masks(members, k)
+        assert list(map(AtomMasks(atoms).decode, masks)) == expected, (members, k)
+
+
+def test_k_union_caps_name_their_limits():
+    # five one-atom members make 5 + 10 unions of at most 2 members: a cap
+    # of 14 refuses the 15th, and 15 passes
+    members = [_e(("a", x)) for x in "bcdef"]
+    with pytest.raises(BudgetExceeded, match=r"^union closure exceeded its cap of 14 unions$"):
+        _k_union_masks(members, 2, cap=14)
+    assert len(_k_union_masks(members, 2, cap=15)[1]) == 15
+    # every two of the 89-atom subsets of 90 atoms join to all 90: 91
+    # unions from 90 × 89 / 2 = 4 005 joins, more than 40 × 91 and no more
+    # than 40 × 101
+    names = [f"v{i}" for i in range(90)]
+    members = [_e(*[("a", x) for x in names if x != y]) for y in names]
+    with pytest.raises(BudgetExceeded, match=r"^union closure exceeded its work cap of 3640 steps$"):
+        _k_union_masks(members, 2, cap=91)
+    assert len(_k_union_masks(members, 2, cap=101)[1]) == 91
+
+
+@pytest.mark.parametrize("text, k", [
+    ("q() := forall u1: forall u2: ~(E(u1,b) /\\ E(u1,u1)) \\/ F(u2,u2).", 3),
+    ("q() := forall z: forall y: F(z,y) -> y = b.", 1),
+    ("q() := forall z1: forall z2: forall z3: (E(a,z1) /\\ E(a,z2) /\\ E(a,z3)) -> z1 = z2.", 3),
+    ("q(x) := forall u: ~E(u,x).", 1),
+    ("q() := forall u: E(u,u).", 1),
+    ("q() := forall u: forall w: E(u,w) /\\ F(w,u).", 2),
+    ("q() := forall u: forall w: ~E(u,u) /\\ ~F(w,w).", 1),
+    ("q() := E(a,a).", 1),
+    ("q(x) := ~E(x,x).", 1),
+    ("q(x) := forall u1: forall u2: ~(~(x = x) /\\ F(a,x)) \\/ F(u1,u1).", 1),
+    ("q() := forall u: forall w: forall v: E(u,w) \\/ ~E(u,w) \\/ F(v,v).", 1),
+    ("q() := exists u: E(u,u).", None),
+    ("q() := forall u: exists w: E(u,w).", None),
+])
+def test_union_bound_counts_positive_atoms_and_loose_variables(text, k):
+    # per disjunct of not-q: its positive atoms, plus the prefix variables
+    # it has outside them; the most of any disjunct that can hold, at
+    # least 1; None off the universal queries
+    assert _union_bound(query(text, Schema.of({"E": 2, "F": 2}))) == k
+
+
+FOUND_MAP = (
+    "source P/1, R/2. target E/2, F/2, U/1. "
+    "tgd P(x) -> exists z1, z2: E(x,z1), F(z1,z2), U(z1)."
+)
+FOUND_QUERY = "q() := forall u1: forall u2: ~(E(u1,b) /\\ E(u1,u1)) \\/ F(u2,u2)."
+
+
+@pytest.mark.parametrize("budget", [Budget(2, 4, 2), Budget(2, 5, 2), Budget(2, 8, 2)])
+def test_union_larger_than_max_atoms_refutes(budget):
+    # the refuting union E(a,b), F(b,f1), U(b), E(a,a), F(a,f1), U(a) has
+    # 6 atoms; the 3-member unions are built whatever max_atoms is, so the
+    # oracle answers no tuple, as the fast path does
+    m = mapping(FOUND_MAP)
+    s = instance("P(a). R(a,b). R(b,b).", m.source)
+    q = query(FOUND_QUERY, m.target)
+    assert answers_gcwa_star_universal(core_solution(m, s), q) == set()
+    res = answers_semantics(m, s, q, "gcwa-star", budget)
+    assert res.answers == frozenset()
+    assert res.meta["family_size"] == 696 and "max_atoms_cut" not in res.meta
+
+
+def test_universal_st_path_never_builds_the_closure(monkeypatch):
+    import dx.oracle
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the union closure ran")
+
+    monkeypatch.setattr(dx.oracle, "_union_masks", must_not_run)
+    m = mapping(FOUND_MAP)
+    s = instance("P(a). R(a,b). R(b,b).", m.source)
+    for budget in (Budget(2, 4, 2), Budget(2, 8, 2)):
+        assert answers_semantics(m, s, query(FOUND_QUERY, m.target), "gcwa-star", budget).answers == set()
+    existential = query("q() := exists u: ~U(u).", m.target)
+    with pytest.raises(AssertionError, match="the union closure ran"):
+        answers_semantics(m, s, existential, "gcwa-star", Budget(2, 8, 2))
+
+
+@pytest.mark.parametrize("text", ["q() := exists z: ~E(a,z).", "q() := ~(forall z: E(a,z) -> F(z,b))."])
+def test_closure_notes_a_max_atoms_cut(text):
+    # six 2-atom members E(a,c), F(c,b): their union of 12 atoms is built
+    # at max_atoms 12 and cut at 11
+    m = mapping(EF_MAP)
+    s = instance(EF_SRC, m.source)
+    q = query(text, m.target)
+    whole = answers_semantics(m, s, q, "gcwa-star", Budget(4, 12, 3))
+    cut = answers_semantics(m, s, q, "gcwa-star", Budget(4, 11, 3))
+    assert "max_atoms_cut" not in whole.meta and whole.meta["family_size"] == 63
+    assert cut.meta["max_atoms_cut"] is True and cut.meta["family_size"] == 62
+    for res, budget in ((whole, Budget(4, 12, 3)), (cut, Budget(4, 11, 3))):
+        assert (res.answers, res.meta) == _reference_semantics(m, s, q, "gcwa-star", budget, "none")
+
+
+def _answers_on_closure(m, s, q, budget):
+    """The oracle's certain answers over the closure's unions, or None when
+    ``max_atoms`` cut one."""
+    _, atoms, masks, cut = _gcwa_star_masks(m, s, budget, None, q.consts())
+    if cut:
+        return None
+    common, read = _union_answers(q, atoms, masks)
+    return frozenset(t for t in common if all(isinstance(v, Const) for v in t)) if read else frozenset()
+
+
+def test_k_union_answers_match_the_uncut_closure():
+    # wherever max_atoms cuts no union, the closure's unions and the unions
+    # of at most k members give the same answers
+    triples = list(_criterion_8_triples(40))
+    triples += list(itertools.islice(random_triples(random.Random(3), max_atoms=5), 80))
+    compared = 0
+    for m, s, q in triples:
+        if not m.is_st_only():
+            continue
+        for budget in (Budget(2, 8, 2), Budget(2, 12, 2)):
+            try:
+                closure = _answers_on_closure(m, s, q, budget)
+            except BudgetExceeded:
+                continue
+            if closure is not None:
+                compared += 1
+                assert answers_semantics(m, s, q, "gcwa-star", budget).answers == closure, (m, s, q)
+    assert compared > 100
+
+
 def _criterion_8_triples(count, seed=20260808):
     yield from itertools.islice(random_triples(random.Random(seed), max_atoms=5), count)
     for map_text, src_text, q_text in (
@@ -750,8 +937,7 @@ def _reference_family(m, s, q, semantics, budget, meta):
     if semantics == "pws":
         return _possible_worlds(m, s, universe, budget.max_atoms), True, "no PWS-solution"
     if semantics == "gcwa-star" and not monotone:
-        family = gcwa_star_solutions(m, s, budget, q.consts())
-        meta.update(converged=family.meta["converged"], family_size=len(family))
+        family = _reference_gcwa_star_family(m, s, q, budget, meta)
         return family, False, "no gcwa-star solution within budget"
     minimal = minimal_ground_solutions(m, s, budget, q.consts())
     if semantics == "rcwa" and len(minimal) == 1:
@@ -768,6 +954,34 @@ def _reference_family(m, s, q, semantics, budget, meta):
         return minimal, False, "no minimal ground solution within budget"
     covered = sorted({at for inst in minimal for at in inst.atoms}, key=atom_key)
     return _solutions_in(m, s, covered, budget.max_atoms), True, "no GCWA-solution"
+
+
+def _k_unions(members, k):
+    """The distinct unions of 1 to k members, in ``instance_key`` order."""
+    unions = {
+        frozenset().union(*(x.atoms for x in combo))
+        for size in range(1, k + 1)
+        for combo in itertools.combinations(members, size)
+    }
+    return sorted(map(Instance, unions), key=instance_key)
+
+
+def _reference_gcwa_star_family(m, s, q, budget, meta):
+    """The gcwa-star family of a query outside the UCQs: for a universal
+    query over st-tgds, the unions of at most ``_union_bound(q)`` minimal
+    solutions; otherwise the closure's unions within ``max_atoms``, noting
+    ``max_atoms_cut`` when the union of all members is larger."""
+    k = _union_bound(q) if m.is_st_only() else None
+    if k is not None:
+        family = _k_unions(minimal_ground_solutions(m, s, budget, q.consts()).instances, k)
+        meta.update(converged=True, family_size=len(family))
+        return family
+    family = gcwa_star_solutions(m, s, budget, q.consts())
+    meta.update(converged=family.meta["converged"], family_size=len(family))
+    members = tstar_fixpoint(m, s, budget, q.consts()).family.instances
+    if len(frozenset().union(*(x.atoms for x in members))) > budget.max_atoms:
+        meta["max_atoms_cut"] = True
+    return family
 
 
 def _reference_semantics(m, s, q, semantics, budget, empty_policy):
