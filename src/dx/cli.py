@@ -277,6 +277,8 @@ def _cmd_compare(args) -> int:
         return {name: sorted([v.name for v in t] for t in getattr(result, name))
                 for name in ("fast", "general", "oracle")}
 
+    if args.random < 0:
+        raise DxError(f"compare --random needs a nonnegative count, not {args.random}")
     if args.random:
         seed = args.seed if args.seed is not None else int(os.environ.get("DX_SEED", "0"))
         triples = randgen.random_triples(random.Random(seed))

@@ -14,18 +14,21 @@ empty-family rule and keeps the all-constant tuples.  Families are read
 lazily, up to the first member that leaves no common tuple.  The gcwa-star
 family is int masks over the members' atoms, read by ``_union_answers`` in
 chunks of 1, 8, 64, ... unions unbuilt, each subformula of q an int with
-one bit per union; ``meta.family_size`` counts its unions.  For a universal
-q over st-tgds it is the unions of at most k members, of any size, under
-``UNION_CLOSURE_CAP`` and its 40× join cap: if a disjunct of not-q holds on
-a union, it holds on the union of one member per positive atom and per
-loose variable (in it, in no positive atom), and k is the most of these in
-one disjunct, at least 1.  Otherwise it is the closure within ``max_atoms``,
-and ``meta.max_atoms_cut`` notes a union too large to build.
+one bit per union; ``meta.family_size`` counts its unions.  One enumerator
+(``_union_masks``) builds them under two bounds, at most k members and at
+most ``max_atoms`` atoms, and under ``UNION_CLOSURE_CAP`` and its 40× join
+cap.  A universal q over st-tgds is bounded by k alone: if a disjunct of
+not-q holds on a union, it holds on the union of one member per positive
+atom and per loose variable (in it, in no positive atom), and k is the most
+of these in one disjunct, at least 1.  Any other q is bounded by
+``max_atoms`` alone, and ``meta.max_atoms_cut`` notes a union too large to
+build.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -60,6 +63,11 @@ class Budget:
     fresh_constants: int = 4
     max_atoms: int = 12
     max_fixpoint_rounds: int = 3
+
+    def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if value < 0:
+                raise DxError(f"budget field {name} must be nonnegative, not {value}")
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
@@ -369,50 +377,48 @@ def minimal_ground_solutions(
 
 
 def _union_masks(
-    members: Sequence[Instance], max_atoms: int, cap: int = UNION_CLOSURE_CAP
+    members: Sequence[Instance], k: Optional[int] = None, max_atoms: Optional[int] = None,
+    cap: int = UNION_CLOSURE_CAP,
 ) -> Tuple[Tuple[Atom, ...], List[int]]:
-    """All distinct unions of nonempty subsets of the members of at most
-    ``max_atoms`` atoms, as int masks over the returned atoms, in
+    """The distinct unions of 1 to k members of at most ``max_atoms`` atoms
+    (None bounds nothing), as int masks over the returned atoms, in
     ``instance_key`` order.
 
-    The distinct members within ``max_atoms`` are taken one at a time in
-    ``instance_key`` order; each is added and joined into every union found
-    before it that can still grow (of fewer than ``max_atoms`` atoms), so
-    the unions of the first k members are those of the first k - 1, the
-    k-th member, and their joins with it.  ``work`` counts the joins.  More
-    than 40 × ``cap`` joins raise ``BudgetExceeded``, and so does a union
-    that is not a member once the members and such unions number ``cap``.
-    The masks number the atoms as ``AtomMasks`` does.
+    Level j holds the unions of j members that are no union of fewer, each
+    with the least index of the last of j members that make it: the next
+    level joins each member, in order, into the unions of level j before it
+    that can still grow (of fewer than ``max_atoms`` atoms), so the first
+    join to make a union has the least index.  ``work`` counts the joins;
+    a member makes those left before 40 × ``cap`` and then raises
+    ``BudgetExceeded`` if it was cut, and so does a union that is not a
+    member once the unions number ``cap``.  The masks number the atoms as
+    ``AtomMasks`` does.
     """
-    kept = {m.atoms for m in members if len(m) <= max_atoms}
+    kept = {m.atoms for m in members if max_atoms is None or len(m) <= max_atoms}
     codec = AtomMasks(a for m in kept for a in m)
     base = sorted(map(codec.encode, kept), key=mask_key)
-    is_member = set(base)
-    seen: Set[int] = set()
-    growing: List[int] = []
-    by_size: List[List[int]] = [[] for _ in range(max_atoms + 1)]
-    work_cap = 40 * cap
-    work = joined = 0
-    for m in base:
-        # the joins left before the work cap, which raises after them
-        grown = len(growing)
-        joins = growing if work + grown <= work_cap else growing[: work_cap - work]
-        work += len(joins)
-        for w in [m] + [u | m for u in joins]:
-            size = w.bit_count()
-            if size > max_atoms or w in seen:
-                continue
-            if w not in is_member:
-                if len(base) + joined >= cap:
+    limit = len(codec.atoms) if max_atoms is None else max_atoms
+    level, found = list(enumerate(base)), set(base)
+    work, work_cap = 0, 40 * cap
+    for _ in range(min(k or len(base), len(base)) - 1):
+        growing = [(last, u) for last, u in level if u.bit_count() < limit]
+        lasts, unions = [last for last, _ in growing], [u for _, u in growing]
+        level = []  # (least last index, union), by index
+        for i, m in enumerate(base):
+            row = bisect_left(lasts, i)
+            joins = [u | m for u in unions[:min(row, work_cap - work)]]
+            work += len(joins)
+            for w in joins:
+                if w.bit_count() > limit or w in found:
+                    continue
+                if len(found) >= cap:
                     raise BudgetExceeded(f"union closure exceeded its cap of {cap} unions")
-                joined += 1
-            seen.add(w)
-            by_size[size].append(w)
-            if size < max_atoms:
-                growing.append(w)
-        if len(joins) < grown:
-            raise BudgetExceeded(f"union closure exceeded its work cap of {work_cap} steps")
-    return codec.atoms, [w for bucket in by_size for w in sorted(bucket, reverse=True)]
+                found.add(w)
+                level.append((i, w))
+            if len(joins) < row:
+                raise BudgetExceeded(f"union closure exceeded its work cap of {work_cap} steps")
+    # mask_key order: by size, then the larger mask first
+    return codec.atoms, sorted(sorted(found, reverse=True), key=int.bit_count)
 
 
 def _union_bound(q: FOQuery) -> Optional[int]:
@@ -433,45 +439,6 @@ def _union_bound(q: FOQuery) -> Optional[int]:
         loose = formula_free_vars(And(tuple(literals))) - formula_free_vars(And(tuple(positive)))
         k = max(k, len(positive) + sum(v in loose for _, v in p[0]))
     return k
-
-
-def _k_union_masks(
-    members: Sequence[Instance], k: int, cap: int = UNION_CLOSURE_CAP
-) -> Tuple[Tuple[Atom, ...], List[int]]:
-    """The distinct unions of 1 to k members, of any size, as int masks over
-    the returned atoms, in ``instance_key`` order.  Level j holds the unions
-    of j members that are no union of fewer, each with the least index of
-    the last of j members that make it; it joins only the members after
-    that.  More than 40 × ``cap`` joins, or ``cap`` unions, raise as in
-    ``_union_masks``."""
-    codec = AtomMasks(a for m in members for a in m.atoms)
-    base = sorted({codec.encode(m.atoms) for m in members}, key=mask_key)
-    level, found = {w: i for i, w in enumerate(base)}, set(base)
-    work, work_cap = 0, 40 * cap
-    for _ in range(k - 1):
-        grown: Dict[int, int] = {}
-        for u, last in level.items():
-            work += len(base) - 1 - last
-            if work > work_cap:
-                raise BudgetExceeded(f"union closure exceeded its work cap of {work_cap} steps")
-            for i in range(last + 1, len(base)):
-                w = u | base[i]
-                if w in found:
-                    continue
-                if w not in grown and len(found) + len(grown) >= cap:
-                    raise BudgetExceeded(f"union closure exceeded its cap of {cap} unions")
-                grown[w] = min(i, grown.get(w, i))
-        found.update(grown)
-        level = grown
-    return codec.atoms, sorted(found, key=mask_key)
-
-
-def _union_closure(
-    members: Sequence[Instance], max_atoms: int, cap: int = UNION_CLOSURE_CAP
-) -> List[Instance]:
-    """The unions of ``_union_masks`` as instances, in the same order."""
-    atoms, masks = _union_masks(members, max_atoms, cap)
-    return list(map(AtomMasks(atoms).decode, masks))
 
 
 def _is_union_of(instance: Instance, members: Sequence[Instance]) -> bool:
@@ -515,7 +482,8 @@ def tstar_fixpoint(
         pool = target_atom_pool(mapping, universe_of(mapping, source, budget, extra_constants))
     for _ in range(rounds):
         added: List[Instance] = []
-        for union in _union_closure(generators, budget.max_atoms):
+        atoms, masks = _union_masks(generators, None, budget.max_atoms)
+        for union in map(AtomMasks(atoms).decode, masks):
             if chase.is_solution(mapping, source, union):
                 continue  # its own minimal extension, already a union
             for ext in _minimal_extensions(
@@ -542,19 +510,20 @@ def _gcwa_star_masks(
     """The fixpoint, over q's constants or else the extra ones, the masks
     over the returned atoms of the unions whose common answers are q's
     certain answers, in ``instance_key`` order, and whether ``max_atoms``
-    cut a union.  A universal q over st-tgds gets the unions of at most k
-    members (``_union_bound``); else the closure's unions that are
-    solutions are kept, cut iff the union of all members is larger."""
+    cut a union.  One ``_union_masks`` call builds them: a universal q over
+    st-tgds bounds the members by k (``_union_bound``) and not the atoms;
+    any other q bounds the atoms by ``max_atoms`` and keeps the unions that
+    are solutions, cut iff the union of all members is larger."""
     fix = tstar_fixpoint(mapping, source, budget, extra_constants if q is None else q.consts())
     members = fix.family.instances
     k = _union_bound(q) if q is not None and mapping.is_st_only() else None
-    if k is not None:
-        return (fix, *_k_union_masks(members, k), False)
-    atoms, masks = _union_masks(members, budget.max_atoms)
+    max_atoms = budget.max_atoms if k is None else None
+    atoms, masks = _union_masks(members, k, max_atoms)
     if not mapping.is_st_only():  # st-tgds survive unions, other constraints need not
         decode = AtomMasks(atoms).decode
         masks = [w for w in masks if chase.is_solution(mapping, source, decode(w))]
-    return fix, atoms, masks, len(frozenset().union(*(m.atoms for m in members))) > budget.max_atoms
+    cut = max_atoms is not None and len(frozenset().union(*(m.atoms for m in members))) > max_atoms
+    return fix, atoms, masks, cut
 
 
 def gcwa_star_solutions(

@@ -313,3 +313,26 @@ def test_non_ascii_digits_are_not_a_number(files, capsys):
     mapping = write("m.dx", "source R/².\ntarget E/2.")
     code, _, err = run(["chase", "-m", mapping, "-s", write("s.inst", "")], capsys)
     assert code == 1 and err == f"error: {mapping}:1:10: expected a number\n"
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--budget-fresh", "fresh_constants"),
+    ("--budget-atoms", "max_atoms"),
+    ("--budget-rounds", "max_fixpoint_rounds"),
+])
+def test_negative_budget_is_a_usage_error(flag, field, capsys):
+    # -1 atoms would leave the oracle no minimal solution and answer []
+    data = Path(__file__).resolve().parent.parent / "demos" / "data"
+    argv = ["eval", "-m", str(data / "chain.dx"), "-s", str(data / "chain.inst"),
+            "-q", str(data / "chain_fb.q"), "--oracle"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["answers"] == [[]]
+    code, out, err = run(argv + [flag, "-1"], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: budget field {field} must be nonnegative, not -1\n"
+
+
+def test_compare_refuses_a_negative_random_count(capsys):
+    code, out, err = run(["compare", "--random", "-3"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: compare --random needs a nonnegative count, not -3\n"

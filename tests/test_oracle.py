@@ -35,11 +35,9 @@ from dx.oracle import (
     _intersect,
     _overcount_violation,
     _gcwa_star_masks,
-    _k_union_masks,
     _st_minimal_solutions,
     _union_answers,
     _union_bound,
-    _union_closure,
     _union_masks,
     mapping_constants,
     target_atom_pool,
@@ -511,7 +509,7 @@ def _reference_union_closure(members, max_atoms, cap=60_000):
     distinct member within ``max_atoms``, in ``instance_key`` order, is
     added and joined into every union found before it of fewer than
     ``max_atoms`` atoms, one step per join.  The same caps as
-    ``dx.oracle._union_closure``; returns the unions sorted by
+    ``dx.oracle._union_masks``; returns the unions sorted by
     ``instance_key``."""
     base = []
     for m in sorted(set(members), key=instance_key):
@@ -573,6 +571,13 @@ def _bfs_union_closure(members, max_atoms, cap=60_000):
                     nxt.append(w)
         frontier = nxt
     return sorted((Instance(a) for a in seen), key=instance_key)
+
+
+def _closure_instances(members, max_atoms, cap=60_000):
+    """``dx.oracle._union_masks`` within ``max_atoms``, of any number of
+    members, decoded to instances."""
+    atoms, masks = _union_masks(members, max_atoms=max_atoms, cap=cap)
+    return list(map(AtomMasks(atoms).decode, masks))
 
 
 def _closure_outcome(closure, members, max_atoms, cap):
@@ -640,7 +645,7 @@ def test_union_closure_matches_reference():
     errors = set()
     for members, max_atoms, cap in _closure_grid():
         expected = _closure_outcome(_reference_union_closure, members, max_atoms, cap)
-        got = _closure_outcome(_union_closure, members, max_atoms, cap)
+        got = _closure_outcome(_closure_instances, members, max_atoms, cap)
         assert got == expected, (members, max_atoms, cap)
         if isinstance(expected, str):
             errors.add(expected.split(" of ")[0])
@@ -657,7 +662,7 @@ def test_union_closure_agrees_with_the_closure_by_rounds():
     differ = 0
     for members, max_atoms, cap in _closure_grid():
         by_rounds = _closure_outcome(_bfs_union_closure, members, max_atoms, cap)
-        got = _closure_outcome(_union_closure, members, max_atoms, cap)
+        got = _closure_outcome(_closure_instances, members, max_atoms, cap)
         if isinstance(by_rounds, str) and "work cap" in by_rounds:
             differ += got != by_rounds
         else:
@@ -671,27 +676,30 @@ def test_union_closure_answers_where_rounds_ran_out_of_work():
     full = _full("defghij")
     with pytest.raises(BudgetExceeded, match="work cap of 40 steps"):
         _bfs_union_closure(full, 3, cap=1)
-    assert _union_closure(full, 3, cap=1) == sorted(full, key=instance_key)
+    assert _closure_instances(full, 3, cap=1) == sorted(full, key=instance_key)
 
 
 def test_union_closure_cap_message_names_its_limit():
     members = [_e(("a", x)) for x in "bcd"]
     with pytest.raises(BudgetExceeded) as info:
-        _union_closure(members, 8, cap=4)
+        _closure_instances(members, 8, cap=4)
     assert str(info.value) == "union closure exceeded its cap of 4 unions"
 
 
+@pytest.mark.parametrize("max_atoms", [None, 3, 6])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_k_unions_match_combinations(k):
+def test_k_unions_match_combinations(k, max_atoms):
     # the distinct unions of at most k members, as joined frozensets of
-    # ``itertools.combinations``, in ``instance_key`` order, of any size
+    # ``itertools.combinations``, in ``instance_key`` order, of at most
+    # ``max_atoms`` atoms (of any size for None)
     families = _hand_made_families() + _random_minimal_families(30)
     for members in families:
         if len(members) > 12 and k > 2:
             continue
-        expected = _k_unions(sorted(set(members), key=instance_key), k)
-        atoms, masks = _k_union_masks(members, k)
-        assert list(map(AtomMasks(atoms).decode, masks)) == expected, (members, k)
+        unions = _k_unions(sorted(set(members), key=instance_key), k)
+        expected = [u for u in unions if max_atoms is None or len(u) <= max_atoms]
+        atoms, masks = _union_masks(members, k, max_atoms)
+        assert list(map(AtomMasks(atoms).decode, masks)) == expected, (members, k, max_atoms)
 
 
 def test_k_union_caps_name_their_limits():
@@ -699,16 +707,16 @@ def test_k_union_caps_name_their_limits():
     # of 14 refuses the 15th, and 15 passes
     members = [_e(("a", x)) for x in "bcdef"]
     with pytest.raises(BudgetExceeded, match=r"^union closure exceeded its cap of 14 unions$"):
-        _k_union_masks(members, 2, cap=14)
-    assert len(_k_union_masks(members, 2, cap=15)[1]) == 15
+        _union_masks(members, 2, cap=14)
+    assert len(_union_masks(members, 2, cap=15)[1]) == 15
     # every two of the 89-atom subsets of 90 atoms join to all 90: 91
     # unions from 90 × 89 / 2 = 4 005 joins, more than 40 × 91 and no more
     # than 40 × 101
     names = [f"v{i}" for i in range(90)]
     members = [_e(*[("a", x) for x in names if x != y]) for y in names]
     with pytest.raises(BudgetExceeded, match=r"^union closure exceeded its work cap of 3640 steps$"):
-        _k_union_masks(members, 2, cap=91)
-    assert len(_k_union_masks(members, 2, cap=101)[1]) == 91
+        _union_masks(members, 2, cap=91)
+    assert len(_union_masks(members, 2, cap=101)[1]) == 91
 
 
 @pytest.mark.parametrize("text, k", [
@@ -755,19 +763,25 @@ def test_union_larger_than_max_atoms_refutes(budget):
 
 
 def test_universal_st_path_never_builds_the_closure(monkeypatch):
+    # the universal query over st-tgds bounds the members by k and not the
+    # atoms; the existential one bounds the atoms by max_atoms
     import dx.oracle
 
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("the union closure ran")
+    bounds = []
 
-    monkeypatch.setattr(dx.oracle, "_union_masks", must_not_run)
+    def spy(members, k=None, max_atoms=None, cap=60_000):
+        bounds.append((k, max_atoms))
+        return _union_masks(members, k, max_atoms, cap)
+
+    monkeypatch.setattr(dx.oracle, "_union_masks", spy)
     m = mapping(FOUND_MAP)
     s = instance("P(a). R(a,b). R(b,b).", m.source)
     for budget in (Budget(2, 4, 2), Budget(2, 8, 2)):
         assert answers_semantics(m, s, query(FOUND_QUERY, m.target), "gcwa-star", budget).answers == set()
+    assert bounds == [(3, None), (3, None)]
     existential = query("q() := exists u: ~U(u).", m.target)
-    with pytest.raises(AssertionError, match="the union closure ran"):
-        answers_semantics(m, s, existential, "gcwa-star", Budget(2, 8, 2))
+    answers_semantics(m, s, existential, "gcwa-star", Budget(2, 8, 2))
+    assert bounds[2:] == [(None, 8)]
 
 
 @pytest.mark.parametrize("text", ["q() := exists z: ~E(a,z).", "q() := ~(forall z: E(a,z) -> F(z,b))."])
@@ -848,10 +862,14 @@ def test_gcwa_star_outputs_match_reference_closure(monkeypatch):
     got = _gcwa_star_outcomes(triples, budgets)
     calls = []
 
-    def reference_masks(members, max_atoms, cap=60_000):
-        # the frozenset closure's unions, encoded as ``_union_masks`` does
-        calls.append(max_atoms)
-        unions = _reference_union_closure(members, max_atoms, cap)
+    def reference_masks(members, k=None, max_atoms=None, cap=60_000):
+        # the frozenset closure's unions, or the unions of at most k
+        # members, encoded as ``_union_masks`` does
+        calls.append((k, max_atoms))
+        if k is None:
+            unions = _reference_union_closure(members, max_atoms, cap)
+        else:
+            unions = _k_unions(sorted(set(members), key=instance_key), k)
         atoms = sorted({a for u in unions for a in u.atoms}, key=atom_key)
         bit = {at: 1 << (len(atoms) - 1 - i) for i, at in enumerate(atoms)}
         return tuple(atoms), [sum(bit[at] for at in u.atoms) for u in unions]
@@ -1086,9 +1104,9 @@ EF_SCHEMA = Schema.of({"E": 2, "F": 2})
 def _unions_answers(q, members, max_atoms=8):
     """The oracle's intersection over the unions of ``members`` (one bit per
     union), next to the plain one over every union."""
-    atoms, masks = _union_masks(members, max_atoms)
+    atoms, masks = _union_masks(members, max_atoms=max_atoms)
     got, _ = _union_answers(q, atoms, masks)
-    plain = set.intersection(*(query_answers(q, u) for u in _union_closure(members, max_atoms)))
+    plain = set.intersection(*(query_answers(q, u) for u in _closure_instances(members, max_atoms)))
     return got, plain
 
 
@@ -1139,6 +1157,12 @@ def test_counting_quantifier_over_unions(lo, hi, expected):
     q = FOQuery("q", (x,), CountExists(lo, hi, u, RelAtom("E", (x, u))))
     members = [_ef(("E", "a", "b")), _ef(("E", "a", "c"))]
     assert _unions_answers(q, members) == (expected, expected)
+
+
+def test_budget_refuses_negative_fields():
+    assert Budget(0, 0, 0).as_dict() == {"fresh_constants": 0, "max_atoms": 0, "max_fixpoint_rounds": 0}
+    with pytest.raises(DxError, match=r"^budget field max_atoms must be nonnegative, not -1$"):
+        Budget(2, -1, 2)
 
 
 def test_gcwa_star_empty_family_under_empty_cert_all():
@@ -1200,7 +1224,7 @@ def test_family_refuted_by_its_first_union_reads_one_union(monkeypatch):
 def test_unions_are_read_in_chunks_of_growing_size():
     # the twelve one-atom unions E(a,a), ..., E(a,l) are read in chunks of
     # 1, 8 and 64, so q is refuted after 1, 9 or all 12 unions
-    atoms, masks = _union_masks([_ef(("E", "a", x)) for x in "abcdefghijkl"], 1)
+    atoms, masks = _union_masks([_ef(("E", "a", x)) for x in "abcdefghijkl"], max_atoms=1)
     assert len(masks) == 12
     for refuting, read in (("a", 1), ("b", 9), ("i", 9), ("j", 12), ("l", 12)):
         q = query(f"q() := ~E(a,{refuting}).", EF_SCHEMA)
