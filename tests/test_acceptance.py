@@ -36,6 +36,7 @@ from dx.model import value_key
 from dx.oracle import Budget, gcwa_star_solutions
 from dx.randgen import gen_packed_mapping, gen_source, gen_ucq, random_triples, three_way
 
+from families import EF_MAP
 from fixtures import (
     BLK_INSTANCE,
     C23_MAP,
@@ -45,7 +46,6 @@ from fixtures import (
     COPY_MAP,
     COPY_QUERY,
     COPY_SRC,
-    EF_MAP,
     EF_SRC,
     EFF_MAP,
     EFF_QUERY,

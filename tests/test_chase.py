@@ -15,10 +15,10 @@ from dx.randgen import gen_packed_mapping, gen_source
 from dx.textio import SourceText
 from dx import parse_instance
 
+from families import EF_MAP
 from fixtures import (
     COPY_MAP,
     COPY_SRC,
-    EF_MAP,
     EF_SRC,
     LEQ2_MAP,
     LEQ_SRC,

@@ -6,12 +6,12 @@ import pytest
 import dx.corelib
 from dx.cli import main
 
+from families import EF_MAP
 from fixtures import (
     C23_MAP,
     COPY_MAP,
     COPY_QUERY,
     COPY_SRC,
-    EF_MAP,
     EF_SRC,
     EF_UCQ,
     NAF_INSTANCE,

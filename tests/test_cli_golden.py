@@ -18,11 +18,10 @@ import pytest
 from dx.cli import main
 from dx.oracle import SEMANTICS
 
-from fixtures import EF_MAP, ef_chain
+from families import FAMILIES, source_text
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
-CHAIN_QUERY = "q(x) := forall z: forall y: E(x,z) /\\ F(z,y) -> y = b."
 NON_CORE = "E(a,_x). E(a,_y). E(b,_u). E(b,_v). E(c,_w)."
 
 
@@ -58,10 +57,10 @@ COMMANDS = list(_commands())
 
 
 def _write_inputs(tmp: Path) -> None:
-    (tmp / "ef.dx").write_text(EF_MAP + "\n", encoding="utf-8")
-    (tmp / "chain.q").write_text(CHAIN_QUERY + "\n", encoding="utf-8")
-    edges = "".join(f"R({x},{y}).\n" for x, y in ef_chain(20))
-    (tmp / "ef20.inst").write_text(edges, encoding="utf-8")
+    ef_chain = FAMILIES["ef-chain"]
+    (tmp / "ef.dx").write_text(ef_chain.mapping + "\n", encoding="utf-8")
+    (tmp / "chain.q").write_text(ef_chain.query + "\n", encoding="utf-8")
+    (tmp / "ef20.inst").write_text(source_text(ef_chain.edges(20)), encoding="utf-8")
     (tmp / "noncore.inst").write_text(NON_CORE + "\n", encoding="utf-8")
 
 

@@ -25,11 +25,11 @@ from dx.randgen import gen_packed_mapping, gen_source
 from dx.model import homomorphically_equivalent, value_key
 from dx.textio import SourceText, parse_instance, parse_mapping, serialize_instance
 
+from families import EF_MAP
 from fixtures import (
     BLK_INSTANCE,
     COPY_MAP,
     COPY_SRC,
-    EF_MAP,
     EF_SRC,
     LEQ2_MAP,
     LEQ_SRC,

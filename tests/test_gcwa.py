@@ -58,6 +58,8 @@ from dx.randgen import (
 )
 from dx.textio import SourceText
 
+import families
+from families import EF_MAP, FAMILIES, TWO_NULL_MAP, chain_source, ef_chain, fan
 from fixtures import (
     AGREE59_CORE,
     AGREE59_MAP,
@@ -68,7 +70,6 @@ from fixtures import (
     COPY_MAP,
     COPY_QUERY,
     COPY_SRC,
-    EF_MAP,
     EF_Q2,
     EF_Q3,
     EF_SRC,
@@ -80,11 +81,7 @@ from fixtures import (
     NAF_INSTANCE,
     PE_MAP,
     E_SCHEMA,
-    TWO_NULL_MAP,
-    chain_core,
     clique_source,
-    ef_chain,
-    fan,
     instance,
     mapping,
     query,
@@ -572,7 +569,7 @@ def _packed_cores():
     m = mapping(CLQ_MAP)
     for edges in ([(1, 2), (1, 3), (2, 3)], [(1, 2), (2, 3)]):
         yield core_solution(m, instance(clique_source(edges), m.source))
-    yield _ef_chain_core(ef_chain(8))[0]
+    yield EF_CHAIN.build(8)[2]
     # both blocks map onto R(a,a) and retract each other: one representative
     # twice, which a literal's places list once
     yield Instance([Atom("R", (Null("t", 1), a)), Atom("R", (a, Null("t", 2)))])
@@ -704,41 +701,7 @@ def test_owa_homclosed():
         answers_owa_homclosed(core, query(EF_Q3, m.target))
 
 
-def _ef_chain_answers(edges):
-    """Certain answers of ``forall z, y: E(x,z) & F(z,y) -> y = b`` read off
-    the source.  Two minimal worlds can put the midpoints of x->y and of an
-    edge w->v with v != b at one constant, so a constant with an outgoing
-    edge is certain only if every edge ends in b; the others hold
-    vacuously."""
-    consts = {v for e in edges for v in e} | {"b"}
-    if all(y == "b" for _, y in edges):
-        return {(Const(v),) for v in consts}
-    has_out = {x for x, _ in edges}
-    return {(Const(v),) for v in consts if v not in has_out}
-
-
-CHAIN_QUERY = "q(x) := forall z: forall y: E(x,z) /\\ F(z,y) -> y = b."
-
-
-def _ef_chain_core(edges):
-    m, _, core = chain_core(EF_MAP, edges)
-    return core, query(CHAIN_QUERY, m.target)
-
-
-def _two_null_chain(edges):
-    """Mapping, source, core and the EF chain's query for the two-null chain."""
-    m, source, core = chain_core(TWO_NULL_MAP, edges)
-    return m, source, core, query(CHAIN_QUERY, m.target)
-
-
-def _two_null_answers(edges):
-    """Certain answers of the EF chain's query under ``TWO_NULL_MAP``, read
-    off the source.  The core holds E(x,z), F(z,w), U(z) for each x with an
-    edge, and no y.  In a minimal world whose z are all distinct, the w of
-    each x can be any constant, so such an x is never certain; b, only a
-    query constant, holds vacuously."""
-    has_out = {x for x, _ in edges}  # the core's constants
-    return set() if "b" in has_out else {(Const("b"),)}
+EF_CHAIN, TWO_NULL, FAN, WIDTH_2 = (FAMILIES[name] for name in ("ef-chain", "two-null", "fan", "width-2"))
 
 
 @pytest.fixture
@@ -769,9 +732,8 @@ def _started_once_per_pool(starts):
 
 
 def test_block_reps_are_computed_once_per_pool(streams):
-    edges = ef_chain(10)
-    core, q = _ef_chain_core(edges)
-    assert _search_answers(core, q) == _ef_chain_answers(edges)
+    _, _, core, q = EF_CHAIN.build(10)
+    assert _search_answers(core, q) == EF_CHAIN.answers(10)
     _started_once_per_pool(streams.starts)
     # the search reads only the blocks it reaches, not every block
     assert len(streams.starts) < len(dx.corelib.atom_blocks(core).blocks)
@@ -793,9 +755,8 @@ def test_block_reps_are_computed_once_per_pool(streams):
 def _ef_chain_fast_path(n, streams):
     # the whole search shares one pool, and each block's
     # representatives are computed at most once
-    edges = ef_chain(n)
-    core, q = _ef_chain_core(edges)
-    assert _search_answers(core, q) == _ef_chain_answers(edges)
+    _, _, core, q = EF_CHAIN.build(n)
+    assert _search_answers(core, q) == EF_CHAIN.answers(n)
     _started_once_per_pool(streams.starts)
     assert streams.all_block_reps == []
 
@@ -819,7 +780,7 @@ def test_ef_chain_rep_storage_grows_polynomially():
     # about 8 times
     stored = []
     for n in (10, 20, 40):
-        core, q = _ef_chain_core(ef_chain(n))
+        _, _, core, q = EF_CHAIN.build(n)
         reps = CoreEvaluator(core, q.consts()).reps_for(q.consts())
         stored.append(sum(len(rep.extra) + len(rep.gone) for rep in reps))
     assert all(big <= 2 ** 2.5 * small for small, big in zip(stored, stored[1:])), stored
@@ -852,23 +813,18 @@ def test_ef_chain_reps_retract_nothing(rep_shrinks):
     # towards a representative's fresh atoms, so none is retracted, neither
     # under every representative nor under a whole evaluation
     for n in (10, 20, 40):
-        core, q = _ef_chain_core(ef_chain(n))
+        _, _, core, q = EF_CHAIN.build(n)
         rep_shrinks(CoreEvaluator(core, q.consts()).reps_for, q.consts())
-        assert rep_shrinks(answers_gcwa_star_universal, core, q) == _ef_chain_answers(ef_chain(n))
+        assert rep_shrinks(answers_gcwa_star_universal, core, q) == EF_CHAIN.answers(n)
     assert rep_shrinks.counts == [0] * 6
 
 
 def test_two_null_chain_answers(rep_shrinks):
-    # the general evaluator exceeds its valuation cap from n = 5 on, so it
-    # checks the smallest chain; the arc-consistency pass leaves no rest
-    # block to retract here either
-    m, source, core, q = _two_null_chain(ef_chain(4))
-    fast = rep_shrinks(answers_gcwa_star_universal, core, q)
-    assert fast == answers_gcwa_star_universal_general(m, source, q)
-    for n in (5, 10, 20, 40):
-        edges = ef_chain(n)
-        _, _, core, q = _two_null_chain(edges)
-        assert rep_shrinks(answers_gcwa_star_universal, core, q) == _two_null_answers(edges)
+    # the arc-consistency pass leaves no rest block to retract here either
+    # (the general evaluator, over its valuation cap from n = 5 on, checks
+    # n <= 4 in test_searched_families_match_the_general_evaluator)
+    for n in (4, 5, 10, 20, 40):
+        assert rep_shrinks(answers_gcwa_star_universal, *TWO_NULL.build(n)[2:]) == TWO_NULL.answers(n)
     assert rep_shrinks.counts == [0] * 5
 
 
@@ -884,12 +840,11 @@ def test_retracted_representatives_grow_at_most_three_times_per_doubling(monkeyp
         return retract(*args)
 
     monkeypatch.setattr(dx.minrep, "core_retract_fixing", counting)
-    for chain, sizes in ((_ef_chain_core, (10, 20, 40)),
-                         (lambda edges: _two_null_chain(edges)[2:], (5, 10, 20, 40))):
+    for family, sizes in ((EF_CHAIN, (10, 20, 40)), (TWO_NULL, (5, 10, 20, 40))):
         counts = []
         for n in sizes:
             before = len(retracted)
-            _search_answers(*chain(ef_chain(n)))
+            _search_answers(*family.build(n)[2:])
             counts.append(len(retracted) - before)
         assert all(0 < small and big <= 3 * small for small, big in zip(counts, counts[1:])), counts
 
@@ -908,12 +863,11 @@ def test_block_images_built_grow_about_linearly(monkeypatch):
             yield image
 
     monkeypatch.setattr(dx.minrep, "_block_images", counting)
-    for chain, sizes in ((_ef_chain_core, (10, 20, 40, 80)),
-                         (lambda edges: _two_null_chain(edges)[2:], (5, 10, 20, 40))):
+    for family, sizes in ((EF_CHAIN, (10, 20, 40, 80)), (TWO_NULL, (5, 10, 20, 40))):
         counts = []
         for n in sizes:
             built[0] = 0
-            _search_answers(*chain(ef_chain(n)))
+            _search_answers(*family.build(n)[2:])
             counts.append(built[0])
         # 2.5 times per doubling over the range; the two-null chain's first
         # doubling (3 to 8 images) exceeds it by its constant offset alone
@@ -937,8 +891,7 @@ def test_reached_atoms_grow_about_linearly(monkeypatch):
     counts = []
     for n in (20, 40, 80, 160):
         reached[:] = []
-        edges = ef_chain(n)
-        assert _search_answers(*_ef_chain_core(edges)) == _ef_chain_answers(edges)
+        assert _search_answers(*EF_CHAIN.build(n)[2:]) == EF_CHAIN.answers(n)
         counts.append(sum(reached))
     assert all(0 < small and big <= 2.5 * small for small, big in zip(counts, counts[1:])), counts
 
@@ -947,9 +900,7 @@ def test_atom_no_block_reaches_starts_no_stream(streams):
     # F(x, zz) with zz outside the core: every F atom of the EF chain's core
     # holds a constant other than zz in second place; starting every block's
     # stream took 0.8 s at n = 80
-    edges = ef_chain(80)
-    core, _ = _ef_chain_core(edges)
-    first = Const(edges[0][0])
+    core, first = EF_CHAIN.build(80)[2], Const(ef_chain(80)[0][0])
     assert not atom_in_some_minimal(core, Atom("F", (first, Const("zz"))))
     assert streams.starts == []
     # two blocks reach E(first, zz); the first one's stream holds it
@@ -972,14 +923,10 @@ def test_block_no_literal_reaches_is_never_searched(streams):
 def test_core_check_changes_no_answer():
     # with the check on the core and by the search alone, on both chains,
     # the fan and criterion 8's triples
-    families = ((_ef_chain_core, ef_chain, _ef_chain_answers),
-                (lambda edges: _two_null_chain(edges)[2:], ef_chain, _two_null_answers),
-                (_ef_chain_core, fan, lambda edges: {(b,), (c,)}))
-    for chain, edges_of, expected in families:
+    for family in (EF_CHAIN, TWO_NULL, FAN):
         for n in (10, 20, 40, 80):
-            edges = edges_of(n)
-            core, q = chain(edges)
-            assert answers_gcwa_star_universal(core, q) == _search_answers(core, q) == expected(edges), n
+            _, _, core, q = family.build(n)
+            assert answers_gcwa_star_universal(core, q) == _search_answers(core, q) == family.answers(n), n
     for m, s, q in itertools.islice(random_triples(random.Random(20260808), max_atoms=5), 221):
         core = core_solution(m, s)
         assert answers_gcwa_star_universal(core, q) == _search_answers(core, q), q
@@ -988,11 +935,8 @@ def test_core_check_changes_no_answer():
 def test_core_decides_both_chains_without_a_block_search(streams, rep_shrinks):
     # work without a clock: the core refutes every non-answer of both
     # chains, and the answers' literals reach no block
-    edges = ef_chain(80)
-    ef_core, ef_q = _ef_chain_core(edges)
-    assert rep_shrinks(answers_gcwa_star_universal, ef_core, ef_q) == _ef_chain_answers(edges)
-    _, _, core, q = _two_null_chain(edges)
-    assert rep_shrinks(answers_gcwa_star_universal, core, q) == _two_null_answers(edges)
+    for family in (EF_CHAIN, TWO_NULL):
+        assert rep_shrinks(answers_gcwa_star_universal, *family.build(80)[2:]) == family.answers(80)
     assert streams.starts == [] and rep_shrinks.counts == [0, 0]
 
 
@@ -1014,15 +958,14 @@ def test_fan_searches_every_tuple_the_core_does_not_refute(monkeypatch):
 
     monkeypatch.setattr(CoreEvaluator, "conjunct_satisfiable", counting)
     monkeypatch.setattr(dx.minrep, "_block_images", counting_images)
-    edges = fan(40)
-    assert answers_gcwa_star_universal(*_ef_chain_core(edges)) == {(b,), (c,)}
-    nodes = {Const(v) for v, _ in edges} - {a}
+    assert answers_gcwa_star_universal(*FAN.build(40)[2:]) == {(b,), (c,)}
+    nodes = {Const(v) for v, _ in fan(40)} - {a}
     assert len(nodes) == 39
     assert len(searched) == 41 and set(searched) == {frozenset({b, v}) for v in nodes | {b, c}}
     counts = []
     for n in (10, 20, 40, 80):
         built[0] = 0
-        answers_gcwa_star_universal(*_ef_chain_core(fan(n)))
+        answers_gcwa_star_universal(*FAN.build(n)[2:])
         counts.append(built[0])
     assert all(0 < small and big <= 3 * small for small, big in zip(counts, counts[1:])), counts
 
@@ -1030,9 +973,8 @@ def test_fan_searches_every_tuple_the_core_does_not_refute(monkeypatch):
 def test_leaves_read_the_core_index_without_rebuilding_instances(monkeypatch):
     # work without a clock: no leaf rebuilds a representative whole or
     # builds an instance as large as the core, at any chain length
-    cases = [(_ef_chain_core(ef_chain(n)), _ef_chain_answers(ef_chain(n))) for n in (10, 20, 40)]
-    _, _, core, q = _two_null_chain(ef_chain(10))
-    cases.append(((core, q), _two_null_answers(ef_chain(10))))
+    cases = [(family.build(n), family.answers(n)) for family, n in
+             ((EF_CHAIN, 10), (EF_CHAIN, 20), (EF_CHAIN, 40), (TWO_NULL, 10))]
     wholes, big, leaves, size = [], [], [], [0]
     whole, init, leaf = dx.corelib.Image.whole, Instance.__init__, CoreEvaluator._leaf
 
@@ -1052,48 +994,36 @@ def test_leaves_read_the_core_index_without_rebuilding_instances(monkeypatch):
     monkeypatch.setattr(dx.corelib.Image, "whole", counting_whole)
     monkeypatch.setattr(Instance, "__init__", counting_init)
     monkeypatch.setattr(CoreEvaluator, "_leaf", counting_leaf)
-    for (core, q), expected in cases:
+    for (_, _, core, q), expected in cases:
         size[0], big[:], leaves[:] = len(core), [], []
         assert _search_answers(core, q) == expected
         assert leaves and not big, (len(core), len(leaves), big)
     assert not wholes
 
 
-# The families the fast path must search: the R-path a -> c0 -> ... ->
-# c(n-1) under M1, whose core holds U(x) for every edge source x, or M2.
-FAMILY_M1 = ("source R/2, P/1. target E/2, F/2, U/1. "
-             "tgd R(x,y) -> exists z1: E(x,z1), F(z1,y). tgd R(x,y) -> U(x).")
-FAMILY_M2 = "source R/2, P/1. target E/2, F/2, U/1. tgd R(x,y) -> exists z1: E(x,z1), U(z1)."
-FAMILIES = {
-    "bound": (FAMILY_M1, "q() := forall u1: forall u2: E(u1,u2) -> U(u1)."),
-    "ground": (FAMILY_M1, "q(x1) := forall u1: forall u2: E(u1,u2) -> U(x1)."),
-    "two-literal": (FAMILY_M1, "q() := forall u1: forall u2: forall u3: forall u4: "
-                               "E(u1,u2) /\\ E(u3,u4) -> U(u1)."),
-    "loose": (FAMILY_M2, "q(x1) := forall u1: E(a,x1) -> F(a,u1)."),
-}
-
-
-def _family(name, n):
-    """Mapping, source, core and query of a family on the n-edge R-path."""
-    mapping_text, text = FAMILIES[name]
-    nodes = ["a"] + [f"c{i}" for i in range(n)]
-    m, source, core = chain_core(mapping_text, list(zip(nodes, nodes[1:])))
-    return m, source, core, query(text, m.target)
-
-
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_searched_families_match_the_general_evaluator(name):
+    # and the answers read off the source at n = 10 and 20, where known
+    family = FAMILIES[name]
     for n in (2, 3, 4):
-        m, source, core, q = _family(name, n)
+        m, source, core, q = family.build(n)
         assert answers_gcwa_star_universal(core, q) == answers_gcwa_star_universal_general(m, source, q)
+    for n in (10, 20) if family.answers else ():
+        assert answers_gcwa_star_universal(*family.build(n)[2:]) == family.answers(n), n
 
 
-def test_searched_families_at_twenty_edges():
-    _, _, core, q = _family("bound", 20)
-    assert answers_gcwa_star_universal(core, q) == {()}
-    _, _, core, q = _family("ground", 20)
-    sources = {(a,)} | {(Const(f"c{i}"),) for i in range(19)}
-    assert answers_gcwa_star_universal(core, q) == sources
+def test_families_check_exits_1_on_a_wrong_answer_set(monkeypatch, capsys):
+    assert families.main(["check", "fan", "10"]) == 0
+    monkeypatch.setitem(FAMILIES, "fan", FAN._replace(answers=lambda n: {(b,)}))
+    assert families.main(["check", "fan", "10"]) == 1
+    assert "dx eval also answers ['(c,)'] and misses []" in capsys.readouterr().err
+
+
+def test_random_scale_fast_path_matches_the_general_evaluator():
+    # the general evaluator answers 16 of the 30 triples at n = 25 within
+    # its budget; at least 15, so that a generator change cannot empty it
+    checked, total = families.check("random-scale", 25)
+    assert total == 30 and checked >= 15, checked
 
 
 def test_leaves_probe_the_witness_once_without_a_join(monkeypatch):
@@ -1111,7 +1041,7 @@ def test_leaves_probe_the_witness_once_without_a_join(monkeypatch):
     monkeypatch.setattr(dx.gcwa._Witness, "__contains__", counting(probes, dx.gcwa._Witness.__contains__))
     monkeypatch.setattr(dx.gcwa, "query_answers", counting(joins, dx.gcwa.query_answers))
     for n in (10, 20, 40):
-        _, _, core, q = _family("bound", n)
+        _, _, core, q = FAMILIES["bound"].build(n)
         conjunct = specialize(normalize_negation(q)[0], (), ())
         leaves[:], probes[:] = [], []
         assert not CoreEvaluator(core, ()).conjunct_satisfiable(conjunct)
@@ -1127,9 +1057,8 @@ def test_fast_path_runs_the_core_search_once(monkeypatch):
         return original(inst)
 
     monkeypatch.setattr(dx.corelib, "core_of", counting)
-    edges = ef_chain(10)
-    core, q = _ef_chain_core(edges)  # the one search, in core_solution
-    assert answers_gcwa_star_universal(core, q) == _ef_chain_answers(edges)
+    _, _, core, q = EF_CHAIN.build(10)  # the one search, in core_solution
+    assert answers_gcwa_star_universal(core, q) == EF_CHAIN.answers(10)
     assert len(calls) == 1
 
     n1, n2 = Null("t", 1), Null("t", 2)
@@ -1198,26 +1127,17 @@ HAND_MADE_QUERIES = {
 def test_refuted_set_matches_per_tuple_reference_on_hand_made_templates():
     # the sets are those of the EF core of a -> b -> c -> c; the two-null
     # core and the empty core are checked against the reference only
-    m, _, ef_core = chain_core(EF_MAP, [("a", "b"), ("b", "c"), ("c", "c")])
+    m, source = chain_source(EF_MAP, [("a", "b"), ("b", "c"), ("c", "c")])
+    ef_core = core_solution(m, source)
     for text, expected in HAND_MADE_QUERIES.items():
         q = query(text, m.target)
         assert _refuted(ef_core, q) == _reference_refuted(ef_core, q) == expected, text
     for mapping_text, edges in ((TWO_NULL_MAP, [("a", "b"), ("b", "b")]), (EF_MAP, [])):
-        m, _, core = chain_core(mapping_text, edges)
+        m, source = chain_source(mapping_text, edges)
+        core = core_solution(m, source)
         for text in HAND_MADE_QUERIES:
             q = query(text, m.target)
             assert _refuted(core, q) == _reference_refuted(core, q), (text, core)
-
-
-WIDTH_2_QUERY = "q(x,w) := forall z: forall y: E(x,z) /\\ F(z,y) -> y = w."
-
-
-def _ef_chain_pairs(edges):
-    """Certain answers of the width-2 query on the EF chain, read off the
-    source: x has no out-edge, and w is any candidate constant."""
-    consts = {v for e in edges for v in e}
-    has_out = {x for x, _ in edges}
-    return {(Const(x), Const(w)) for x in consts - has_out for w in consts}
 
 
 def test_core_refutes_in_one_query_evaluation(monkeypatch):
@@ -1240,11 +1160,9 @@ def test_core_refutes_in_one_query_evaluation(monkeypatch):
     monkeypatch.setattr(dx.gcwa, "query_answers", counting_answers)
     monkeypatch.setattr(dx.gcwa, "specialize", counting_specialize)
     for n in (20, 40, 80, 160):
-        edges = ef_chain(n)
-        m, _, core = chain_core(EF_MAP, edges)
-        for text, expected in ((CHAIN_QUERY, _ef_chain_answers(edges)),
-                               (WIDTH_2_QUERY, _ef_chain_pairs(edges))):
-            q = query(text, m.target)
+        for family in (EF_CHAIN, WIDTH_2):
+            _, _, core, q = family.build(n)
+            expected = family.answers(n)
             joins[:], specialized[:] = [], []
             assert answers_gcwa_star_universal(core, q) == expected
             templates = len(normalize_negation(q))
@@ -1262,7 +1180,7 @@ def test_fast_path_partitions_the_core_once(monkeypatch):
         partitioned.append(instance)
         return partition(instance)
 
-    core, q = _ef_chain_core(fan(20))
+    _, _, core, q = FAN.build(20)
     core = Instance(core.atoms)
     monkeypatch.setattr(dx.corelib, "_partition", counting)
     for _ in range(2):
@@ -1281,11 +1199,11 @@ def test_answers_build_one_block_reps(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(dx.minrep.BlockReps, "__init__", counting)
-    for edges, expected in ((ef_chain(10), _ef_chain_answers(ef_chain(10))), (fan(10), {(b,), (c,)})):
-        core, q = _ef_chain_core(edges)
+    for family in (EF_CHAIN, FAN):
+        _, _, core, q = family.build(10)
         built[:] = []
-        assert answers_gcwa_star_universal(core, q) == expected
-        assert len(built) == 1, edges
+        assert answers_gcwa_star_universal(core, q) == family.answers(10)
+        assert len(built) == 1, family
 
 
 def test_constants_outside_the_pool_are_refused():
@@ -1315,9 +1233,8 @@ def test_answers_evaluate_each_candidate_tuple_once(monkeypatch):
         return evaluate(core, q, values, *args, **kwargs)
 
     monkeypatch.setattr(dx.gcwa, "eval_gcwa_star_universal", counting)
-    for edges, text in ((ef_chain(10), CHAIN_QUERY), (fan(10), CHAIN_QUERY), (ef_chain(6), WIDTH_2_QUERY)):
-        m, _, core = chain_core(EF_MAP, edges)
-        q = query(text, m.target)
+    for family, n in ((EF_CHAIN, 10), (FAN, 10), (WIDTH_2, 6)):
+        _, _, core, q = family.build(n)
         calls[:] = []
         answers = answers_gcwa_star_universal(core, q)
         pool, held = list(itertools.product(_candidates(core, q), repeat=q.width)), query_answers(q, core)

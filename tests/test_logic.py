@@ -35,7 +35,8 @@ from dx.logic import dnf_literals, prenex, subformulas, to_nnf
 from dx.model import value_key
 from dx.randgen import gen_packed_mapping, gen_source, gen_ucq, gen_universal_query
 
-from fixtures import E_SCHEMA, EF_MAP, chain_core, ef_chain, query
+from families import FAMILIES
+from fixtures import E_SCHEMA, query
 
 a, b, c, d, e = (Const(x) for x in "abcde")
 x, y, z, z1, z2 = (Var(n) for n in ("x", "y", "z", "z1", "z2"))
@@ -546,10 +547,9 @@ def test_guard_with_a_bound_probe_comes_first(monkeypatch):
         read[-1] += len(atoms)
         return atoms
 
-    cores = {n: chain_core(EF_MAP, ef_chain(n)) for n in (40, 80, 160, 320)}
+    chains = {n: FAMILIES["ef-chain"].build(n) for n in (40, 80, 160, 320)}
     monkeypatch.setattr(Instance, "atoms_matching", counting)
-    for n, (m, _, core) in cores.items():
-        q = query("q(x) := forall z: forall y: E(x,z) /\\ F(z,y) -> y = b.", m.combined_schema())
+    for n, (_, _, core, q) in chains.items():
         read.append(0)
         assert len(query_answers(q, core)) == n + 2
     assert all(later <= 2.5 * earlier for earlier, later in zip(read, read[1:])), read

@@ -27,15 +27,12 @@ from dx.minrep import BlockRep, BlockReps, Replay, _minimal_images, all_block_re
 from dx.model import AtomMasks, instance_key, mask_key, value_key
 from dx.randgen import gen_packed_mapping, gen_source
 
+from families import EF_MAP, FAMILIES
 from fixtures import (
     BLK_INSTANCE,
-    EF_MAP,
     EF_SRC,
     NAF_INSTANCE,
     E_SCHEMA,
-    TWO_NULL_MAP,
-    chain_core,
-    ef_chain,
     instance,
     mapping,
 )
@@ -300,7 +297,7 @@ def _random_packed_cores(count, seed=20261018):
 
 def _chain_cores():
     # the arc-consistency pass prunes most rest blocks of these
-    return [chain_core(EF_MAP, ef_chain(6))[2], chain_core(TWO_NULL_MAP, ef_chain(5))[2]]
+    return [FAMILIES["ef-chain"].build(6)[2], FAMILIES["two-null"].build(5)[2]]
 
 
 def test_block_reps_match_reference():

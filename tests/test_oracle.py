@@ -53,6 +53,7 @@ from dx.randgen import (
 )
 from dx.textio import SourceText, serialize_instance, serialize_mapping, serialize_query
 
+from families import EF_MAP
 from fixtures import (
     AGREE13_MAP,
     AGREE13_QUERY,
@@ -65,7 +66,6 @@ from fixtures import (
     COPY_MAP,
     COPY_QUERY,
     COPY_SRC,
-    EF_MAP,
     EF_SRC,
     EFF_MAP,
     EFF_QUERY,

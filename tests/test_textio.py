@@ -31,12 +31,12 @@ from dx.textio import (
     serialize_query,
 )
 
+from families import EF_MAP
 from fixtures import (
     C23_MAP,
     CLQ_MAP,
     COPY_MAP,
     COPY_QUERY,
-    EF_MAP,
     LEQ2_MAP,
     MOT_MAP,
     NAF_INSTANCE,
